@@ -227,8 +227,10 @@ def _run_training(config: dict, out: Path) -> dict:
             training.score_difficulties(proposal_params, pool), lam=scheme_cfg["ema_lambda"]
         )
     else:
+        # The model counts its warm-up down once per episode.
         model = DifficultyModel(
-            lam=scheme_cfg["ema_lambda"], warmup_remaining=scheme_cfg["warmup_iterations"]
+            lam=scheme_cfg["ema_lambda"],
+            warmup_remaining=scheme_cfg["warmup_iterations"] * train_cfg.batch_size,
         )
 
     result = training.train(

@@ -5,9 +5,16 @@ are n-way k-shot tasks subsampled from it, with classes drawn uniformly
 without replacement and, within each class, k+q samples drawn uniformly
 without replacement (first k to the support set, rest to the query set).
 
+``sample_episode`` returns an ``Episode`` whose rows are grouped by class
+in label order, support and query alike.
+
 On disk a dataset is a directory with ``manifest.json`` and ``data.csv``
 (header ``class_id,f0,...,f{d-1}``, one sample per row, floats written as
-shortest round-trip decimals so the round trip is bit-exact).
+shortest round-trip decimals so the round trip is bit-exact). An episode
+file is JSON with ``n``, ``k``, ``q`` and, per episode, ``classes`` plus
+``support`` and ``query`` lists of ``[class id, sample index]`` pairs,
+each derived as ``[classes[label], sample index]``; loading it against the
+same dataset rebuilds the episodes exactly.
 """
 
 from __future__ import annotations
@@ -55,21 +62,23 @@ class BaseDataset:
     split: str
     classes: tuple[ClassRecord, ...]
     generator: dict = field(default_factory=dict)
+    features: dict[int, np.ndarray] = field(init=False, repr=False)  # class id -> rows
 
     def __post_init__(self):
         if self.split not in SPLITS:
             raise DatasetError(f"unknown split {self.split!r}")
-        seen = set()
+        features = {}
         for rec in self.classes:
-            if rec.class_id in seen:
+            if rec.class_id in features:
                 raise DatasetError(f"duplicate class id {rec.class_id}")
-            seen.add(rec.class_id)
             if rec.features.ndim != 2 or rec.features.shape[1] != self.feature_dim:
                 raise DatasetError(
                     f"class {rec.class_id}: feature shape {rec.features.shape} "
                     f"does not match feature_dim {self.feature_dim}"
                 )
             rec.features.setflags(write=False)
+            features[rec.class_id] = rec.features
+        object.__setattr__(self, "features", features)
 
     @property
     def class_ids(self) -> tuple[int, ...]:
@@ -79,32 +88,25 @@ class BaseDataset:
     def num_classes(self) -> int:
         return len(self.classes)
 
-    def features_for(self, class_id: int) -> np.ndarray:
-        for rec in self.classes:
-            if rec.class_id == class_id:
-                return rec.features
-        raise DatasetError(f"class id {class_id} not in dataset")
-
 
 @dataclass(frozen=True, eq=False)
 class Episode:
-    """One n-way k-shot task with disjoint support and query samples."""
+    """One n-way k-shot task with disjoint support and query samples.
+
+    Each sample appears once, as its feature row, its local label (the
+    position of its class in ``classes``) and its index within its class.
+    """
 
     n: int
     k: int
     q: int
     classes: tuple[int, ...]  # sorted class ids
-    support_indices: tuple[tuple[int, int], ...]  # (class_id, sample_index)
-    query_indices: tuple[tuple[int, int], ...]
     support_x: np.ndarray  # (n*k, d)
-    support_y: np.ndarray  # (n*k,), global class ids
+    support_labels: np.ndarray  # (n*k,), local labels in [0, n)
+    support_samples: np.ndarray  # (n*k,), sample index within the class
     query_x: np.ndarray  # (n*q, d)
-    query_y: np.ndarray  # (n*q,)
-
-    def local_labels(self, y: np.ndarray) -> np.ndarray:
-        """Map global class ids to positions in the sorted class tuple."""
-        lookup = {cid: i for i, cid in enumerate(self.classes)}
-        return np.array([lookup[int(v)] for v in y], dtype=np.int64)
+    query_labels: np.ndarray  # (n*q,)
+    query_samples: np.ndarray  # (n*q,)
 
 
 def generate_synthetic(
@@ -206,35 +208,31 @@ def sample_episode(
         )
     ids = dataset.class_ids
     chosen = sorted(int(ids[i]) for i in rng.choice(len(ids), size=n, replace=False))
-    support_idx, query_idx = [], []
-    sup_x, sup_y, qry_x, qry_y = [], [], [], []
+    rows, picks = [], []
     for cid in chosen:
-        feats = dataset.features_for(cid)
+        feats = dataset.features[cid]
         count = feats.shape[0]
         if count < k + q:
             raise DatasetError(
                 f"class {cid} has {count} samples but the episode needs {k + q}"
             )
-        picks = rng.choice(count, size=k + q, replace=False)
-        for idx in picks[:k]:
-            support_idx.append((cid, int(idx)))
-            sup_x.append(feats[idx])
-            sup_y.append(cid)
-        for idx in picks[k:]:
-            query_idx.append((cid, int(idx)))
-            qry_x.append(feats[idx])
-            qry_y.append(cid)
+        pick = rng.choice(count, size=k + q, replace=False)
+        rows.append(feats[pick])
+        picks.append(pick)
+    x = np.stack(rows)  # (n, k+q, d)
+    samples = np.stack(picks)  # (n, k+q)
+    d = dataset.feature_dim
     return Episode(
         n=n,
         k=k,
         q=q,
         classes=tuple(chosen),
-        support_indices=tuple(support_idx),
-        query_indices=tuple(query_idx),
-        support_x=np.array(sup_x, dtype=np.float64),
-        support_y=np.array(sup_y, dtype=np.int64),
-        query_x=np.array(qry_x, dtype=np.float64),
-        query_y=np.array(qry_y, dtype=np.int64),
+        support_x=np.ascontiguousarray(x[:, :k]).reshape(n * k, d),
+        support_labels=np.repeat(np.arange(n), k),
+        support_samples=samples[:, :k].reshape(-1),
+        query_x=np.ascontiguousarray(x[:, k:]).reshape(n * q, d),
+        query_labels=np.repeat(np.arange(n), q),
+        query_samples=samples[:, k:].reshape(-1),
     )
 
 
@@ -324,8 +322,13 @@ def load_dataset(path) -> BaseDataset:
     )
 
 
+def _pairs(classes, labels, samples) -> list[list[int]]:
+    return [[classes[label], int(sample)] for label, sample in zip(labels, samples)]
+
+
 def save_episode_file(episodes, path) -> None:
-    """Persist episodes as (class id, sample index) lists for exact reuse."""
+    """Persist episodes for exact reuse: each sample is written as its
+    ``(class id, sample index)`` pair, ``(classes[label], sample)``."""
     episodes = list(episodes)
     if not episodes:
         raise DatasetError("no episodes to save")
@@ -337,8 +340,8 @@ def save_episode_file(episodes, path) -> None:
         "episodes": [
             {
                 "classes": list(ep.classes),
-                "support": [list(pair) for pair in ep.support_indices],
-                "query": [list(pair) for pair in ep.query_indices],
+                "support": _pairs(ep.classes, ep.support_labels, ep.support_samples),
+                "query": _pairs(ep.classes, ep.query_labels, ep.query_samples),
             }
             for ep in episodes
         ],
@@ -348,6 +351,18 @@ def save_episode_file(episodes, path) -> None:
         fh.write("\n")
 
 
+def _gather(dataset: BaseDataset, classes: tuple[int, ...], pairs):
+    pairs = [(int(c), int(i)) for c, i in pairs]
+    position = {cid: i for i, cid in enumerate(classes)}
+    for c, _ in pairs:
+        if c not in position or c not in dataset.features:
+            raise DatasetError(f"class id {c} not in the episode's classes or in the dataset")
+    x = np.array([dataset.features[c][i] for c, i in pairs])
+    labels = np.array([position[c] for c, _ in pairs], dtype=np.int64)
+    samples = np.array([i for _, i in pairs], dtype=np.int64)
+    return x, labels, samples
+
+
 def load_episode_file(path, dataset: BaseDataset) -> list[Episode]:
     with open(path) as fh:
         payload = json.load(fh)
@@ -355,22 +370,20 @@ def load_episode_file(path, dataset: BaseDataset) -> list[Episode]:
     episodes = []
     for entry in payload["episodes"]:
         classes = tuple(int(c) for c in entry["classes"])
-        support_idx = tuple((int(c), int(i)) for c, i in entry["support"])
-        query_idx = tuple((int(c), int(i)) for c, i in entry["query"])
-        sup_x = np.array([dataset.features_for(c)[i] for c, i in support_idx])
-        qry_x = np.array([dataset.features_for(c)[i] for c, i in query_idx])
+        sup_x, sup_labels, sup_samples = _gather(dataset, classes, entry["support"])
+        qry_x, qry_labels, qry_samples = _gather(dataset, classes, entry["query"])
         episodes.append(
             Episode(
                 n=n,
                 k=k,
                 q=q,
                 classes=classes,
-                support_indices=support_idx,
-                query_indices=query_idx,
                 support_x=sup_x,
-                support_y=np.array([c for c, _ in support_idx], dtype=np.int64),
+                support_labels=sup_labels,
+                support_samples=sup_samples,
                 query_x=qry_x,
-                query_y=np.array([c for c, _ in query_idx], dtype=np.int64),
+                query_labels=qry_labels,
+                query_samples=qry_samples,
             )
         )
     return episodes

@@ -1,25 +1,27 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
-The jitted path is used whenever numba imports successfully and the
-environment variable ``EPISAMPLER_NO_NUMBA`` is unset or empty; setting it
-to any non-empty value forces the numpy implementations. Both paths compute
-the same quantities (summation order may differ in the last few ulps).
-``benchmarks/bench_kernels.py`` times the two side by side.
+``pairwise_sqdist`` and ``softmax_xent`` back the ``sqdist`` and
+``softmax_cross_entropy`` tape ops in ``autodiff``; ``adam_update`` backs
+``training.adam_step``. Callers look each one up as a module attribute at
+call time, so the benchmark's tracer can wrap exactly these three names.
+``BACKEND`` names the implementation and is recorded with benchmark runs.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+BACKEND = "numpy"
 
-def _pairwise_sqdist_numpy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+
+def pairwise_sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(m, n) squared Euclidean distances between the rows of x and y."""
     diff = x[:, None, :] - y[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _softmax_xent_numpy(logits: np.ndarray, labels: np.ndarray):
+def softmax_xent(logits: np.ndarray, labels: np.ndarray):
+    """Per-row cross-entropy (m, 1) and the softmax probabilities (m, n)."""
     rowmax = logits.max(axis=1, keepdims=True)
     shifted = logits - rowmax
     e = np.exp(shifted)
@@ -30,82 +32,11 @@ def _softmax_xent_numpy(logits: np.ndarray, labels: np.ndarray):
     return loss, probs
 
 
-def _adam_update_numpy(p, g, m, v, t, lr, beta1, beta2, eps):
+def adam_update(p, g, m, v, t, lr, beta1, beta2, eps):
+    """One bias-corrected Adam step on flat arrays; returns (p, m, v)."""
     m2 = beta1 * m + (1.0 - beta1) * g
     v2 = beta2 * v + (1.0 - beta2) * g * g
     mhat = m2 / (1.0 - beta1**t)
     vhat = v2 / (1.0 - beta2**t)
     p2 = p - lr * mhat / (np.sqrt(vhat) + eps)
     return p2, m2, v2
-
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _pairwise_sqdist_numba(x, y):
-        m, d = x.shape
-        n = y.shape[0]
-        out = np.empty((m, n), dtype=np.float64)
-        for i in range(m):
-            for j in range(n):
-                acc = 0.0
-                for k in range(d):
-                    diff = x[i, k] - y[j, k]
-                    acc += diff * diff
-                out[i, j] = acc
-        return out
-
-    @njit(cache=True)
-    def _softmax_xent_numba(logits, labels):
-        m, n = logits.shape
-        loss = np.empty((m, 1), dtype=np.float64)
-        probs = np.empty((m, n), dtype=np.float64)
-        for i in range(m):
-            rowmax = logits[i, 0]
-            for j in range(1, n):
-                if logits[i, j] > rowmax:
-                    rowmax = logits[i, j]
-            z = 0.0
-            for j in range(n):
-                e = np.exp(logits[i, j] - rowmax)
-                probs[i, j] = e
-                z += e
-            for j in range(n):
-                probs[i, j] /= z
-            loss[i, 0] = np.log(z) - (logits[i, labels[i]] - rowmax)
-        return loss, probs
-
-    @njit(cache=True)
-    def _adam_update_numba(p, g, m, v, t, lr, beta1, beta2, eps):
-        n = p.shape[0]
-        p2 = np.empty(n, dtype=np.float64)
-        m2 = np.empty(n, dtype=np.float64)
-        v2 = np.empty(n, dtype=np.float64)
-        c1 = 1.0 - beta1**t
-        c2 = 1.0 - beta2**t
-        for i in range(n):
-            m2[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-            v2[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
-            p2[i] = p[i] - lr * (m2[i] / c1) / (np.sqrt(v2[i] / c2) + eps)
-        return p2, m2, v2
-
-
-USE_NUMBA = _HAVE_NUMBA and not os.environ.get("EPISAMPLER_NO_NUMBA")
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-if USE_NUMBA:
-    pairwise_sqdist = _pairwise_sqdist_numba
-    softmax_xent = _softmax_xent_numba
-    adam_update = _adam_update_numba
-else:
-    pairwise_sqdist = _pairwise_sqdist_numpy
-    softmax_xent = _softmax_xent_numpy
-    adam_update = _adam_update_numpy

@@ -1,8 +1,11 @@
 """The four episodic learners over a shared MLP encoder.
 
-All four expose the same surface: per-query log-likelihoods of the true
-labels, from which episode difficulty (mean negative log-likelihood over
-the query set) and accuracy are derived.
+All four share one entry point, ``_episode_logits``: query logits over
+the episode's local labels. From it come ``episode_log_likelihoods``
+(per-query log-likelihood of the true label, which ``episode_difficulty``
+turns into the episode difficulty: the mean query negative log-likelihood),
+``episode_nll`` (the same mean as a graph tensor, the training loss) and
+``episode_accuracy``.
 
 * ``proto_euclidean`` - log-softmax over negative squared Euclidean
   distances between query embeddings and class prototypes (per-class mean
@@ -181,12 +184,10 @@ def _reciprocal_row_norms(x: ad.Tensor, what: str) -> ad.Tensor:
     return ad.exp(ad.smul(-0.5, ad.log(sums)))
 
 
-def _proto_logits(params: LearnerParams, episode: Episode) -> tuple[ad.Tensor, np.ndarray]:
-    sup_labels = episode.local_labels(episode.support_y)
-    qry_labels = episode.local_labels(episode.query_y)
+def _proto_logits(params: LearnerParams, episode: Episode) -> ad.Tensor:
     emb_s = _encode(params.encoder, ad.tensor(episode.support_x))
     emb_q = _encode(params.encoder, ad.tensor(episode.query_x))
-    protos = compute_prototypes(emb_s, sup_labels, episode.k)
+    protos = compute_prototypes(emb_s, episode.support_labels, episode.k)
     if params.algorithm == "proto_euclidean":
         logits = ad.smul(-1.0, ad.sqdist(emb_q, protos))
     else:
@@ -195,16 +196,14 @@ def _proto_logits(params: LearnerParams, episode: Episode) -> tuple[ad.Tensor, n
         rp = _reciprocal_row_norms(protos, "prototype")
         cosines = ad.mul(dots, ad.matmul(rq, rp, tb=True))
         logits = ad.mul(params.cosine_scale, cosines)
-    return logits, qry_labels
+    return logits
 
 
-def _gradient_logits(params: LearnerParams, episode: Episode) -> tuple[ad.Tensor, np.ndarray]:
+def _gradient_logits(params: LearnerParams, episode: Episode) -> ad.Tensor:
     if params.head[0].shape[1] != episode.n:
         raise LearnerError(
             f"head width {params.head[0].shape[1]} does not match episode way {episode.n}"
         )
-    sup_labels = episode.local_labels(episode.support_y)
-    qry_labels = episode.local_labels(episode.query_y)
     sup_x = ad.tensor(episode.support_x)
     encoder = list(params.encoder)
     head_w, head_b = params.head
@@ -215,7 +214,7 @@ def _gradient_logits(params: LearnerParams, episode: Episode) -> tuple[ad.Tensor
         for step in range(params.adaptation_steps):
             emb = _encode(encoder, sup_x)
             logits = _affine(emb, head_w, head_b)
-            loss = ad.mean(ad.softmax_cross_entropy(logits, sup_labels))
+            loss = ad.mean(ad.softmax_cross_entropy(logits, episode.support_labels))
             if not np.isfinite(loss.item()):
                 raise LearnerError(f"non-finite inner-loop loss at adaptation step {step}")
             if params.algorithm == "maml":
@@ -231,10 +230,11 @@ def _gradient_logits(params: LearnerParams, episode: Episode) -> tuple[ad.Tensor
                 head_w, head_b = updated
         emb_q = _encode(encoder, ad.tensor(episode.query_x))
         logits_q = _affine(emb_q, head_w, head_b)
-    return logits_q, qry_labels
+    return logits_q
 
 
-def _episode_logits(params: LearnerParams, episode: Episode) -> tuple[ad.Tensor, np.ndarray]:
+def _episode_logits(params: LearnerParams, episode: Episode) -> ad.Tensor:
+    """(n*q, n) query logits; column j scores local label j."""
     if params.algorithm in PROTO_ALGORITHMS:
         return _proto_logits(params, episode)
     return _gradient_logits(params, episode)
@@ -242,20 +242,8 @@ def _episode_logits(params: LearnerParams, episode: Episode) -> tuple[ad.Tensor,
 
 def episode_log_likelihoods(params: LearnerParams, episode: Episode) -> ad.Tensor:
     """Per-query log-likelihood of the true label, as an (n*q, 1) tensor."""
-    logits, labels = _episode_logits(params, episode)
-    return ad.smul(-1.0, ad.softmax_cross_entropy(logits, labels))
-
-
-def proto_log_likelihoods(params: LearnerParams, episode: Episode) -> ad.Tensor:
-    if params.algorithm not in PROTO_ALGORITHMS:
-        raise LearnerError(f"{params.algorithm} is not a prototype algorithm")
-    return episode_log_likelihoods(params, episode)
-
-
-def gradient_log_likelihoods(params: LearnerParams, episode: Episode) -> ad.Tensor:
-    if params.algorithm not in GRADIENT_ALGORITHMS:
-        raise LearnerError(f"{params.algorithm} is not a gradient-based algorithm")
-    return episode_log_likelihoods(params, episode)
+    logits = _episode_logits(params, episode)
+    return ad.smul(-1.0, ad.softmax_cross_entropy(logits, episode.query_labels))
 
 
 def episode_nll(params: LearnerParams, episode: Episode) -> ad.Tensor:
@@ -264,8 +252,8 @@ def episode_nll(params: LearnerParams, episode: Episode) -> ad.Tensor:
     Its value is the episode difficulty; it is also the per-episode loss
     the trainer weights and aggregates.
     """
-    logits, labels = _episode_logits(params, episode)
-    return ad.mean(ad.softmax_cross_entropy(logits, labels))
+    logits = _episode_logits(params, episode)
+    return ad.mean(ad.softmax_cross_entropy(logits, episode.query_labels))
 
 
 def episode_difficulty(log_likelihoods) -> float:
@@ -282,20 +270,11 @@ def episode_difficulty(log_likelihoods) -> float:
     return max(float(-values.mean()), 0.0)
 
 
-def episode_class_probabilities(params: LearnerParams, episode: Episode) -> np.ndarray:
-    """(n*q, n) matrix of predicted class probabilities per query."""
-    logits, _ = _episode_logits(params, episode)
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def episode_accuracy(params: LearnerParams, episode: Episode) -> float:
     """Fraction of query points whose argmax class matches the label; ties
     break toward the lowest class id (argmax convention)."""
-    logits, labels = _episode_logits(params, episode)
-    pred = np.argmax(logits.data, axis=1)
-    return float(np.mean(pred == labels))
+    pred = np.argmax(_episode_logits(params, episode).data, axis=1)
+    return float(np.mean(pred == episode.query_labels))
 
 
 def save_checkpoint(params: LearnerParams, stem) -> None:

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .stats import norm_cdf
+
 TRUNCATION_SIGMAS = 2.58  # ~99% coverage of the proposal normal
 VARIANCE_FLOOR = 1e-8
 WEIGHT_CAP = 1e6
@@ -92,10 +94,6 @@ def normal_pdf(x: float, mu: float, var: float) -> float:
     return math.exp(-((x - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
-def _normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
 def target_density(omega: float, scheme: SamplingScheme, model: DifficultyModel) -> float:
     """Density of the scheme's target distribution at difficulty ``omega``.
 
@@ -118,7 +116,7 @@ def target_density(omega: float, scheme: SamplingScheme, model: DifficultyModel)
     if not lo <= omega <= hi:
         return 0.0
     mu_t = lo + scheme.progress * (hi - lo)
-    mass = _normal_cdf((hi - mu_t) / sigma) - _normal_cdf((lo - mu_t) / sigma)
+    mass = norm_cdf((hi - mu_t) / sigma) - norm_cdf((lo - mu_t) / sigma)
     return normal_pdf(omega, mu_t, model.var) / mass
 
 

@@ -81,7 +81,6 @@ class EpisodeStat:
 @dataclass
 class TrainRecord:
     iteration: int
-    batch_omega_mean: float
     episodes: list[EpisodeStat]
     ess: float
     loss: float
@@ -274,7 +273,6 @@ def train(
 
         record = TrainRecord(
             iteration=iteration,
-            batch_omega_mean=float(np.mean(omegas)),
             episodes=[
                 EpisodeStat(omega=o, weight=w, nll=nv)
                 for o, w, nv in zip(omegas, weights, nll_values)

@@ -146,6 +146,22 @@ class TestTrain:
         result = json.loads((out / "result.json").read_text())
         assert result["scheme"] == "uniform"
 
+    def test_warmup_counts_iterations(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = _run([
+            "train", "--config", tiny_config, "--out", out,
+            "--scheme.kind", "uniform", "--scheme.warmup_iterations", "3",
+        ])
+        assert code == 0
+        capsys.readouterr()
+        weights = {}
+        for line in (out / "episodes.csv").read_text().splitlines()[1:]:
+            iteration, _, _, weight, _ = line.split(",")
+            weights.setdefault(int(iteration), []).append(float(weight))
+        assert all(len(weights[it]) == 4 for it in (1, 2, 3, 4))
+        assert all(w == 1.0 for it in (1, 2, 3) for w in weights[it])
+        assert any(w != 1.0 for w in weights[4])
+
     def test_offline_mode_via_proposal_checkpoint(self, tiny_config, tmp_path, capsys):
         base = tmp_path / "base"
         assert _run(["train", "--config", tiny_config, "--out", base]) == 0

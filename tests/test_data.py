@@ -65,7 +65,8 @@ class TestSampleEpisode:
         ep = data.sample_episode(ds, 5, 1, 15, rng)
         assert ep.support_x.shape == (5, 4)
         assert ep.query_x.shape == (75, 4)
-        assert len(ep.support_indices) == 5 and len(ep.query_indices) == 75
+        assert ep.support_labels.shape == ep.support_samples.shape == (5,)
+        assert ep.query_labels.shape == ep.query_samples.shape == (75,)
 
     def test_full_class_set(self):
         ds = _small_dataset(classes=5)
@@ -88,21 +89,21 @@ class TestSampleEpisode:
         rng = streams.stream(3, streams.TRAIN_EPISODES)
         for _ in range(10_000):
             ep = data.sample_episode(ds, 3, 2, 2, rng)
-            sup = set(ep.support_indices)
-            qry = set(ep.query_indices)
+            sup = set(zip(ep.support_labels.tolist(), ep.support_samples.tolist()))
+            qry = set(zip(ep.query_labels.tolist(), ep.query_samples.tolist()))
             assert len(sup) == 6 and len(qry) == 6
             assert not sup & qry
-            assert set(ep.support_y) == set(ep.query_y) == set(ep.classes)
-            for cid in ep.classes:
-                assert np.sum(ep.support_y == cid) == 2
-                assert np.sum(ep.query_y == cid) == 2
+            assert list(ep.classes) == sorted(set(ep.classes)) and len(ep.classes) == 3
+            for label in range(3):
+                assert np.sum(ep.support_labels == label) == 2
+                assert np.sum(ep.query_labels == label) == 2
 
     def test_sampling_is_pure_given_rng_state(self):
         ds = _small_dataset()
         a = data.sample_episode(ds, 3, 1, 2, streams.stream(9, 5))
         b = data.sample_episode(ds, 3, 1, 2, streams.stream(9, 5))
         assert a.classes == b.classes
-        assert a.support_indices == b.support_indices
+        np.testing.assert_array_equal(a.support_samples, b.support_samples)
         np.testing.assert_array_equal(a.query_x, b.query_x)
 
     def test_class_marginal_uniform_chi_square(self):
@@ -165,6 +166,33 @@ class TestDiskRoundTrip:
         assert len(loaded) == 5
         for a, b in zip(eps, loaded):
             assert a.classes == b.classes
-            assert a.support_indices == b.support_indices
-            np.testing.assert_array_equal(a.query_x, b.query_x)
-            np.testing.assert_array_equal(a.support_y, b.support_y)
+            for name in (
+                "support_x", "support_labels", "support_samples",
+                "query_x", "query_labels", "query_samples",
+            ):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_episode_rows_match_their_pairs_when_classes_are_not_id_ordered(self, tmp_path):
+        import json
+
+        ds = _small_dataset(seed=2)
+        data.save_dataset(ds, tmp_path / "ds")
+        manifest_path = tmp_path / "ds" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        order = [3, 7, 0, 9, 5, 1, 8, 2, 6, 4]
+        manifest["class_ids"] = [manifest["class_ids"][i] for i in order]
+        manifest["per_class_counts"] = [manifest["per_class_counts"][i] for i in order]
+        manifest_path.write_text(json.dumps(manifest))
+        shuffled = data.load_dataset(tmp_path / "ds")
+        assert shuffled.class_ids == tuple(order)
+
+        rng = streams.stream(4, streams.TRAIN_EPISODES)
+        eps = [data.sample_episode(shuffled, 4, 2, 3, rng) for _ in range(20)]
+        data.save_episode_file(eps, tmp_path / "episodes.json")
+        entries = json.loads((tmp_path / "episodes.json").read_text())["episodes"]
+        reference = {rec.class_id: rec.features for rec in ds.classes}
+        for ep, entry in zip(eps, entries):
+            for rows, pairs in ((ep.support_x, entry["support"]), (ep.query_x, entry["query"])):
+                assert len(rows) == len(pairs)
+                for row, (cid, idx) in zip(rows, pairs):
+                    np.testing.assert_array_equal(row, reference[cid][idx])

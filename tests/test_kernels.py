@@ -1,8 +1,4 @@
-"""Tests for the numba/numpy kernel pair and backend selection."""
-
-import os
-import subprocess
-import sys
+"""Tests for the numpy kernels behind the tape ops and Adam."""
 
 import numpy as np
 import pytest
@@ -19,7 +15,7 @@ class TestNumpyKernels:
         rng = _rng()
         x = rng.standard_normal((7, 4))
         y = rng.standard_normal((3, 4))
-        out = kernels._pairwise_sqdist_numpy(x, y)
+        out = kernels.pairwise_sqdist(x, y)
         for i in range(7):
             for j in range(3):
                 assert out[i, j] == pytest.approx(((x[i] - y[j]) ** 2).sum(), rel=1e-12)
@@ -28,7 +24,7 @@ class TestNumpyKernels:
         rng = _rng()
         logits = rng.standard_normal((10, 5)) * 30
         labels = rng.integers(0, 5, size=10).astype(np.int64)
-        loss, probs = kernels._softmax_xent_numpy(logits, labels)
+        loss, probs = kernels.softmax_xent(logits, labels)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(loss >= 0)
 
@@ -37,7 +33,7 @@ class TestNumpyKernels:
         g = np.array([0.5, 0.25])
         m = np.array([0.1, 0.0])
         v = np.array([0.2, 0.0])
-        p2, m2, v2 = kernels._adam_update_numpy(p, g, m, v, 3, 0.01, 0.9, 0.999, 1e-8)
+        p2, m2, v2 = kernels.adam_update(p, g, m, v, 3, 0.01, 0.9, 0.999, 1e-8)
         m_ref = 0.9 * m + 0.1 * g
         v_ref = 0.999 * v + 0.001 * g * g
         step = 0.01 * (m_ref / (1 - 0.9**3)) / (np.sqrt(v_ref / (1 - 0.999**3)) + 1e-8)
@@ -45,50 +41,3 @@ class TestNumpyKernels:
         np.testing.assert_allclose(m2, m_ref, atol=1e-15)
         np.testing.assert_allclose(v2, v_ref, atol=1e-15)
 
-
-@pytest.mark.skipif(not kernels._HAVE_NUMBA, reason="numba not installed")
-class TestNumbaAgreement:
-    def test_sqdist_paths_agree(self):
-        rng = _rng()
-        for m, n, d in ((1, 1, 2), (75, 5, 64), (20, 8, 3)):
-            x = rng.standard_normal((m, d))
-            y = rng.standard_normal((n, d))
-            np.testing.assert_allclose(
-                kernels._pairwise_sqdist_numba(x, y),
-                kernels._pairwise_sqdist_numpy(x, y),
-                atol=1e-10,
-            )
-
-    def test_softmax_xent_paths_agree(self):
-        rng = _rng()
-        logits = rng.standard_normal((50, 7)) * 50
-        labels = rng.integers(0, 7, size=50).astype(np.int64)
-        loss_a, probs_a = kernels._softmax_xent_numpy(logits, labels)
-        loss_b, probs_b = kernels._softmax_xent_numba(logits, labels)
-        np.testing.assert_allclose(loss_a, loss_b, atol=1e-12)
-        np.testing.assert_allclose(probs_a, probs_b, atol=1e-12)
-
-    def test_adam_paths_agree(self):
-        rng = _rng()
-        args = (
-            rng.standard_normal(100),
-            rng.standard_normal(100),
-            rng.standard_normal(100) * 0.1,
-            np.abs(rng.standard_normal(100)) * 0.1,
-            7, 1e-3, 0.9, 0.999, 1e-8,
-        )
-        for a, b in zip(kernels._adam_update_numpy(*args), kernels._adam_update_numba(*args)):
-            np.testing.assert_allclose(a, b, atol=1e-14)
-
-
-class TestBackendSelection:
-    def test_backend_reported(self):
-        assert kernels.BACKEND in ("numba", "numpy")
-
-    def test_env_flag_forces_numpy(self):
-        env = dict(os.environ, EPISAMPLER_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from episampler import kernels; print(kernels.BACKEND)"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert out.stdout.strip() == "numpy"

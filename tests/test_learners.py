@@ -1,31 +1,39 @@
 """Tests for the four episodic learners and the difficulty functional."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from episampler import autodiff as ad
-from episampler import data, learners, streams
+from episampler import data, kernels, learners, streams
 
 
-def _episode(support_x, support_y, query_x, query_y, k, q):
-    """Hand-built episode; index bookkeeping is irrelevant for these tests."""
-    support_y = np.asarray(support_y, dtype=np.int64)
-    query_y = np.asarray(query_y, dtype=np.int64)
-    classes = tuple(sorted(set(int(c) for c in support_y)))
+def _episode(support_x, support_labels, query_x, query_labels, k, q):
+    """Hand-built episode over classes 0..n-1 from local labels. Learners
+    read only the rows and labels, so every sample index is 0."""
+    support_labels = np.asarray(support_labels, dtype=np.int64)
+    query_labels = np.asarray(query_labels, dtype=np.int64)
+    n = int(support_labels.max()) + 1
     return data.Episode(
-        n=len(classes),
+        n=n,
         k=k,
         q=q,
-        classes=classes,
-        support_indices=tuple((int(c), i) for i, c in enumerate(support_y)),
-        query_indices=tuple((int(c), i) for i, c in enumerate(query_y)),
+        classes=tuple(range(n)),
         support_x=np.asarray(support_x, dtype=np.float64),
-        support_y=support_y,
+        support_labels=support_labels,
+        support_samples=np.zeros_like(support_labels),
         query_x=np.asarray(query_x, dtype=np.float64),
-        query_y=query_y,
+        query_labels=query_labels,
+        query_samples=np.zeros_like(query_labels),
     )
+
+
+def _probabilities(params, ep):
+    """(n*q, n) predicted class probabilities per query."""
+    logits = learners._episode_logits(params, ep).data
+    return kernels.softmax_xent(logits, ep.query_labels)[1]
 
 
 def _identity_params(algorithm, dim, **kwargs):
@@ -74,7 +82,7 @@ class TestProtoLikelihoods:
         # labeled A: p(A) = 1/(1 + exp(-4)), log-lik = log p(A).
         params = _identity_params("proto_euclidean", 1)
         ep = _episode([[0.0], [2.0]], [0, 1], [[0.0]], [0], k=1, q=1)
-        ll = learners.proto_log_likelihoods(params, ep)
+        ll = learners.episode_log_likelihoods(params, ep)
         expected_p = 1.0 / (1.0 + math.exp(-4.0))
         assert expected_p == pytest.approx(0.98201, abs=1e-5)
         assert ll.item() == pytest.approx(math.log(expected_p), abs=1e-12)
@@ -83,7 +91,7 @@ class TestProtoLikelihoods:
     def test_equidistant_query_scores_ln_n(self):
         params = _identity_params("proto_euclidean", 2)
         ep = _episode([[1.0, 0.0], [-1.0, 0.0]], [0, 1], [[0.0, 0.0]], [0], k=1, q=1)
-        ll = learners.proto_log_likelihoods(params, ep)
+        ll = learners.episode_log_likelihoods(params, ep)
         assert ll.item() == -math.log(2.0)
 
     def test_cosine_zero_scale_scores_ln_n(self):
@@ -91,7 +99,7 @@ class TestProtoLikelihoods:
             "proto_cosine", 2, cosine_scale=ad.tensor(0.0, requires_grad=True)
         )
         ep = _episode([[1.0, 0.0], [0.0, 1.0]], [0, 1], [[1.0, 1.0], [2.0, 0.1]], [0, 1], k=1, q=1)
-        ll = learners.proto_log_likelihoods(params, ep)
+        ll = learners.episode_log_likelihoods(params, ep)
         np.testing.assert_array_equal(ll.data, [[-math.log(2.0)], [-math.log(2.0)]])
 
     def test_cosine_zero_norm_embedding_rejected(self):
@@ -100,17 +108,15 @@ class TestProtoLikelihoods:
         )
         ep = _episode([[1.0, 0.0], [0.0, 1.0]], [0, 1], [[0.0, 0.0]], [0], k=1, q=1)
         with pytest.raises(learners.LearnerError, match="zero-norm"):
-            learners.proto_log_likelihoods(params, ep)
+            learners.episode_log_likelihoods(params, ep)
 
     def test_translation_invariance_of_euclidean(self):
         params = _identity_params("proto_euclidean", 3)
         ep = _random_episode(2, dim=3)
         shift = np.array([5.0, -3.0, 1.5])
-        shifted = _episode(
-            ep.support_x + shift, ep.support_y, ep.query_x + shift, ep.query_y, ep.k, ep.q
-        )
-        base = learners.proto_log_likelihoods(params, ep)
-        moved = learners.proto_log_likelihoods(params, shifted)
+        shifted = dataclasses.replace(ep, support_x=ep.support_x + shift, query_x=ep.query_x + shift)
+        base = learners.episode_log_likelihoods(params, ep)
+        moved = learners.episode_log_likelihoods(params, shifted)
         np.testing.assert_allclose(base.data, moved.data, atol=1e-9)
 
     def test_cosine_argmax_invariant_to_positive_scale(self):
@@ -118,7 +124,7 @@ class TestProtoLikelihoods:
         preds = []
         for s in (0.1, 1.0, 10.0, 100.0):
             params = learners.init_params("proto_cosine", 5, 3, seed=4, cosine_scale=s)
-            probs = learners.episode_class_probabilities(params, ep)
+            probs = _probabilities(params, ep)
             preds.append(np.argmax(probs, axis=1))
         for p in preds[1:]:
             np.testing.assert_array_equal(preds[0], p)
@@ -128,7 +134,7 @@ class TestGradientLikelihoods:
     def test_zero_rate_equals_unadapted(self):
         ep = _random_episode(5, n=3)
         params = learners.init_params("maml", 5, 3, seed=1, adaptation_rate=0.0)
-        ll = learners.gradient_log_likelihoods(params, ep)
+        ll = learners.episode_log_likelihoods(params, ep)
         # Unadapted = encode then zero-initialized head: uniform logits.
         np.testing.assert_allclose(ll.data, -math.log(3.0), atol=1e-12)
 
@@ -152,7 +158,7 @@ class TestGradientLikelihoods:
         ep = _random_episode(8, n=3)
         params = learners.init_params("maml", 5, 4, seed=0)
         with pytest.raises(learners.LearnerError, match="width"):
-            learners.gradient_log_likelihoods(params, ep)
+            learners.episode_log_likelihoods(params, ep)
 
     def test_anil_inner_loop_never_touches_encoder(self):
         ep = _random_episode(9, n=3)
@@ -216,7 +222,7 @@ class TestLikelihoodProperties:
         for seed in range(5):
             ep = _random_episode(20 + seed, n=4)
             params = learners.init_params(algorithm, 5, 4, seed=seed)
-            probs = learners.episode_class_probabilities(params, ep)
+            probs = _probabilities(params, ep)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
