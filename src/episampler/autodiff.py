@@ -3,7 +3,7 @@
 The computation graph is a tape of operation records built during the
 forward pass; recorded tensors are never mutated in place, and the tape is
 rebuilt from scratch on every forward pass. Backward rules are themselves
-composed from the public ops, so running :func:`backward` with
+composed from the public ops, so running :func:`grad` with
 ``create_graph=True`` produces gradients that are graph nodes and can be
 differentiated again. This is what lets a learner differentiate through its
 own adaptation step.
@@ -12,10 +12,11 @@ Supported ops: ``add``, ``sub``, ``mul`` (elementwise; one operand may be a
 scalar tensor of shape ``()``), ``smul`` (multiplication by a Python
 float), ``matmul`` (2-D, with optional operand transposition), ``relu``,
 ``exp``, ``log``, ``sum``, ``mean``, ``sqdist`` (pairwise squared Euclidean
-distance), ``dot``, and ``softmax_cross_entropy`` (fused, max-stabilized).
+distance), and ``softmax_cross_entropy`` (fused, max-stabilized). Every
+operand is a :class:`Tensor`; constants are wrapped with :func:`tensor`.
 
 Each graph is single-threaded; independent graphs may live on different
-threads. Tensors should only cross threads detached.
+threads. Pass only arrays (a tensor's ``data``) between threads.
 """
 
 from __future__ import annotations
@@ -114,39 +115,6 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def numpy(self) -> np.ndarray:
-        """The underlying array. Treat as read-only while the tape is live."""
-        return self.data
-
-    def sum(self) -> "Tensor":
-        return sum(self)
-
-    def mean(self) -> "Tensor":
-        return mean(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return smul(float(other), self)
-
-    def __rmul__(self, other):
-        return smul(float(other), self)
-
-    def __neg__(self):
-        return smul(-1.0, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         flags = []
         if self.requires_grad:
@@ -159,12 +127,6 @@ class Tensor:
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
 
 
 def _make(op: str, out_data: np.ndarray, inputs: Sequence[Tensor], vjps: Sequence) -> Tensor:
@@ -182,8 +144,7 @@ def _ones(shape) -> Tensor:
     return Tensor(np.ones(shape, dtype=np.float64))
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("add", a, b)
     out = a.data + b.data
 
@@ -196,8 +157,7 @@ def add(a, b) -> Tensor:
     return _make("add", out, (a, b), (va, vb))
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("sub", a, b)
     out = a.data - b.data
 
@@ -211,8 +171,7 @@ def sub(a, b) -> Tensor:
     return _make("sub", out, (a, b), (va, vb))
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("mul", a, b)
     out = a.data * b.data
 
@@ -227,8 +186,7 @@ def mul(a, b) -> Tensor:
     return _make("mul", out, (a, b), (va, vb))
 
 
-def smul(c: float, a) -> Tensor:
-    a = _as_tensor(a)
+def smul(c: float, a: Tensor) -> Tensor:
     c = float(c)
     out = c * a.data
 
@@ -238,8 +196,7 @@ def smul(c: float, a) -> Tensor:
     return _make("smul", out, (a,), (va,))
 
 
-def matmul(a, b, ta: bool = False, tb: bool = False) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
     av = a.data.T if ta else a.data
@@ -261,8 +218,7 @@ def matmul(a, b, ta: bool = False, tb: bool = False) -> Tensor:
     return _make("matmul", out, (a, b), (va, vb))
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
+def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
     mask = Tensor((a.data > 0.0).astype(np.float64))
 
@@ -272,8 +228,7 @@ def relu(a) -> Tensor:
     return _make("relu", out, (a,), (va,))
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
+def exp(a: Tensor) -> Tensor:
     out_holder: list[Tensor] = []
 
     def va(g):
@@ -284,8 +239,7 @@ def exp(a) -> Tensor:
     return result
 
 
-def log(a) -> Tensor:
-    a = _as_tensor(a)
+def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log: input has non-positive entries")
     out_holder: list[Tensor] = []
@@ -300,8 +254,7 @@ def log(a) -> Tensor:
     return result
 
 
-def sum(a) -> Tensor:  # noqa: A001 - mirrors the numpy reduction name
-    a = _as_tensor(a)
+def sum(a: Tensor) -> Tensor:  # noqa: A001 - mirrors the numpy reduction name
     out = np.float64(a.data.sum())
     shape = a.shape
 
@@ -311,8 +264,7 @@ def sum(a) -> Tensor:  # noqa: A001 - mirrors the numpy reduction name
     return _make("sum", out, (a,), (va,))
 
 
-def mean(a) -> Tensor:
-    a = _as_tensor(a)
+def mean(a: Tensor) -> Tensor:
     if a.size == 0:
         raise DomainError("mean: empty tensor")
     out = np.float64(a.data.mean())
@@ -324,24 +276,8 @@ def mean(a) -> Tensor:
     return _make("mean", out, (a,), (va,))
 
 
-def dot(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
-        raise ShapeMismatchError("dot", a.shape, b.shape)
-    out = np.float64(a.data @ b.data)
-
-    def va(g):
-        return mul(g, b)
-
-    def vb(g):
-        return mul(g, a)
-
-    return _make("dot", out, (a, b), (va, vb))
-
-
-def sqdist(x, y) -> Tensor:
+def sqdist(x: Tensor, y: Tensor) -> Tensor:
     """Pairwise squared Euclidean distances: (m, d) x (n, d) -> (m, n)."""
-    x, y = _as_tensor(x), _as_tensor(y)
     if x.data.ndim != 2 or y.data.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ShapeMismatchError("sqdist", x.shape, y.shape)
     m, d = x.shape
@@ -361,14 +297,13 @@ def sqdist(x, y) -> Tensor:
     return _make("sqdist", out, (x, y), (vx, vy))
 
 
-def softmax_cross_entropy(logits, labels) -> Tensor:
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Per-row cross-entropy of softmax(logits) against integer labels.
 
     Returns an (m, 1) column of losses. Fused and stabilized by subtracting
     the row max, which is exact for softmax (row-uniform shifts lie in the
     kernel of every softmax derivative).
     """
-    logits = _as_tensor(logits)
     if logits.data.ndim != 2:
         raise ShapeMismatchError("softmax_cross_entropy", logits.shape, ("m", "n"))
     labels = np.asarray(labels)
@@ -460,13 +395,6 @@ def _backward_map(output: Tensor, create_graph: bool) -> dict[int, tuple[Tensor,
         with no_grad():
             run()
     return grads
-
-
-def backward(output: Tensor, create_graph: bool = False) -> dict[Tensor, Tensor]:
-    """Gradients of a scalar ``output`` for every reachable leaf tensor
-    that requires grad, keyed by the leaf tensor object."""
-    grads = _backward_map(output, create_graph)
-    return {t: g for t, g in grads.values() if t.node is None and t.requires_grad}
 
 
 def grad(

@@ -164,12 +164,9 @@ def _load_split(path: str, split: str) -> data.BaseDataset:
     return data.load_dataset(root / split)
 
 
-def _init_learner(config: dict) -> learners.LearnerParams:
+def _init_learner(config: dict, feature_dim: int) -> learners.LearnerParams:
     learner = config["learner"]
     train = config["train"]
-    feature_dim = config["dataset"]["feature_dim"]
-    if config["dataset"]["path"] is not None:
-        feature_dim = data.load_dataset(Path(config["dataset"]["path"]) / "train").feature_dim
     return learners.init_params(
         learner["algorithm"],
         feature_dim,
@@ -206,13 +203,9 @@ def cmd_gen_data(args) -> Path:
 
 def _run_training(config: dict, out: Path) -> dict:
     train_ds, val_ds, test_ds = _build_splits(config)
-    params = _init_learner(config)
+    params = _init_learner(config, train_ds.feature_dim)
     scheme_cfg = config["scheme"]
-    scheme = SamplingScheme(
-        scheme_cfg["kind"],
-        mode=scheme_cfg["mode"],
-        progress=0.0 if scheme_cfg["kind"] == "curriculum" else None,
-    )
+    scheme = SamplingScheme(scheme_cfg["kind"], mode=scheme_cfg["mode"])
     train_cfg = TrainConfig(seed=config["seed"], **config["train"])
     proposal_params = None
     model = None

@@ -13,8 +13,8 @@ On disk a dataset is a directory with ``manifest.json`` and ``data.csv``
 shortest round-trip decimals so the round trip is bit-exact). An episode
 file is JSON with ``n``, ``k``, ``q`` and, per episode, ``classes`` plus
 ``support`` and ``query`` lists of ``[class id, sample index]`` pairs,
-each derived as ``[classes[label], sample index]``; loading it against the
-same dataset rebuilds the episodes exactly.
+each derived as ``[classes[label], sample index]``. It records which
+samples an analysis used; nothing in the package reads it back.
 """
 
 from __future__ import annotations
@@ -327,7 +327,7 @@ def _pairs(classes, labels, samples) -> list[list[int]]:
 
 
 def save_episode_file(episodes, path) -> None:
-    """Persist episodes for exact reuse: each sample is written as its
+    """Record which samples the episodes used: each sample is written as its
     ``(class id, sample index)`` pair, ``(classes[label], sample)``."""
     episodes = list(episodes)
     if not episodes:
@@ -349,41 +349,3 @@ def save_episode_file(episodes, path) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
-
-
-def _gather(dataset: BaseDataset, classes: tuple[int, ...], pairs):
-    pairs = [(int(c), int(i)) for c, i in pairs]
-    position = {cid: i for i, cid in enumerate(classes)}
-    for c, _ in pairs:
-        if c not in position or c not in dataset.features:
-            raise DatasetError(f"class id {c} not in the episode's classes or in the dataset")
-    x = np.array([dataset.features[c][i] for c, i in pairs])
-    labels = np.array([position[c] for c, _ in pairs], dtype=np.int64)
-    samples = np.array([i for _, i in pairs], dtype=np.int64)
-    return x, labels, samples
-
-
-def load_episode_file(path, dataset: BaseDataset) -> list[Episode]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    n, k, q = payload["n"], payload["k"], payload["q"]
-    episodes = []
-    for entry in payload["episodes"]:
-        classes = tuple(int(c) for c in entry["classes"])
-        sup_x, sup_labels, sup_samples = _gather(dataset, classes, entry["support"])
-        qry_x, qry_labels, qry_samples = _gather(dataset, classes, entry["query"])
-        episodes.append(
-            Episode(
-                n=n,
-                k=k,
-                q=q,
-                classes=classes,
-                support_x=sup_x,
-                support_labels=sup_labels,
-                support_samples=sup_samples,
-                query_x=qry_x,
-                query_labels=qry_labels,
-                query_samples=qry_samples,
-            )
-        )
-    return episodes

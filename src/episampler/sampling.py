@@ -23,7 +23,6 @@ from .stats import norm_cdf
 TRUNCATION_SIGMAS = 2.58  # ~99% coverage of the proposal normal
 VARIANCE_FLOOR = 1e-8
 WEIGHT_CAP = 1e6
-PROPOSAL_FLOOR = 1e-300
 
 SCHEME_KINDS = ("baseline", "easy", "hard", "curriculum", "uniform")
 MODES = ("online", "offline")
@@ -39,22 +38,12 @@ class SamplingScheme:
 
     kind: str
     mode: str = "online"
-    progress: float | None = None  # curriculum only: iteration / total
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise SamplerError(f"unknown scheme kind {self.kind!r}")
         if self.mode not in MODES:
             raise SamplerError(f"unknown mode {self.mode!r}")
-        if (self.progress is not None) != (self.kind == "curriculum"):
-            raise SamplerError("progress must be set exactly for the curriculum scheme")
-        if self.progress is not None and not 0.0 <= self.progress <= 1.0:
-            raise SamplerError(f"progress {self.progress} outside [0, 1]")
-
-    def at_progress(self, progress: float) -> "SamplingScheme":
-        if self.kind != "curriculum":
-            return self
-        return SamplingScheme("curriculum", self.mode, progress)
 
 
 @dataclass
@@ -94,12 +83,15 @@ def normal_pdf(x: float, mu: float, var: float) -> float:
     return math.exp(-((x - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
-def target_density(omega: float, scheme: SamplingScheme, model: DifficultyModel) -> float:
+def target_density(
+    omega: float, scheme: SamplingScheme, model: DifficultyModel, progress: float
+) -> float:
     """Density of the scheme's target distribution at difficulty ``omega``.
 
     All non-baseline targets are proper densities on the truncated support
     (zero outside); baseline returns the proposal density itself so the
-    weight ratio is identically one.
+    weight ratio is identically one. ``progress`` in [0, 1] (iteration over
+    total) places the curriculum's center; the other kinds ignore it.
     """
     if scheme.kind == "baseline":
         return normal_pdf(omega, model.mu, max(model.var, VARIANCE_FLOOR))
@@ -113,31 +105,36 @@ def target_density(omega: float, scheme: SamplingScheme, model: DifficultyModel)
         return 1.0 / (hi - lo) if lo <= omega <= hi else 0.0
     # curriculum: normal centered at mu_t, truncated to [lo, hi] and
     # renormalized by the retained mass.
+    if not 0.0 <= progress <= 1.0:
+        raise SamplerError(f"progress {progress} outside [0, 1]")
     if not lo <= omega <= hi:
         return 0.0
-    mu_t = lo + scheme.progress * (hi - lo)
+    mu_t = lo + progress * (hi - lo)
     mass = norm_cdf((hi - mu_t) / sigma) - norm_cdf((lo - mu_t) / sigma)
     return normal_pdf(omega, mu_t, model.var) / mass
 
 
 def importance_weight(
-    omega: float, scheme: SamplingScheme, model: DifficultyModel
-) -> tuple[float, bool]:
+    omega: float, scheme: SamplingScheme, model: DifficultyModel, progress: float
+) -> float:
     """w = target density / proposal density, with the proposal evaluated
-    as the un-truncated normal.
+    as the un-truncated normal; ``progress`` is passed to ``target_density``.
 
-    Returns ``(weight, underflow)``; the flag marks a clamped proposal
-    density. During warm-up the weight is exactly 1 (baseline behavior).
-    Weights are capped at ``WEIGHT_CAP``.
+    During warm-up the weight is exactly 1 (baseline behavior). No floor on
+    the proposal is needed: every non-baseline target is zero outside
+    mu +- 2.58 sigma, and inside it the proposal is at least
+    exp(-2.58**2 / 2) / sqrt(2 pi var), about 1.4e-152 even at var = 1e300,
+    so (for any var below about 2.8e307, where 2 pi var overflows) a
+    proposal that rounds to 0.0 always meets a zero target, which returns
+    0.0 before the division. Weights are capped at ``WEIGHT_CAP``.
     """
     if scheme.kind == "baseline" or not model.ready:
-        return 1.0, False
+        return 1.0
     proposal = normal_pdf(omega, model.mu, model.var)
-    underflow = proposal < PROPOSAL_FLOOR
-    if underflow:
-        proposal = PROPOSAL_FLOOR
-    w = target_density(omega, scheme, model) / proposal
-    return min(w, WEIGHT_CAP), underflow
+    target = target_density(omega, scheme, model, progress)
+    if target == 0.0:
+        return 0.0
+    return min(target / proposal, WEIGHT_CAP)
 
 
 def effective_sample_size(weights) -> float:

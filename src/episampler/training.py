@@ -94,7 +94,6 @@ class TrainRecord:
 class TrainResult:
     params: learners.LearnerParams
     best_iteration: int
-    best_val_accuracy: float | None
     history: list[TrainRecord]
     checkpoints: list[tuple[int, learners.LearnerParams, float]] = field(default_factory=list)
     aborted: bool = False
@@ -235,15 +234,11 @@ def train(
         else:
             omegas = nll_values
 
-        step_scheme = scheme.at_progress(_curriculum_progress(iteration, config.iterations))
-        weights = []
-        for omega in omegas:
-            w, underflow = sampling.importance_weight(omega, step_scheme, difficulty_model)
-            weights.append(w)
-            if underflow:
-                logger.warning(
-                    "iteration %d: proposal density underflow at difficulty %.6g", iteration, omega
-                )
+        progress = _curriculum_progress(iteration, config.iterations)
+        weights = [
+            sampling.importance_weight(omega, scheme, difficulty_model, progress)
+            for omega in omegas
+        ]
         fallback = False
         if all(w == 0.0 for w in weights):
             weights = [1.0] * len(weights)
@@ -258,7 +253,6 @@ def train(
             return TrainResult(
                 params=best_params,
                 best_iteration=best_iteration,
-                best_val_accuracy=best_accuracy,
                 history=history,
                 checkpoints=checkpoints,
                 aborted=True,
@@ -300,7 +294,6 @@ def train(
     return TrainResult(
         params=best_params,
         best_iteration=best_iteration,
-        best_val_accuracy=best_accuracy,
         history=history,
         checkpoints=checkpoints,
     )

@@ -43,7 +43,7 @@ class TestForwardOps:
         t = ad.tensor([1.0, 2.0, 3.0])
         assert ad.sum(t).item() == 6.0
         assert ad.mean(t).item() == 2.0
-        assert ad.dot(t, ad.tensor([1.0, 0.0, 1.0])).item() == 4.0
+        assert ad.sum(ad.mul(t, ad.tensor([1.0, 0.0, 1.0]))).item() == 4.0
 
     def test_shape_mismatch_reports_op_and_shapes(self):
         with pytest.raises(ad.ShapeMismatchError) as exc:
@@ -64,8 +64,8 @@ class TestBackward:
     def test_square_gradient(self):
         x = ad.tensor(3.0, requires_grad=True)
         y = ad.mul(x, x)
-        grads = ad.backward(y)
-        assert grads[x].item() == pytest.approx(6.0)
+        (g,) = ad.grad(y, [x])
+        assert g.item() == pytest.approx(6.0)
 
     def test_second_derivative_of_cube(self):
         x = ad.tensor(2.0, requires_grad=True)
@@ -83,8 +83,8 @@ class TestBackward:
         (g_inner,) = ad.grad(inner, [theta], create_graph=True)
         adapted = ad.sub(theta, ad.smul(alpha, g_inner))
         outer = ad.mul(adapted, adapted)
-        grads = ad.backward(outer)
-        assert grads[theta].item() == pytest.approx(1.28, abs=1e-12)
+        (g,) = ad.grad(outer, [theta])
+        assert g.item() == pytest.approx(1.28, abs=1e-12)
 
         def f(t):
             i = ad.mul(t, t)
@@ -97,7 +97,7 @@ class TestBackward:
     def test_non_scalar_backward_rejected(self):
         x = ad.tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ad.GraphError):
-            ad.backward(ad.relu(x))
+            ad.grad(ad.relu(x), [x])
 
     def test_unused_input(self):
         x = ad.tensor(1.0, requires_grad=True)
@@ -110,9 +110,9 @@ class TestBackward:
 
     def test_accumulation_over_shared_input(self):
         x = ad.tensor([1.0, 2.0], requires_grad=True)
-        y = ad.add(ad.dot(x, x), ad.sum(x))
-        grads = ad.backward(y)
-        np.testing.assert_allclose(grads[x].data, [3.0, 5.0])
+        y = ad.add(ad.sum(ad.mul(x, x)), ad.sum(x))
+        (g,) = ad.grad(y, [x])
+        np.testing.assert_allclose(g.data, [3.0, 5.0])
 
 
 class TestGradCheck:
@@ -140,12 +140,12 @@ class TestGradCheck:
         alpha = 0.05
 
         def f(w):
-            pred_s = ad.dot(w, xs)
+            pred_s = ad.sum(ad.mul(w, xs))
             err_s = ad.sub(pred_s, ad.tensor(0.3))
             inner = ad.mul(err_s, err_s)
             (g,) = ad.grad(inner, [w], create_graph=True)
             w2 = ad.sub(w, ad.smul(alpha, g))
-            pred_q = ad.dot(w2, xq)
+            pred_q = ad.sum(ad.mul(w2, xq))
             err_q = ad.sub(pred_q, ad.tensor(-0.1))
             return ad.mul(err_q, err_q)
 
@@ -198,10 +198,6 @@ def _random_case(rng, case):
     if case == "mean":
         a = ad.tensor(rng.normal(size=(m, n)), requires_grad=True)
         return lambda x: ad.mean(ad.mul(x, x)), [a]
-    if case == "dot":
-        a = ad.tensor(rng.normal(size=(d,)), requires_grad=True)
-        b = ad.tensor(rng.normal(size=(d,)), requires_grad=True)
-        return lambda x, y: ad.mul(ad.dot(x, y), ad.dot(x, y)), [a, b]
     if case == "sqdist":
         a = ad.tensor(rng.normal(size=(m, d)), requires_grad=True)
         b = ad.tensor(rng.normal(size=(n, d)), requires_grad=True)
@@ -225,7 +221,6 @@ CASES = [
     "exp",
     "log",
     "mean",
-    "dot",
     "sqdist",
     "softmax_xent",
 ]
@@ -276,21 +271,13 @@ class TestGradientProperties:
             t = ad.tensor(x, requires_grad=True)
             h = ad.relu(ad.matmul(t, ad.tensor(w)))
             loss = ad.mean(ad.softmax_cross_entropy(h, labels))
-            grads = ad.backward(loss)
-            return loss.item(), grads[t].data.copy()
+            (g,) = ad.grad(loss, [t])
+            return loss.item(), g.data.copy()
 
         l1, g1 = run()
         l2, g2 = run()
         assert l1 == l2
         np.testing.assert_array_equal(g1, g2)
-
-    def test_detached_tensor_gets_no_gradient(self):
-        x = ad.tensor([1.0, 2.0], requires_grad=True)
-        d = x.detach()
-        assert d.node is None and not d.requires_grad
-        y = ad.sum(ad.mul(x, x))
-        grads = ad.backward(y)
-        assert d not in grads
 
     def test_no_grad_blocks_recording(self):
         x = ad.tensor(2.0, requires_grad=True)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from episampler import cli, learners
+from episampler import cli, data, learners
 
 TINY_CONFIG = {
     "seed": 0,
@@ -161,6 +161,25 @@ class TestTrain:
         assert all(len(weights[it]) == 4 for it in (1, 2, 3, 4))
         assert all(w == 1.0 for it in (1, 2, 3) for w in weights[it])
         assert any(w != 1.0 for w in weights[4])
+
+    def test_dataset_path_loads_each_split_once(self, tiny_config, tmp_path, monkeypatch, capsys):
+        ds_dir = tmp_path / "ds"
+        assert _run(["gen-data", "--config", tiny_config, "--out", ds_dir]) == 0
+        loaded = []
+        load_dataset = data.load_dataset
+
+        def counting(path):
+            loaded.append(Path(path).name)
+            return load_dataset(path)
+
+        monkeypatch.setattr(data, "load_dataset", counting)
+        code = _run([
+            "train", "--config", tiny_config, "--out", tmp_path / "run",
+            "--dataset.path", ds_dir,
+        ])
+        assert code == 0
+        capsys.readouterr()
+        assert loaded == ["train", "val", "test"]
 
     def test_offline_mode_via_proposal_checkpoint(self, tiny_config, tmp_path, capsys):
         base = tmp_path / "base"

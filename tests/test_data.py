@@ -157,21 +157,6 @@ class TestDiskRoundTrip:
         with pytest.raises(data.DatasetParseError, match="promises"):
             data.load_dataset(tmp_path / "ds")
 
-    def test_episode_file_round_trip(self, tmp_path):
-        ds = _small_dataset()
-        rng = streams.stream(1, streams.ANALYSIS)
-        eps = [data.sample_episode(ds, 3, 1, 2, rng) for _ in range(5)]
-        data.save_episode_file(eps, tmp_path / "episodes.json")
-        loaded = data.load_episode_file(tmp_path / "episodes.json", ds)
-        assert len(loaded) == 5
-        for a, b in zip(eps, loaded):
-            assert a.classes == b.classes
-            for name in (
-                "support_x", "support_labels", "support_samples",
-                "query_x", "query_labels", "query_samples",
-            ):
-                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-
     def test_episode_rows_match_their_pairs_when_classes_are_not_id_ordered(self, tmp_path):
         import json
 

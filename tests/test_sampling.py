@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from episampler import sampling, streams
 from episampler.sampling import DifficultyModel, SamplingScheme
@@ -49,23 +51,23 @@ class TestTargetDensity:
     def test_uniform_density_at_mu(self):
         model = _ready_model(mu=2.0, var=4.0)
         expected = 1.0 / (2 * sampling.TRUNCATION_SIGMAS * 2.0)
-        assert sampling.target_density(2.0, SamplingScheme("uniform"), model) == pytest.approx(expected, rel=1e-12)
+        assert sampling.target_density(2.0, SamplingScheme("uniform"), model, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_easy_zero_above_mu(self):
         model = _ready_model(mu=1.0, var=1.0)
-        assert sampling.target_density(1.5, SamplingScheme("easy"), model) == 0.0
-        assert sampling.target_density(0.5, SamplingScheme("easy"), model) > 0.0
+        assert sampling.target_density(1.5, SamplingScheme("easy"), model, 0.0) == 0.0
+        assert sampling.target_density(0.5, SamplingScheme("easy"), model, 0.0) > 0.0
 
     def test_hard_zero_below_mu(self):
         model = _ready_model(mu=1.0, var=1.0)
-        assert sampling.target_density(0.5, SamplingScheme("hard"), model) == 0.0
+        assert sampling.target_density(0.5, SamplingScheme("hard"), model, 0.0) == 0.0
 
     def test_curriculum_midpoint_normalizer(self):
         model = _ready_model(mu=0.0, var=1.0)
-        scheme = SamplingScheme("curriculum", progress=0.5)
+        scheme = SamplingScheme("curriculum")
         z = 2 * (0.5 * (1 + math.erf(sampling.TRUNCATION_SIGMAS / math.sqrt(2)))) - 1
         assert z == pytest.approx(0.99012, abs=5e-6)
-        got = sampling.target_density(0.3, scheme, model)
+        got = sampling.target_density(0.3, scheme, model, 0.5)
         assert got == pytest.approx(sampling.normal_pdf(0.3, 0.0, 1.0) / z, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -80,19 +82,20 @@ class TestTargetDensity:
         ],
     )
     def test_densities_integrate_to_one(self, kind, progress):
+        # Only the curriculum reads progress; None shows the others ignore it.
         model = _ready_model(mu=1.3, var=0.49)
-        scheme = SamplingScheme(kind, progress=progress)
+        scheme = SamplingScheme(kind)
         lo, hi = model.support_bounds()
         if kind == "easy":
             lo, hi = lo, model.mu
         elif kind == "hard":
             lo, hi = model.mu, hi
-        mass = _trapezoid_mass(lambda x: sampling.target_density(x, scheme, model), lo, hi)
+        mass = _trapezoid_mass(lambda x: sampling.target_density(x, scheme, model, progress), lo, hi)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_baseline_is_the_proposal(self):
         model = _ready_model(mu=0.4, var=2.0)
-        got = sampling.target_density(1.0, SamplingScheme("baseline"), model)
+        got = sampling.target_density(1.0, SamplingScheme("baseline"), model, 0.0)
         assert got == sampling.normal_pdf(1.0, 0.4, 2.0)
 
 
@@ -100,33 +103,55 @@ class TestImportanceWeight:
     def test_uniform_weight_at_mu_closed_form(self):
         for sigma in (0.3, 1.0, 4.0):
             model = _ready_model(mu=1.0, var=sigma**2)
-            w, underflow = sampling.importance_weight(1.0, SamplingScheme("uniform"), model)
-            assert not underflow
+            w = sampling.importance_weight(1.0, SamplingScheme("uniform"), model, 0.0)
             assert w == pytest.approx(math.sqrt(2 * math.pi) / 5.16, abs=1e-9)
             assert w == pytest.approx(0.48578, abs=1e-5)
 
     def test_baseline_weight_is_one(self):
         model = _ready_model(mu=0.0, var=1.0)
         for omega in (-3.0, 0.0, 5.0):
-            assert sampling.importance_weight(omega, SamplingScheme("baseline"), model) == (1.0, False)
+            assert sampling.importance_weight(omega, SamplingScheme("baseline"), model, 0.0) == 1.0
 
     def test_hard_weight_zero_below_mu(self):
         model = _ready_model(mu=1.0, var=1.0)
-        w, _ = sampling.importance_weight(0.0, SamplingScheme("hard"), model)
+        w = sampling.importance_weight(0.0, SamplingScheme("hard"), model, 0.0)
         assert w == 0.0
 
     def test_warmup_weight_is_one(self):
         model = DifficultyModel(warmup_remaining=5)
-        w, _ = sampling.importance_weight(3.0, SamplingScheme("uniform"), model)
+        w = sampling.importance_weight(3.0, SamplingScheme("uniform"), model, 0.0)
         assert w == 1.0
 
     def test_proposal_underflow_flagged_not_nan(self):
-        # Far outside the support the proposal underflows to 0.0; the clamp
-        # turns the would-be 0/0 into a clean zero weight plus a flag.
+        # Far outside the support the proposal underflows to 0.0; the target
+        # is zero there too, so the weight is a clean zero, not 0/0.
         model = _ready_model(mu=0.0, var=sampling.VARIANCE_FLOOR)
-        w, underflow = sampling.importance_weight(1.0, SamplingScheme("uniform"), model)
-        assert underflow
+        assert sampling.normal_pdf(1.0, model.mu, model.var) == 0.0
+        w = sampling.importance_weight(1.0, SamplingScheme("uniform"), model, 0.0)
         assert w == 0.0 and math.isfinite(w)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        mu=st.floats(0.0, 50.0),
+        var=st.floats(sampling.VARIANCE_FLOOR, 1e6),
+        z=st.floats(-40.0, 40.0),
+        kind=st.sampled_from(["easy", "hard", "uniform", "curriculum"]),
+        progress=st.floats(0.0, 1.0),
+    )
+    def test_weight_is_bounded_and_zero_exactly_off_target(self, mu, var, z, kind, progress):
+        model = _ready_model(mu=mu, var=var)
+        omega = mu + z * math.sqrt(var)
+        scheme = SamplingScheme(kind)
+        w = sampling.importance_weight(omega, scheme, model, progress)
+        assert math.isfinite(w)
+        assert 0.0 <= w <= sampling.WEIGHT_CAP
+        assert (w == 0.0) == (sampling.target_density(omega, scheme, model, progress) == 0.0)
+
+    def test_curriculum_progress_outside_unit_interval_rejected(self):
+        model = _ready_model()
+        for progress in (-0.1, 1.5):
+            with pytest.raises(sampling.SamplerError, match="progress"):
+                sampling.importance_weight(0.0, SamplingScheme("curriculum"), model, progress)
 
 
 class TestEffectiveSampleSize:
@@ -232,7 +257,7 @@ class TestImportanceSamplingSelfConsistency:
         scheme = SamplingScheme("uniform")
         rng = streams.stream(7, streams.STATS)
         xs = rng.normal(mu, sigma, size=100_000)
-        ws = np.array([sampling.importance_weight(x, scheme, model)[0] for x in xs])
+        ws = np.array([sampling.importance_weight(x, scheme, model, 0.0) for x in xs])
         weighted_mean = float((ws * xs).sum() / ws.sum())
         assert abs(weighted_mean - mu) < 0.01 * sigma
         m2 = float((ws * (xs - mu) ** 2).sum() / ws.sum())
@@ -246,8 +271,8 @@ class TestImportanceSamplingSelfConsistency:
         xs = np.sort(rng.normal(mu, sigma, size=50_000))
         medians = []
         for progress in (0.0, 0.25, 0.5, 0.75, 1.0):
-            scheme = SamplingScheme("curriculum", progress=progress)
-            ws = np.array([sampling.importance_weight(x, scheme, model)[0] for x in xs])
+            scheme = SamplingScheme("curriculum")
+            ws = np.array([sampling.importance_weight(x, scheme, model, progress) for x in xs])
             cdf = np.cumsum(ws) / ws.sum()
             medians.append(float(xs[np.searchsorted(cdf, 0.5)]))
         assert all(a < b for a, b in zip(medians, medians[1:]))

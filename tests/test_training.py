@@ -172,14 +172,18 @@ class TestTrainLoop:
         def run(path):
             params = learners.init_params("proto_cosine", 6, 3, seed=0)
             result = training.train(
-                _config(), params, train_ds, val_ds, SamplingScheme("uniform")
+                _config(), params, train_ds, val_ds, SamplingScheme("curriculum"),
+                difficulty_model=DifficultyModel(warmup_remaining=8),
             )
             training.write_history_csv(result.history, path)
             training.write_episodes_csv(result.history, str(path) + ".episodes")
             return result
 
-        run(tmp_path / "a.csv")
+        result = run(tmp_path / "a.csv")
         run(tmp_path / "b.csv")
+        # The weights must have left warm-up, or the bytes compare nothing
+        # but unit weights.
+        assert any(ep.weight != 1.0 for rec in result.history for ep in rec.episodes)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.csv.episodes").read_bytes() == (tmp_path / "b.csv.episodes").read_bytes()
 
