@@ -9,11 +9,17 @@ differentiated again. This is what lets a learner differentiate through its
 own adaptation step.
 
 Supported ops: ``add``, ``sub``, ``mul`` (elementwise; one operand may be a
-scalar tensor of shape ``()``), ``smul`` (multiplication by a Python
-float), ``matmul`` (2-D, with optional operand transposition), ``relu``,
-``exp``, ``log``, ``sum``, ``mean``, ``sqdist`` (pairwise squared Euclidean
-distance), and ``softmax_cross_entropy`` (fused, max-stabilized). Every
-operand is a :class:`Tensor`; constants are wrapped with :func:`tensor`.
+scalar tensor of shape ``()``, and ``add`` also broadcasts a ``(1, n)`` bias
+row over an ``(m, n)`` operand), ``smul`` (multiplication by a Python
+float), ``matmul`` (2-D, or 3-D ``(B, ...)`` operands multiplied episode by
+episode, with optional transposition of the last two axes), ``reshape``,
+``stack`` (equal-shaped tensors along a new leading axis), ``relu``,
+``exp``, ``log``, ``sum``, ``mean`` (of all entries, or of each row),
+``sqdist`` (pairwise squared Euclidean distance, 2-D or 3-D), and
+``softmax_cross_entropy`` (fused, max-stabilized). Every operand is a
+:class:`Tensor`; constants are wrapped with :func:`tensor`. State that only
+a backward pass reads (masks, one-hot labels) is built inside the vjp, so a
+forward under :func:`no_grad` never pays for it.
 
 Each graph is single-threaded; independent graphs may live on different
 threads. Pass only arrays (a tensor's ``data``) between threads.
@@ -144,44 +150,60 @@ def _ones(shape) -> Tensor:
     return Tensor(np.ones(shape, dtype=np.float64))
 
 
+def _is_row_over(row: tuple, full: tuple) -> bool:
+    """True when ``row`` is a (1, n) bias row that broadcasts over an (m, n)
+    ``full``."""
+    return len(row) == 2 and len(full) == 2 and row[0] == 1 and row[1] == full[1]
+
+
+def _unbroadcast(shape: tuple, out_shape: tuple) -> Callable[[Tensor], Tensor]:
+    """Map from the gradient of a broadcast result to the gradient of an
+    operand of ``shape``: the identity, a full sum, or a sum over rows."""
+    if shape == out_shape:
+        return _identity
+    if shape == ():
+        return sum
+    return _sum_rows
+
+
+def _identity(g: Tensor) -> Tensor:
+    return g
+
+
+def _sum_rows(g: Tensor) -> Tensor:
+    return matmul(_ones((1, g.shape[0])), g)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_elementwise("add", a, b)
+    sa, sb = a.data.shape, b.data.shape
+    if sa != sb and not (_is_row_over(sa, sb) or _is_row_over(sb, sa)):
+        _check_elementwise("add", a, b)
     out = a.data + b.data
-
-    def va(g):
-        return sum(g) if a.shape == () and g.shape != () else g
-
-    def vb(g):
-        return sum(g) if b.shape == () and g.shape != () else g
-
-    return _make("add", out, (a, b), (va, vb))
+    return _make("add", out, (a, b), (_unbroadcast(sa, out.shape), _unbroadcast(sb, out.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("sub", a, b)
     out = a.data - b.data
-
-    def va(g):
-        return sum(g) if a.shape == () and g.shape != () else g
+    reduce_b = _unbroadcast(b.shape, out.shape)
 
     def vb(g):
-        neg = smul(-1.0, g)
-        return sum(neg) if b.shape == () and g.shape != () else neg
+        return reduce_b(smul(-1.0, g))
 
-    return _make("sub", out, (a, b), (va, vb))
+    return _make("sub", out, (a, b), (_unbroadcast(a.shape, out.shape), vb))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("mul", a, b)
     out = a.data * b.data
+    reduce_a = _unbroadcast(a.shape, out.shape)
+    reduce_b = _unbroadcast(b.shape, out.shape)
 
     def va(g):
-        prod = mul(g, b)
-        return sum(prod) if a.shape == () and prod.shape != () else prod
+        return reduce_a(mul(g, b))
 
     def vb(g):
-        prod = mul(g, a)
-        return sum(prod) if b.shape == () and prod.shape != () else prod
+        return reduce_b(mul(g, a))
 
     return _make("mul", out, (a, b), (va, vb))
 
@@ -197,11 +219,16 @@ def smul(c: float, a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    """Matrix product of 2-D operands, or of 3-D ``(B, ...)`` operands one
+    leading index at a time; ``ta``/``tb`` transpose the last two axes."""
+    av, bv = a.data, b.data
+    if av.ndim != bv.ndim or av.ndim not in (2, 3):
         raise ShapeMismatchError("matmul", a.shape, b.shape)
-    av = a.data.T if ta else a.data
-    bv = b.data.T if tb else b.data
-    if av.shape[1] != bv.shape[0]:
+    if ta:
+        av = av.swapaxes(-1, -2)
+    if tb:
+        bv = bv.swapaxes(-1, -2)
+    if av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-2]:
         raise ShapeMismatchError("matmul", av.shape, bv.shape)
     out = av @ bv
 
@@ -218,12 +245,44 @@ def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
     return _make("matmul", out, (a, b), (va, vb))
 
 
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-    mask = Tensor((a.data > 0.0).astype(np.float64))
+def reshape(a: Tensor, shape) -> Tensor:
+    shape = tuple(shape)
+    out = a.data.reshape(shape)
+    in_shape = a.shape
 
     def va(g):
-        return mul(g, mask)
+        return reshape(g, in_shape)
+
+    return _make("reshape", out, (a,), (va,))
+
+
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Equal-shaped tensors stacked along a new leading axis."""
+    tensors = tuple(tensors)
+    shape = tensors[0].shape
+    for t in tensors[1:]:
+        if t.shape != shape:
+            raise ShapeMismatchError("stack", shape, t.shape)
+    count = len(tensors)
+    out = np.stack([t.data for t in tensors])
+
+    def picker(i):
+        def vi(g):
+            # Slice i of g, as a one-hot row times g, so the vjp stays an op.
+            onehot = np.zeros((1, count))
+            onehot[0, i] = 1.0
+            return reshape(matmul(Tensor(onehot), reshape(g, (count, -1))), shape)
+
+        return vi
+
+    return _make("stack", out, tensors, tuple(picker(i) for i in range(count)))
+
+
+def relu(a: Tensor) -> Tensor:
+    out = np.maximum(a.data, 0.0)
+
+    def va(g):
+        return mul(g, Tensor((out > 0.0).astype(np.float64)))
 
     return _make("relu", out, (a,), (va,))
 
@@ -264,34 +323,58 @@ def sum(a: Tensor) -> Tensor:  # noqa: A001 - mirrors the numpy reduction name
     return _make("sum", out, (a,), (va,))
 
 
-def mean(a: Tensor) -> Tensor:
+def mean(a: Tensor, rows: bool = False) -> Tensor:
+    """Mean of all entries, or with ``rows`` the (m,) means of an (m, n)
+    tensor's rows (each the same float as ``mean`` of that row alone)."""
     if a.size == 0:
         raise DomainError("mean: empty tensor")
-    out = np.float64(a.data.mean())
     shape, n = a.shape, a.size
+    if not rows:
+        out = np.float64(a.data.mean())
 
-    def va(g):
-        return mul(smul(1.0 / n, g), _ones(shape))
+        def va(g):
+            return mul(smul(1.0 / n, g), _ones(shape))
 
-    return _make("mean", out, (a,), (va,))
+        return _make("mean", out, (a,), (va,))
+    if a.data.ndim != 2:
+        raise ShapeMismatchError("mean", a.shape, ("m", "n"))
+    m, width = shape
+    out = a.data.mean(axis=1)
+
+    def vrows(g):
+        return smul(1.0 / width, matmul(reshape(g, (m, 1)), _ones((1, width))))
+
+    return _make("mean", out, (a,), (vrows,))
 
 
 def sqdist(x: Tensor, y: Tensor) -> Tensor:
-    """Pairwise squared Euclidean distances: (m, d) x (n, d) -> (m, n)."""
-    if x.data.ndim != 2 or y.data.ndim != 2 or x.shape[1] != y.shape[1]:
+    """Pairwise squared Euclidean distances: (m, d) x (n, d) -> (m, n), or
+    (B, m, d) x (B, n, d) -> (B, m, n) one leading index at a time."""
+    if (
+        x.data.ndim != y.data.ndim
+        or x.data.ndim not in (2, 3)
+        or x.shape[:-2] != y.shape[:-2]
+        or x.shape[-1] != y.shape[-1]
+    ):
         raise ShapeMismatchError("sqdist", x.shape, y.shape)
-    m, d = x.shape
-    n = y.shape[0]
-    out = kernels.pairwise_sqdist(np.ascontiguousarray(x.data), np.ascontiguousarray(y.data))
+    lead = x.shape[:-2]
+    m, d = x.shape[-2:]
+    n = y.shape[-2]
+    xs = np.ascontiguousarray(x.data).reshape((-1, m, d))
+    ys = np.ascontiguousarray(y.data).reshape((-1, n, d))
+    out = np.empty((xs.shape[0], m, n))
+    for i in range(xs.shape[0]):
+        out[i] = kernels.pairwise_sqdist(xs[i], ys[i])
+    out = out.reshape(lead + (m, n))
 
     def vx(g):
-        rows = matmul(g, _ones((n, 1)))
-        scale = matmul(rows, _ones((1, d)))
+        rows = matmul(g, _ones(lead + (n, 1)))
+        scale = matmul(rows, _ones(lead + (1, d)))
         return smul(2.0, sub(mul(scale, x), matmul(g, y)))
 
     def vy(g):
-        cols = matmul(g, _ones((m, 1)), ta=True)
-        scale = matmul(cols, _ones((1, d)))
+        cols = matmul(g, _ones(lead + (m, 1)), ta=True)
+        scale = matmul(cols, _ones(lead + (1, d)))
         return smul(2.0, sub(mul(scale, y), matmul(g, x, ta=True)))
 
     return _make("sqdist", out, (x, y), (vx, vy))
@@ -316,23 +399,22 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         raise DomainError(f"softmax_cross_entropy: label outside [0, {n})")
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     loss, probs = kernels.softmax_xent(np.ascontiguousarray(logits.data), labels)
-    onehot = np.zeros((m, n), dtype=np.float64)
-    onehot[np.arange(m), labels] = 1.0
-    onehot_t = Tensor(onehot)
-    rowmax = Tensor(np.broadcast_to(logits.data.max(axis=1, keepdims=True), (m, n)).copy())
 
     def vlogits(g):
+        onehot = np.zeros((m, n), dtype=np.float64)
+        onehot[np.arange(m), labels] = 1.0
         if not _recording():
             return Tensor((probs - onehot) * g.data)
         # Second-order path: rebuild the softmax from ops so the vjp is
         # itself differentiable with respect to the logits.
+        rowmax = Tensor(np.broadcast_to(logits.data.max(axis=1, keepdims=True), (m, n)).copy())
         shifted = sub(logits, rowmax)
         e = exp(shifted)
         z = matmul(e, _ones((n, 1)))
         rz = exp(smul(-1.0, log(z)))
         s = mul(e, matmul(rz, _ones((1, n))))
         gm = matmul(g, _ones((1, n)))
-        return mul(gm, sub(s, onehot_t))
+        return mul(gm, sub(s, Tensor(onehot)))
 
     return _make("softmax_cross_entropy", loss, (logits,), (vlogits,))
 

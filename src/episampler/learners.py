@@ -1,20 +1,28 @@
 """The four episodic learners over a shared MLP encoder.
 
-All four share one entry point, ``_episode_logits``: query logits over
-the episode's local labels. From it come ``episode_log_likelihoods``
-(per-query log-likelihood of the true label, which ``episode_difficulty``
-turns into the episode difficulty: the mean query negative log-likelihood),
-``episode_nll`` (the same mean as a graph tensor, the training loss) and
-``episode_accuracy``.
+Every public function takes a batch: a non-empty sequence of episodes
+that share ``n``, ``k`` and ``q``, and returns one result per episode in
+batch order. All share one entry point, ``_episode_logits``: the batch's
+``(B, n*q, n)`` query logits over each episode's local labels. From it come
+``episode_log_likelihoods`` (a ``(B, n*q)`` tensor of each query's
+log-likelihood of its true label; ``episode_difficulty`` turns one row into
+that episode's difficulty, the mean query negative log-likelihood),
+``episode_nll`` (the same means as a ``(B,)`` graph tensor, the training
+loss) and ``episode_accuracy`` (a ``(B,)`` array). The batch's queries
+share one ``softmax_cross_entropy`` call.
 
 * ``proto_euclidean`` - log-softmax over negative squared Euclidean
   distances between query embeddings and class prototypes (per-class mean
-  support embeddings).
+  support embeddings). The batch's supports and queries are encoded once
+  each, as two stacked matrices; prototypes use batch-global labels and
+  distances are taken episode by episode on ``(B, ...)`` tensors, so the
+  tape does not grow with the batch size.
 * ``proto_cosine`` - negative cosine similarity in place of the distance,
   multiplied by a learnable scale.
 * ``maml`` - all parameters adapted by ``adaptation_steps`` gradient
   descent steps on the support NLL; the adapted parameters stay connected
   to the originals so the outer gradient is the full second-order one.
+  Each episode adapts on its own; the batch's query logits are stacked.
 * ``anil`` - same, but only the linear head is adapted.
 
 Checkpoint format: ``<stem>.json`` manifest (algorithm, layer sizes,
@@ -27,6 +35,7 @@ anil), then the cosine scale (proto_cosine).
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,10 +150,7 @@ def _ones(shape) -> ad.Tensor:
 
 
 def _affine(x: ad.Tensor, w: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    # Bias broadcast as a rank-1 outer product keeps everything inside the
-    # supported op set.
-    rows = x.shape[0]
-    return ad.add(ad.matmul(x, w), ad.matmul(_ones((rows, 1)), b))
+    return ad.add(ad.matmul(x, w), b)
 
 
 def _encode(encoder, x: ad.Tensor) -> ad.Tensor:
@@ -184,19 +190,23 @@ def _reciprocal_row_norms(x: ad.Tensor, what: str) -> ad.Tensor:
     return ad.exp(ad.smul(-0.5, ad.log(sums)))
 
 
-def _proto_logits(params: LearnerParams, episode: Episode) -> ad.Tensor:
-    emb_s = _encode(params.encoder, ad.tensor(episode.support_x))
-    emb_q = _encode(params.encoder, ad.tensor(episode.query_x))
-    protos = compute_prototypes(emb_s, episode.support_labels, episode.k)
+def _proto_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:
+    count, n, k = len(episodes), episodes[0].n, episodes[0].k
+    emb_s = _encode(params.encoder, ad.tensor(np.concatenate([ep.support_x for ep in episodes])))
+    emb_q = _encode(params.encoder, ad.tensor(np.concatenate([ep.query_x for ep in episodes])))
+    # Batch-global labels: class j of episode i is prototype row i*n + j.
+    labels = np.concatenate([ep.support_labels + i * n for i, ep in enumerate(episodes)])
+    protos = compute_prototypes(emb_s, labels, k)
+    dim = protos.shape[1]
+    queries = ad.reshape(emb_q, (count, -1, dim))
+    centres = ad.reshape(protos, (count, n, dim))
     if params.algorithm == "proto_euclidean":
-        logits = ad.smul(-1.0, ad.sqdist(emb_q, protos))
-    else:
-        dots = ad.matmul(emb_q, protos, tb=True)
-        rq = _reciprocal_row_norms(emb_q, "query")
-        rp = _reciprocal_row_norms(protos, "prototype")
-        cosines = ad.mul(dots, ad.matmul(rq, rp, tb=True))
-        logits = ad.mul(params.cosine_scale, cosines)
-    return logits
+        return ad.smul(-1.0, ad.sqdist(queries, centres))
+    dots = ad.matmul(queries, centres, tb=True)
+    rq = ad.reshape(_reciprocal_row_norms(emb_q, "query"), (count, -1, 1))
+    rp = ad.reshape(_reciprocal_row_norms(protos, "prototype"), (count, n, 1))
+    cosines = ad.mul(dots, ad.matmul(rq, rp, tb=True))
+    return ad.mul(params.cosine_scale, cosines)
 
 
 def _gradient_logits(params: LearnerParams, episode: Episode) -> ad.Tensor:
@@ -228,32 +238,47 @@ def _gradient_logits(params: LearnerParams, episode: Episode) -> ad.Tensor:
                 head_w, head_b = updated[-2], updated[-1]
             else:
                 head_w, head_b = updated
-        emb_q = _encode(encoder, ad.tensor(episode.query_x))
-        logits_q = _affine(emb_q, head_w, head_b)
-    return logits_q
+    # The query pass records only if the caller does, so a scoring call
+    # drops the inner-loop graph as soon as the episode is done.
+    emb_q = _encode(encoder, ad.tensor(episode.query_x))
+    return _affine(emb_q, head_w, head_b)
 
 
-def _episode_logits(params: LearnerParams, episode: Episode) -> ad.Tensor:
-    """(n*q, n) query logits; column j scores local label j."""
+def _episode_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:
+    """(B, n*q, n) query logits; column j scores local label j."""
+    if not episodes:
+        raise LearnerError("empty episode batch")
+    shape = (episodes[0].n, episodes[0].k, episodes[0].q)
+    for ep in episodes:
+        if (ep.n, ep.k, ep.q) != shape:
+            raise LearnerError(f"episode shape {(ep.n, ep.k, ep.q)} differs from the batch's {shape}")
     if params.algorithm in PROTO_ALGORITHMS:
-        return _proto_logits(params, episode)
-    return _gradient_logits(params, episode)
+        return _proto_logits(params, episodes)
+    return ad.stack([_gradient_logits(params, ep) for ep in episodes])
 
 
-def episode_log_likelihoods(params: LearnerParams, episode: Episode) -> ad.Tensor:
-    """Per-query log-likelihood of the true label, as an (n*q, 1) tensor."""
-    logits = _episode_logits(params, episode)
-    return ad.smul(-1.0, ad.softmax_cross_entropy(logits, episode.query_labels))
+def _query_losses(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:
+    """(B, n*q) cross-entropy of each query against its true label."""
+    logits = _episode_logits(params, episodes)
+    count, rows, n = logits.shape
+    labels = np.concatenate([ep.query_labels for ep in episodes])
+    losses = ad.softmax_cross_entropy(ad.reshape(logits, (count * rows, n)), labels)
+    return ad.reshape(losses, (count, rows))
 
 
-def episode_nll(params: LearnerParams, episode: Episode) -> ad.Tensor:
-    """Mean query negative log-likelihood as a scalar graph tensor.
+def episode_log_likelihoods(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:
+    """Per-query log-likelihood of the true label, as a (B, n*q) tensor."""
+    return ad.smul(-1.0, _query_losses(params, episodes))
 
-    Its value is the episode difficulty; it is also the per-episode loss
-    the trainer weights and aggregates.
+
+def episode_nll(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:
+    """Each episode's mean query negative log-likelihood, as a (B,) graph
+    tensor.
+
+    An entry's value is that episode's difficulty; it is also the
+    per-episode loss the trainer weights and aggregates.
     """
-    logits = _episode_logits(params, episode)
-    return ad.mean(ad.softmax_cross_entropy(logits, episode.query_labels))
+    return ad.mean(_query_losses(params, episodes), rows=True)
 
 
 def episode_difficulty(log_likelihoods) -> float:
@@ -270,11 +295,11 @@ def episode_difficulty(log_likelihoods) -> float:
     return max(float(-values.mean()), 0.0)
 
 
-def episode_accuracy(params: LearnerParams, episode: Episode) -> float:
-    """Fraction of query points whose argmax class matches the label; ties
-    break toward the lowest class id (argmax convention)."""
-    pred = np.argmax(_episode_logits(params, episode).data, axis=1)
-    return float(np.mean(pred == episode.query_labels))
+def episode_accuracy(params: LearnerParams, episodes: Sequence[Episode]) -> np.ndarray:
+    """Per episode, the fraction of query points whose argmax class matches
+    the label; ties break toward the lowest class id (argmax convention)."""
+    pred = np.argmax(_episode_logits(params, episodes).data, axis=2)
+    return np.mean(pred == np.stack([ep.query_labels for ep in episodes]), axis=1)
 
 
 def save_checkpoint(params: LearnerParams, stem) -> None:

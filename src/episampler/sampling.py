@@ -77,9 +77,18 @@ class DifficultyModel:
         return (self.mu - TRUNCATION_SIGMAS * s, self.mu + TRUNCATION_SIGMAS * s)
 
 
+def _check_variance(where: str, var: float) -> None:
+    """Reject a variance whose normal density cannot be evaluated: one that
+    is NaN or infinite, or so large that 2*pi*var overflows (the density
+    would round to 0.0 inside the support)."""
+    if not math.isfinite(2.0 * math.pi * var):
+        raise SamplerError(f"{where}: variance {var} is not finite or 2*pi*var overflows")
+
+
 def normal_pdf(x: float, mu: float, var: float) -> float:
     if var <= 0.0:
         raise SamplerError(f"normal_pdf: variance must be positive, got {var}")
+    _check_variance("normal_pdf", var)
     return math.exp(-((x - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
@@ -124,9 +133,10 @@ def importance_weight(
     the proposal is needed: every non-baseline target is zero outside
     mu +- 2.58 sigma, and inside it the proposal is at least
     exp(-2.58**2 / 2) / sqrt(2 pi var), about 1.4e-152 even at var = 1e300,
-    so (for any var below about 2.8e307, where 2 pi var overflows) a
-    proposal that rounds to 0.0 always meets a zero target, which returns
-    0.0 before the division. Weights are capped at ``WEIGHT_CAP``.
+    so a proposal that rounds to 0.0 always meets a zero target, which
+    returns 0.0 before the division. ``normal_pdf`` rejects the variances
+    above about 2.8e307, where 2 pi var overflows and this bound fails.
+    Weights are capped at ``WEIGHT_CAP``.
     """
     if scheme.kind == "baseline" or not model.ready:
         return 1.0
@@ -156,22 +166,32 @@ def update_online(model: DifficultyModel, omega: float) -> DifficultyModel:
 
     During warm-up observations are buffered; when the warm-up ends the
     model is seeded with the buffer's sample mean and unbiased variance.
+    A variance that is not finite, or whose 2*pi*var overflows, raises
+    ``SamplerError`` before ``mu`` and ``var`` change.
     """
     if not math.isfinite(omega):
         raise SamplerError(f"update_online: non-finite difficulty {omega}")
     if model.warmup_remaining > 0:
         model.warmup_buffer.append(float(omega))
-        model.warmup_remaining -= 1
-        if model.warmup_remaining == 0:
-            buf = np.asarray(model.warmup_buffer, dtype=np.float64)
-            model.mu = float(buf.mean())
-            var = float(buf.var(ddof=1)) if buf.size > 1 else 0.0
-            model.var = max(var, VARIANCE_FLOOR)
-            model.warmup_buffer = []
+        if model.warmup_remaining > 1:
+            model.warmup_remaining -= 1
+            return model
+        buf = np.asarray(model.warmup_buffer, dtype=np.float64)
+        var = max(float(buf.var(ddof=1)) if buf.size > 1 else 0.0, VARIANCE_FLOOR)
+        _check_variance("update_online", var)
+        model.mu, model.var = float(buf.mean()), var
+        model.warmup_remaining = 0
+        model.warmup_buffer = []
         return model
     lam = model.lam
-    model.mu = lam * model.mu + (1.0 - lam) * omega
-    model.var = max(lam * model.var + (1.0 - lam) * (omega - model.mu) ** 2, VARIANCE_FLOOR)
+    mu = lam * model.mu + (1.0 - lam) * omega
+    try:
+        spread = (omega - mu) ** 2
+    except OverflowError:
+        spread = math.inf
+    var = max(lam * model.var + (1.0 - lam) * spread, VARIANCE_FLOOR)
+    _check_variance("update_online", var)
+    model.mu, model.var = mu, var
     return model
 
 

@@ -202,6 +202,31 @@ def _random_case(rng, case):
         a = ad.tensor(rng.normal(size=(m, d)), requires_grad=True)
         b = ad.tensor(rng.normal(size=(n, d)), requires_grad=True)
         return lambda x, y: ad.mean(ad.sqdist(x, y)), [a, b]
+    if case == "add_bias_row":
+        a = ad.tensor(rng.normal(size=(m + 1, n)), requires_grad=True)
+        b = ad.tensor(rng.normal(size=(1, n)), requires_grad=True)
+        return lambda x, y: ad.sum(ad.mul(ad.add(x, y), ad.add(y, x))), [a, b]
+    if case == "matmul_3d":
+        a = ad.tensor(rng.normal(size=(2, m, d)), requires_grad=True)
+        b = ad.tensor(rng.normal(size=(2, n, d)), requires_grad=True)
+        return lambda x, y: ad.sum(ad.mul(ad.matmul(x, y, tb=True), ad.matmul(x, y, tb=True))), [a, b]
+    if case == "reshape":
+        a = ad.tensor(rng.normal(size=(m, n)), requires_grad=True)
+        w = ad.tensor(rng.normal(size=(n * m, 1)))
+        return lambda x: ad.sum(ad.matmul(ad.reshape(ad.mul(x, x), (1, m * n)), w)), [a]
+    if case == "stack":
+        a = ad.tensor(rng.normal(size=(m, n)), requires_grad=True)
+        b = ad.tensor(rng.normal(size=(m, n)), requires_grad=True)
+        w = ad.tensor(rng.normal(size=(2, m, n)))
+        return lambda x, y: ad.sum(ad.mul(ad.stack([x, ad.mul(x, y)]), w)), [a, b]
+    if case == "mean_rows":
+        a = ad.tensor(rng.normal(size=(m, n)), requires_grad=True)
+        w = ad.tensor(rng.normal(size=(m,)))
+        return lambda x: ad.sum(ad.mul(ad.mean(ad.mul(x, x), rows=True), w)), [a]
+    if case == "sqdist_3d":
+        a = ad.tensor(rng.normal(size=(2, m, d)), requires_grad=True)
+        b = ad.tensor(rng.normal(size=(2, n, d)), requires_grad=True)
+        return lambda x, y: ad.mean(ad.mul(ad.sqdist(x, y), ad.sqdist(x, y))), [a, b]
     if case == "softmax_xent":
         a = ad.tensor(rng.normal(size=(m, n + 1)), requires_grad=True)
         labels = rng.integers(0, n + 1, size=m)
@@ -223,6 +248,12 @@ CASES = [
     "mean",
     "sqdist",
     "softmax_xent",
+    "add_bias_row",
+    "matmul_3d",
+    "reshape",
+    "stack",
+    "mean_rows",
+    "sqdist_3d",
 ]
 
 
@@ -260,6 +291,26 @@ class TestGradientProperties:
         assert abs(second.item() - numeric) / max(1.0, abs(second.item())) < 1e-3
         # analytic: d2f/dt2 = 2 (1 - 2 alpha)^2
         assert second.item() == pytest.approx(2 * (1 - 2 * alpha) ** 2, abs=1e-12)
+
+    def test_second_order_through_batched_ops(self):
+        # The first gradient is built with create_graph through the bias
+        # row, 3-D matmul and sqdist, reshape, stack and row means, so the
+        # vjps themselves must be differentiable.
+        rng = _rng(5)
+        x = ad.tensor(rng.normal(size=(6, 3)))
+        c = ad.tensor(rng.normal(size=(2, 2, 4)))
+
+        def f(w, b):
+            h = ad.reshape(ad.add(ad.matmul(x, w), b), (2, 3, 4))
+            d = ad.sqdist(h, c)
+            scores = ad.mean(ad.reshape(ad.stack([d, ad.matmul(h, c, tb=True)]), (4, 6)), rows=True)
+            inner = ad.sum(ad.mul(scores, scores))
+            gw, gb = ad.grad(inner, [w, b], create_graph=True)
+            return ad.add(ad.sum(ad.mul(gw, gw)), ad.sum(ad.mul(gb, gb)))
+
+        w = ad.tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = ad.tensor(rng.normal(size=(1, 4)), requires_grad=True)
+        assert ad.grad_check(f, [w, b]) < 1e-4
 
     def test_forward_replay_is_bit_identical(self):
         rng = _rng(4)

@@ -32,7 +32,7 @@ def _episode(support_x, support_labels, query_x, query_labels, k, q):
 
 def _probabilities(params, ep):
     """(n*q, n) predicted class probabilities per query."""
-    logits = learners._episode_logits(params, ep).data
+    logits = learners._episode_logits(params, [ep]).data[0]
     return kernels.softmax_xent(logits, ep.query_labels)[1]
 
 
@@ -82,7 +82,7 @@ class TestProtoLikelihoods:
         # labeled A: p(A) = 1/(1 + exp(-4)), log-lik = log p(A).
         params = _identity_params("proto_euclidean", 1)
         ep = _episode([[0.0], [2.0]], [0, 1], [[0.0]], [0], k=1, q=1)
-        ll = learners.episode_log_likelihoods(params, ep)
+        ll = learners.episode_log_likelihoods(params, [ep])
         expected_p = 1.0 / (1.0 + math.exp(-4.0))
         assert expected_p == pytest.approx(0.98201, abs=1e-5)
         assert ll.item() == pytest.approx(math.log(expected_p), abs=1e-12)
@@ -91,7 +91,7 @@ class TestProtoLikelihoods:
     def test_equidistant_query_scores_ln_n(self):
         params = _identity_params("proto_euclidean", 2)
         ep = _episode([[1.0, 0.0], [-1.0, 0.0]], [0, 1], [[0.0, 0.0]], [0], k=1, q=1)
-        ll = learners.episode_log_likelihoods(params, ep)
+        ll = learners.episode_log_likelihoods(params, [ep])
         assert ll.item() == -math.log(2.0)
 
     def test_cosine_zero_scale_scores_ln_n(self):
@@ -99,8 +99,8 @@ class TestProtoLikelihoods:
             "proto_cosine", 2, cosine_scale=ad.tensor(0.0, requires_grad=True)
         )
         ep = _episode([[1.0, 0.0], [0.0, 1.0]], [0, 1], [[1.0, 1.0], [2.0, 0.1]], [0, 1], k=1, q=1)
-        ll = learners.episode_log_likelihoods(params, ep)
-        np.testing.assert_array_equal(ll.data, [[-math.log(2.0)], [-math.log(2.0)]])
+        ll = learners.episode_log_likelihoods(params, [ep])
+        np.testing.assert_array_equal(ll.data, [[-math.log(2.0), -math.log(2.0)]])
 
     def test_cosine_zero_norm_embedding_rejected(self):
         params = _identity_params(
@@ -108,15 +108,15 @@ class TestProtoLikelihoods:
         )
         ep = _episode([[1.0, 0.0], [0.0, 1.0]], [0, 1], [[0.0, 0.0]], [0], k=1, q=1)
         with pytest.raises(learners.LearnerError, match="zero-norm"):
-            learners.episode_log_likelihoods(params, ep)
+            learners.episode_log_likelihoods(params, [ep])
 
     def test_translation_invariance_of_euclidean(self):
         params = _identity_params("proto_euclidean", 3)
         ep = _random_episode(2, dim=3)
         shift = np.array([5.0, -3.0, 1.5])
         shifted = dataclasses.replace(ep, support_x=ep.support_x + shift, query_x=ep.query_x + shift)
-        base = learners.episode_log_likelihoods(params, ep)
-        moved = learners.episode_log_likelihoods(params, shifted)
+        base = learners.episode_log_likelihoods(params, [ep])
+        moved = learners.episode_log_likelihoods(params, [shifted])
         np.testing.assert_allclose(base.data, moved.data, atol=1e-9)
 
     def test_cosine_argmax_invariant_to_positive_scale(self):
@@ -134,7 +134,7 @@ class TestGradientLikelihoods:
     def test_zero_rate_equals_unadapted(self):
         ep = _random_episode(5, n=3)
         params = learners.init_params("maml", 5, 3, seed=1, adaptation_rate=0.0)
-        ll = learners.episode_log_likelihoods(params, ep)
+        ll = learners.episode_log_likelihoods(params, [ep])
         # Unadapted = encode then zero-initialized head: uniform logits.
         np.testing.assert_allclose(ll.data, -math.log(3.0), atol=1e-12)
 
@@ -142,7 +142,7 @@ class TestGradientLikelihoods:
         ep = _random_episode(6, n=3)
         for algorithm in ("maml", "anil"):
             params = learners.init_params(algorithm, 5, 3, seed=2, adaptation_rate=0.0)
-            ll = learners.episode_log_likelihoods(params, ep)
+            ll = learners.episode_log_likelihoods(params, [ep])
             np.testing.assert_allclose(ll.data, -math.log(3.0), atol=1e-12)
 
     def test_adaptation_reduces_support_loss(self):
@@ -150,21 +150,21 @@ class TestGradientLikelihoods:
         for algorithm in ("maml", "anil"):
             base = learners.init_params(algorithm, 5, 3, seed=3, adaptation_steps=1)
             more = learners.init_params(algorithm, 5, 3, seed=3, adaptation_steps=5)
-            nll_1 = learners.episode_nll(base, ep).item()
-            nll_5 = learners.episode_nll(more, ep).item()
+            nll_1 = learners.episode_nll(base, [ep]).item()
+            nll_5 = learners.episode_nll(more, [ep]).item()
             assert nll_5 < nll_1 + 1e-9
 
     def test_head_width_mismatch_rejected(self):
         ep = _random_episode(8, n=3)
         params = learners.init_params("maml", 5, 4, seed=0)
         with pytest.raises(learners.LearnerError, match="width"):
-            learners.episode_log_likelihoods(params, ep)
+            learners.episode_log_likelihoods(params, [ep])
 
     def test_anil_inner_loop_never_touches_encoder(self):
         ep = _random_episode(9, n=3)
         params = learners.init_params("anil", 5, 3, seed=5, adaptation_steps=3)
         before = [(w.data.copy(), b.data.copy()) for w, b in params.encoder]
-        learners.episode_log_likelihoods(params, ep)
+        learners.episode_log_likelihoods(params, [ep])
         for (w0, b0), (w, b) in zip(before, params.encoder):
             assert w0.tobytes() == w.data.tobytes()
             assert b0.tobytes() == b.data.tobytes()
@@ -191,7 +191,7 @@ class TestGradientLikelihoods:
                 adaptation_rate=params.adaptation_rate,
                 adaptation_steps=params.adaptation_steps,
             )
-            return learners.episode_nll(rebuilt, ep)
+            return ad.reshape(learners.episode_nll(rebuilt, [ep]), ())
 
         assert ad.grad_check(f, tensors) < 1e-4
 
@@ -211,7 +211,7 @@ class TestGradientLikelihoods:
                 adaptation_rate=params.adaptation_rate,
                 adaptation_steps=params.adaptation_steps,
             )
-            return learners.episode_nll(rebuilt, ep)
+            return ad.reshape(learners.episode_nll(rebuilt, [ep]), ())
 
         assert ad.grad_check(f, tensors) < 1e-4
 
@@ -229,8 +229,8 @@ class TestLikelihoodProperties:
     def test_difficulty_recompute_is_bit_identical(self, algorithm):
         ep = _random_episode(30, n=3)
         params = learners.init_params(algorithm, 5, 3, seed=8)
-        a = learners.episode_difficulty(learners.episode_log_likelihoods(params, ep))
-        b = learners.episode_difficulty(learners.episode_log_likelihoods(params, ep))
+        a = learners.episode_difficulty(learners.episode_log_likelihoods(params, [ep]))
+        b = learners.episode_difficulty(learners.episode_log_likelihoods(params, [ep]))
         assert a == b
 
 
@@ -257,7 +257,7 @@ class TestAccuracy:
             [[10.0, 0.0], [-10.0, 0.0]], [0, 1],
             [[9.0, 0.5], [-9.5, 0.2]], [0, 1], k=1, q=1,
         )
-        assert learners.episode_accuracy(params, ep) == 1.0
+        assert learners.episode_accuracy(params, [ep]).tolist() == [1.0]
 
     def test_adversarially_permuted_labels(self):
         params = _identity_params("proto_euclidean", 2)
@@ -265,7 +265,7 @@ class TestAccuracy:
             [[10.0, 0.0], [-10.0, 0.0]], [0, 1],
             [[9.0, 0.5], [-9.5, 0.2]], [1, 0], k=1, q=1,
         )
-        assert learners.episode_accuracy(params, ep) == 0.0
+        assert learners.episode_accuracy(params, [ep]).tolist() == [0.0]
 
 
 class TestCheckpoints:
@@ -285,6 +285,6 @@ class TestCheckpoints:
         params = learners.init_params("proto_cosine", 5, 3, seed=10)
         learners.save_checkpoint(params, tmp_path / "ckpt")
         loaded = learners.load_checkpoint(tmp_path / "ckpt")
-        a = learners.episode_log_likelihoods(params, ep)
-        b = learners.episode_log_likelihoods(loaded, ep)
+        a = learners.episode_log_likelihoods(params, [ep])
+        b = learners.episode_log_likelihoods(loaded, [ep])
         np.testing.assert_array_equal(a.data, b.data)

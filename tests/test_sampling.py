@@ -153,6 +153,13 @@ class TestImportanceWeight:
             with pytest.raises(sampling.SamplerError, match="progress"):
                 sampling.importance_weight(0.0, SamplingScheme("curriculum"), model, progress)
 
+    def test_proposal_variance_whose_normaliser_overflows_rejected(self):
+        # 2*pi*1e308 overflows, so the proposal density is 0.0 inside the
+        # support; the weight would divide by zero.
+        model = DifficultyModel(var=1e308, warmup_remaining=0)
+        with pytest.raises(sampling.SamplerError, match="variance"):
+            sampling.importance_weight(0.0, SamplingScheme("uniform"), model, 0.0)
+
 
 class TestEffectiveSampleSize:
     def test_constant_weights_give_batch_size(self):
@@ -210,6 +217,12 @@ class TestOnlineModel:
         for omega in (0.0, 5.0, -3.0):
             sampling.update_online(model, omega)
         assert model.mu == 1.0 and model.var == 2.0
+
+    def test_overflowing_variance_rejected_and_model_kept(self):
+        model = DifficultyModel(var=1.0, warmup_remaining=0, lam=0.5)
+        with pytest.raises(sampling.SamplerError, match="variance"):
+            sampling.update_online(model, 1e200)
+        assert model.mu == 0.0 and model.var == 1.0
 
     def test_warmup_buffers_then_seeds(self):
         model = DifficultyModel(warmup_remaining=4)

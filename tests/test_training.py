@@ -72,20 +72,120 @@ class TestAdam:
 class TestBatchLoss:
     def test_baseline_equals_unweighted_mean(self):
         rng = streams.stream(0, streams.STATS)
-        nlls = [ad.tensor(float(v)) for v in rng.uniform(0.5, 2.0, size=8)]
+        nlls = ad.tensor(rng.uniform(0.5, 2.0, size=8))
         loss, ess = training.weighted_batch_loss(nlls, [1.0] * 8)
         assert ess == 8.0
-        expected = np.mean([t.item() for t in nlls])
+        expected = np.mean(nlls.data)
         assert loss.item() == pytest.approx(expected, abs=1e-12)
 
     def test_scaling_all_weights_scales_loss_linearly(self):
         rng = streams.stream(1, streams.STATS)
-        nlls = [ad.tensor(float(v)) for v in rng.uniform(0.5, 2.0, size=6)]
+        nlls = ad.tensor(rng.uniform(0.5, 2.0, size=6))
         weights = list(rng.uniform(0.1, 3.0, size=6))
         base, _ = training.weighted_batch_loss(nlls, weights)
         for c in (0.5, 2.0, 17.0):
             scaled, _ = training.weighted_batch_loss(nlls, [c * w for w in weights])
             assert scaled.item() == pytest.approx(c * base.item(), rel=1e-12)
+
+
+def _tape_nodes(output):
+    """Tape nodes reachable from ``output`` through ``Tensor.node``."""
+    seen, stack = set(), [output]
+    while stack:
+        node = stack.pop().node
+        if node is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node.inputs)
+    return len(seen)
+
+
+def _reference_difficulties(params, episodes):
+    """Difficulties scored one episode at a time."""
+    with ad.no_grad():
+        return [
+            learners.episode_difficulty(learners.episode_log_likelihoods(params, [ep]))
+            for ep in episodes
+        ]
+
+
+class TestBatchedMatchesPerEpisode:
+    """The batch API against itself called with one episode at a time, the
+    per-episode reference. The batch's sums run in another order, so values
+    agree to 1e-10 relative, not bit for bit."""
+
+    @pytest.mark.parametrize("shot", [1, 5])
+    @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
+    def test_nll_difficulty_weight_and_gradient(self, algorithm, shot):
+        train_ds, _, _ = _datasets()
+        params = learners.init_params(
+            algorithm, 6, 3, hidden_sizes=(16,), embedding_dim=8, seed=1, adaptation_steps=2
+        )
+        rng = streams.stream(4, streams.TRAIN_EPISODES)
+        episodes = [data.sample_episode(train_ds, 3, shot, 5, rng) for _ in range(6)]
+
+        nll = learners.episode_nll(params, episodes)
+        ref_nll = [ad.reshape(learners.episode_nll(params, [ep]), ()) for ep in episodes]
+        np.testing.assert_allclose(nll.data, [t.item() for t in ref_nll], rtol=1e-10, atol=0)
+
+        omegas = training.score_difficulties(params, episodes)
+        ref_omegas = _reference_difficulties(params, episodes)
+        np.testing.assert_allclose(omegas, ref_omegas, rtol=1e-10, atol=0)
+
+        # A curriculum centred on the batch keeps every weight inside the
+        # support and different from the others.
+        model = DifficultyModel(
+            mu=float(np.mean(ref_omegas)), var=float(np.var(ref_omegas)) + 0.05, warmup_remaining=0
+        )
+        scheme = SamplingScheme("curriculum")
+        weights = [sampling.importance_weight(o, scheme, model, 0.3) for o in omegas]
+        ref_weights = [sampling.importance_weight(o, scheme, model, 0.3) for o in ref_omegas]
+        assert all(w > 0.0 for w in ref_weights)
+        np.testing.assert_allclose(weights, ref_weights, rtol=1e-10, atol=0)
+
+        tensors = params.trainable_tensors()
+        loss, ess = training.weighted_batch_loss(nll, ref_weights)
+        total = ad.smul(ref_weights[0], ref_nll[0])
+        for w, t in zip(ref_weights[1:], ref_nll[1:]):
+            total = ad.add(total, ad.smul(w, t))
+        ref_loss = ad.smul(1.0 / ess, total)
+        assert loss.item() == pytest.approx(ref_loss.item(), rel=1e-10, abs=0)
+        grads, ref_grads = ad.grad(loss, tensors), ad.grad(ref_loss, tensors)
+        # Entries near zero are rounding noise (the Euclidean last bias has
+        # an exactly zero gradient), so the tolerance is relative to the
+        # largest entry of the whole gradient.
+        scale = max(float(np.abs(r.data).max()) for r in ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(g.data, ref.data, rtol=0, atol=1e-10 * scale)
+
+    def test_proto_tape_does_not_grow_with_batch(self):
+        train_ds, _, _ = _datasets()
+        params = learners.init_params("proto_euclidean", 6, 3, seed=0)
+        rng = streams.stream(0, streams.TRAIN_EPISODES)
+        sizes = []
+        for batch in (4, 16):
+            episodes = [data.sample_episode(train_ds, 3, 1, 5, rng) for _ in range(batch)]
+            loss, _ = training.weighted_batch_loss(learners.episode_nll(params, episodes), [1.0] * batch)
+            sizes.append(_tape_nodes(loss))
+        assert sizes[0] == sizes[1]
+
+    def test_chunked_evaluation_keeps_the_stream_and_the_accuracies(self):
+        _, _, test_ds = _datasets()
+        params = learners.init_params("proto_cosine", 6, 3, seed=2)
+        count = 2 * training.EPISODE_CHUNK + 1  # the last chunk is a single episode
+        rng = streams.stream(3, streams.TEST_EPISODES)
+        result = training.evaluate(params, test_ds, 3, 2, 5, count, rng)
+
+        ref_rng = streams.stream(3, streams.TEST_EPISODES)
+        episodes = [data.sample_episode(test_ds, 3, 2, 5, ref_rng) for _ in range(count)]
+        assert rng.random() == ref_rng.random()
+        with ad.no_grad():
+            accs = np.array([learners.episode_accuracy(params, [ep])[0] for ep in episodes])
+        assert result == (float(accs.mean()), 1.96 * float(accs.std(ddof=1)) / np.sqrt(count))
+        ref_omegas = _reference_difficulties(params, episodes)
+        np.testing.assert_allclose(
+            training.score_difficulties(params, episodes), ref_omegas, rtol=1e-10, atol=0
+        )
 
 
 class TestEvaluate:
