@@ -21,13 +21,22 @@ episode, with optional transposition of the last two axes), ``reshape``,
 a backward pass reads (masks, one-hot labels) is built inside the vjp, so a
 forward under :func:`no_grad` never pays for it.
 
+A :func:`grad` call costs the part of the tape between its output and its
+requested inputs: each tape record carries its creation order, the walk
+stops at records older than the oldest requested input, and only vjps on a
+path to a requested input run. The ``exp`` and ``log`` vjps hold their own
+output through a weak reference, so a tape has no reference cycles and is
+freed by refcount as soon as its last tensor is dropped.
+
 Each graph is single-threaded; independent graphs may live on different
 threads. Pass only arrays (a tensor's ``data``) between threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
+import weakref
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -54,10 +63,6 @@ class DomainError(AutodiffError):
 
 class GraphError(AutodiffError):
     """Raised for malformed graphs or invalid backward requests."""
-
-
-class NonFiniteError(AutodiffError):
-    """Raised when a numeric check encounters NaN or infinity."""
 
 
 _state = threading.local()
@@ -89,21 +94,28 @@ def enable_grad():
         _state.enabled = prev
 
 
-class Node:
-    """One tape record: the op tag, its input tensors, and per-input vjps."""
+# Creation order of tape records, shared by all threads (``next`` on it is
+# atomic); a leaf counts as 0.
+_sequence = itertools.count(1)
 
-    __slots__ = ("op", "inputs", "vjps")
+
+class Node:
+    """One tape record: the op tag, its input tensors, per-input vjps and
+    its place in creation order."""
+
+    __slots__ = ("op", "inputs", "vjps", "seq")
 
     def __init__(self, op: str, inputs: tuple, vjps: tuple):
         self.op = op
         self.inputs = inputs
         self.vjps = vjps
+        self.seq = next(_sequence)
 
 
 class Tensor:
     """Dense float64 array with an optional link into the tape."""
 
-    __slots__ = ("data", "requires_grad", "node")
+    __slots__ = ("data", "requires_grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, node: Node | None = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -288,28 +300,28 @@ def relu(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out_holder: list[Tensor] = []
-
+    # The vjp reads the op's own output through a weak reference, so the
+    # tape holds no cycle and is freed by refcount. The output is alive
+    # whenever the vjp runs: the backward pass holds it.
     def va(g):
-        return mul(g, out_holder[0])
+        return mul(g, out())
 
     result = _make("exp", np.exp(a.data), (a,), (va,))
-    out_holder.append(result)
+    out = weakref.ref(result)
     return result
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log: input has non-positive entries")
-    out_holder: list[Tensor] = []
 
     def va(g):
-        # 1/x == exp(-log(x)), reusing the op's own output keeps the
-        # reciprocal differentiable for second-order passes.
-        return mul(g, exp(smul(-1.0, out_holder[0])))
+        # 1/x == exp(-log(x)), reusing the op's own output (weakly held, as
+        # in exp) keeps the reciprocal differentiable for second-order passes.
+        return mul(g, exp(smul(-1.0, out())))
 
     result = _make("log", np.log(a.data), (a,), (va,))
-    out_holder.append(result)
+    out = weakref.ref(result)
     return result
 
 
@@ -419,9 +431,10 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     return _make("softmax_cross_entropy", loss, (logits,), (vlogits,))
 
 
-def _topo_order(output: Tensor) -> list[Tensor]:
-    """Tensors reachable from ``output`` through grad-requiring inputs,
-    in an order where every tensor precedes the tensors it consumes."""
+def _topo_order(output: Tensor, floor: int) -> list[Tensor]:
+    """Tensors reachable from ``output`` through grad-requiring inputs
+    recorded no earlier than ``floor``, in an order where every tensor
+    precedes the tensors it consumes."""
     order: list[Tensor] = []
     visited: set[int] = set()
     on_stack: set[int] = set()
@@ -442,17 +455,30 @@ def _topo_order(output: Tensor) -> list[Tensor]:
         stack.append((t, True))
         if t.node is not None:
             for inp in t.node.inputs:
-                if inp.requires_grad and id(inp) not in visited:
+                if not inp.requires_grad or (inp.node.seq if inp.node is not None else 0) < floor:
+                    continue
+                if id(inp) not in visited:
                     stack.append((inp, False))
                 elif id(inp) in on_stack:
                     raise GraphError("cycle detected in computation graph")
     return order
 
 
-def _backward_map(output: Tensor, create_graph: bool) -> dict[int, tuple[Tensor, Tensor]]:
+def _backward_map(
+    output: Tensor, inputs: list[Tensor], create_graph: bool
+) -> dict[int, tuple[Tensor, Tensor]]:
     if output.shape != ():
         raise GraphError(f"backward requires a scalar output, got shape {output.shape}")
-    order = _topo_order(output)
+    # A tensor on a path from the output to an input consumes that input, so
+    # it was recorded after it: nothing older than the oldest input is walked.
+    floor = min((t.node.seq if t.node is not None else 0 for t in inputs), default=0)
+    order = _topo_order(output, floor)
+    # Mark every tensor that leads to a requested input; only vjps into
+    # marked tensors run.
+    wanted = {id(t) for t in inputs}
+    for t in order:
+        if t.node is not None and any(id(inp) in wanted for inp in t.node.inputs):
+            wanted.add(id(t))
     grads: dict[int, tuple[Tensor, Tensor]] = {id(output): (output, Tensor(1.0))}
 
     def run():
@@ -462,7 +488,7 @@ def _backward_map(output: Tensor, create_graph: bool) -> dict[int, tuple[Tensor,
                 continue
             g = entry[1]
             for inp, vjp in zip(t.node.inputs, t.node.vjps):
-                if vjp is None or not inp.requires_grad:
+                if not inp.requires_grad or id(inp) not in wanted:
                     continue
                 contrib = vjp(g)
                 prev = grads.get(id(inp))
@@ -481,7 +507,7 @@ def _backward_map(output: Tensor, create_graph: bool) -> dict[int, tuple[Tensor,
 
 def grad(
     output: Tensor,
-    inputs: Sequence[Tensor],
+    inputs: Iterable[Tensor],
     create_graph: bool = False,
     allow_unused: bool = False,
 ) -> list[Tensor]:
@@ -489,8 +515,13 @@ def grad(
 
     Inputs may be leaves or interior graph tensors. With ``create_graph``
     the returned gradients are differentiable graph tensors themselves.
+    A call walks only the tape recorded since the oldest requested input
+    and runs only the vjps on paths from ``output`` to a requested input,
+    so an inner-loop gradient with respect to the latest fast weights does
+    not grow with the number of earlier steps.
     """
-    grads = _backward_map(output, create_graph)
+    inputs = list(inputs)
+    grads = _backward_map(output, inputs, create_graph)
     result = []
     for t in inputs:
         entry = grads.get(id(t))
@@ -501,48 +532,3 @@ def grad(
         else:
             result.append(entry[1])
     return result
-
-
-def grad_check(
-    f: Callable[..., Tensor],
-    inputs: Iterable[Tensor],
-    epsilon: float = 1e-5,
-) -> float:
-    """Max relative error between analytic gradients of ``f`` and central
-    finite differences, coordinate by coordinate.
-
-    ``f`` must map the given leaf tensors to a scalar tensor. The error for
-    a coordinate is ``|analytic - numeric| / max(1, |analytic|)``.
-    """
-    if not (1e-6 <= epsilon <= 1e-3):
-        raise DomainError(f"grad_check: epsilon {epsilon} outside [1e-6, 1e-3]")
-    inputs = list(inputs)
-    out = f(*inputs)
-    if out.shape != ():
-        raise GraphError("grad_check: f must return a scalar tensor")
-    analytic = grad(out, inputs, allow_unused=True)
-    max_err = 0.0
-    base = [t.data.copy() for t in inputs]
-    flags = [t.requires_grad for t in inputs]
-    for i, t in enumerate(inputs):
-        flat_analytic = analytic[i].data.reshape(-1)
-        for j in range(t.size):
-            # f is re-evaluated with recording on: it may take gradients
-            # internally (e.g. an adaptation step), so no_grad would break it.
-            shifted = [Tensor(b, requires_grad=r) for b, r in zip(base, flags)]
-            plus = base[i].copy().reshape(-1)
-            plus[j] += epsilon
-            minus = base[i].copy().reshape(-1)
-            minus[j] -= epsilon
-            shifted[i] = Tensor(plus.reshape(t.shape), requires_grad=flags[i])
-            f_plus = f(*shifted).item()
-            shifted[i] = Tensor(minus.reshape(t.shape), requires_grad=flags[i])
-            f_minus = f(*shifted).item()
-            numeric = (f_plus - f_minus) / (2.0 * epsilon)
-            a = flat_analytic[j]
-            if not (np.isfinite(a) and np.isfinite(numeric)):
-                raise NonFiniteError("grad_check: non-finite value encountered")
-            err = abs(a - numeric) / max(1.0, abs(a))
-            if err > max_err:
-                max_err = err
-    return max_err

@@ -304,6 +304,9 @@ def load_dataset(path) -> BaseDataset:
                 vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
             except ValueError:
                 raise DatasetParseError("non-numeric feature value", line=lineno)
+            if not np.all(np.isfinite(vec)):
+                bad = int(np.argmin(np.isfinite(vec)))
+                raise DatasetParseError("non-finite feature value", line=lineno, field=f"f{bad}")
             rows[cid].append(vec)
     records = []
     for cid, count in zip(class_ids, counts):

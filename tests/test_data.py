@@ -145,6 +145,19 @@ class TestDiskRoundTrip:
         with pytest.raises(data.DatasetParseError, match="line 2"):
             data.load_dataset(tmp_path / "ds")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_is_parse_error(self, tmp_path, cell):
+        ds = _small_dataset(classes=2, samples=2)
+        data.save_dataset(ds, tmp_path / "ds")
+        csv = tmp_path / "ds" / "data.csv"
+        lines = csv.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[2] = cell
+        lines[2] = ",".join(parts)
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(data.DatasetParseError, match="non-finite.*line 3, field 'f1'"):
+            data.load_dataset(tmp_path / "ds")
+
     def test_manifest_count_mismatch_is_validation_error(self, tmp_path):
         import json
 

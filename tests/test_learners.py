@@ -1,6 +1,7 @@
 """Tests for the four episodic learners and the difficulty functional."""
 
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from episampler import autodiff as ad
 from episampler import data, kernels, learners, streams
+from gradcheck import grad_check
 
 
 def _episode(support_x, support_labels, query_x, query_labels, k, q):
@@ -193,7 +195,7 @@ class TestGradientLikelihoods:
             )
             return ad.reshape(learners.episode_nll(rebuilt, [ep]), ())
 
-        assert ad.grad_check(f, tensors) < 1e-4
+        assert grad_check(f, tensors) < 1e-4
 
     def test_anil_outer_gradient_matches_finite_differences(self):
         ep = _random_episode(11, n=2, k=1, q=2, dim=3)
@@ -213,7 +215,60 @@ class TestGradientLikelihoods:
             )
             return ad.reshape(learners.episode_nll(rebuilt, [ep]), ())
 
-        assert ad.grad_check(f, tensors) < 1e-4
+        assert grad_check(f, tensors) < 1e-4
+
+
+class TestTapeCost:
+    @pytest.mark.parametrize("algorithm", learners.GRADIENT_ALGORITHMS)
+    def test_inner_grad_cost_does_not_grow_with_the_step(self, algorithm, monkeypatch):
+        # 5-way 1-shot 15-query episodes, d = 12 and a 64-64-64 MLP, as in perfbench.
+        ep = _random_episode(50, n=5, k=1, q=15, dim=12)
+        params = learners.init_params(algorithm, 12, 5, hidden_sizes=(64, 64), embedding_dim=64, seed=11)
+        recorded, walked, inside = [], [], [False]
+        make, topo_order, grad = ad._make, ad._topo_order, ad.grad
+
+        def counting_make(*args):
+            out = make(*args)
+            if inside[0] and out.node is not None:
+                recorded[-1] += 1
+            return out
+
+        def counting_topo_order(*args):
+            order = topo_order(*args)
+            walked.append(len(order))
+            return order
+
+        def counting_grad(*args, **kwargs):
+            recorded.append(0)
+            inside[0] = True
+            try:
+                return grad(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(ad, "_make", counting_make)
+        monkeypatch.setattr(ad, "_topo_order", counting_topo_order)
+        monkeypatch.setattr(ad, "grad", counting_grad)
+        learners.episode_nll(params, [ep])
+        assert len(recorded) == len(walked) == params.adaptation_steps == 5
+        assert recorded == [recorded[0]] * 5
+        # Step 1 walks down to the leaf parameters; every later step stops
+        # at the fast weights of the step before it.
+        assert walked[1:] == [walked[1]] * 4
+
+    @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
+    def test_tape_is_freed_without_the_cyclic_collector(self, algorithm):
+        episodes = [_random_episode(60 + i, n=3, k=1, q=4) for i in range(2)]
+        params = learners.init_params(algorithm, 5, 3, seed=12)
+        gc.collect()
+        gc.disable()
+        try:
+            loss = ad.sum(learners.episode_nll(params, episodes))
+            grads = ad.grad(loss, params.trainable_tensors())
+            del loss, grads
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestLikelihoodProperties:
