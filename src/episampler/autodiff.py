@@ -10,12 +10,13 @@ own adaptation step.
 
 Supported ops: ``add``, ``sub``, ``mul`` (elementwise; one operand may be a
 scalar tensor of shape ``()``, and ``add`` also broadcasts a ``(1, n)`` bias
-row over an ``(m, n)`` operand), ``smul`` (multiplication by a Python
-float), ``matmul`` (2-D, or 3-D ``(B, ...)`` operands multiplied episode by
-episode, with optional transposition of the last two axes), ``reshape``,
-``stack`` (equal-shaped tensors along a new leading axis), ``relu``,
-``exp``, ``log``, ``sum``, ``mean`` (of all entries, or of each row),
-``sqdist`` (pairwise squared Euclidean distance, 2-D or 3-D), and
+row over an ``(m, n)`` operand, or a ``(B, 1, n)`` one over ``(B, m, n)``),
+``smul`` (multiplication by a Python float), ``matmul`` (2-D, or 3-D
+``(B, ...)`` operands multiplied episode by episode, with optional
+transposition of the last two axes), ``reshape``, ``tile`` (copies of a
+tensor along a new leading axis, e.g. one set of fast weights per episode),
+``relu``, ``exp``, ``log``, ``sum``, ``mean`` (of all entries, or of each
+row), ``sqdist`` (pairwise squared Euclidean distance, 2-D or 3-D), and
 ``softmax_cross_entropy`` (fused, max-stabilized). Every operand is a
 :class:`Tensor`; constants are wrapped with :func:`tensor`. State that only
 a backward pass reads (masks, one-hot labels) is built inside the vjp, so a
@@ -164,8 +165,14 @@ def _ones(shape) -> Tensor:
 
 def _is_row_over(row: tuple, full: tuple) -> bool:
     """True when ``row`` is a (1, n) bias row that broadcasts over an (m, n)
-    ``full``."""
-    return len(row) == 2 and len(full) == 2 and row[0] == 1 and row[1] == full[1]
+    ``full``, or a (B, 1, n) one over a (B, m, n) ``full``."""
+    return (
+        len(row) == len(full)
+        and len(full) in (2, 3)
+        and row[:-2] == full[:-2]
+        and row[-2] == 1
+        and row[-1] == full[-1]
+    )
 
 
 def _unbroadcast(shape: tuple, out_shape: tuple) -> Callable[[Tensor], Tensor]:
@@ -183,7 +190,7 @@ def _identity(g: Tensor) -> Tensor:
 
 
 def _sum_rows(g: Tensor) -> Tensor:
-    return matmul(_ones((1, g.shape[0])), g)
+    return matmul(_ones(g.shape[:-2] + (1, g.shape[-2])), g)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -268,26 +275,18 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make("reshape", out, (a,), (va,))
 
 
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Equal-shaped tensors stacked along a new leading axis."""
-    tensors = tuple(tensors)
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != shape:
-            raise ShapeMismatchError("stack", shape, t.shape)
-    count = len(tensors)
-    out = np.stack([t.data for t in tensors])
+def tile(a: Tensor, count: int) -> Tensor:
+    """``count`` copies of ``a`` along a new leading axis: shape
+    ``(count, *a.shape)``."""
+    count = int(count)
+    shape = a.shape
+    out = np.repeat(a.data[np.newaxis], count, axis=0)
 
-    def picker(i):
-        def vi(g):
-            # Slice i of g, as a one-hot row times g, so the vjp stays an op.
-            onehot = np.zeros((1, count))
-            onehot[0, i] = 1.0
-            return reshape(matmul(Tensor(onehot), reshape(g, (count, -1))), shape)
+    def va(g):
+        # Sum over the copies, as a ones row times g, so the vjp stays an op.
+        return reshape(matmul(_ones((1, count)), reshape(g, (count, -1))), shape)
 
-        return vi
-
-    return _make("stack", out, tensors, tuple(picker(i) for i in range(count)))
+    return _make("tile", out, (a,), (va,))
 
 
 def relu(a: Tensor) -> Tensor:

@@ -22,8 +22,11 @@ share one ``softmax_cross_entropy`` call.
 * ``maml`` - all parameters adapted by ``adaptation_steps`` gradient
   descent steps on the support NLL; the adapted parameters stay connected
   to the originals so the outer gradient is the full second-order one.
-  Each episode adapts on its own; the batch's query logits are stacked.
-* ``anil`` - same, but only the linear head is adapted.
+  The parameters are tiled into ``(B, ...)`` fast weights, one copy per
+  episode, so the batch adapts on one tape that does not grow with B.
+* ``anil`` - same, but only the linear head is adapted: the batch's
+  supports and queries are encoded once each, as for the ProtoNets, and
+  only the head is tiled.
 
 Checkpoint format: ``<stem>.json`` manifest (algorithm, layer sizes,
 adaptation hyper-parameters) plus ``<stem>.csv`` with one ``value`` column
@@ -209,39 +212,63 @@ def _proto_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tens
     return ad.mul(params.cosine_scale, cosines)
 
 
-def _gradient_logits(params: LearnerParams, episode: Episode) -> ad.Tensor:
-    if params.head[0].shape[1] != episode.n:
-        raise LearnerError(
-            f"head width {params.head[0].shape[1]} does not match episode way {episode.n}"
-        )
-    sup_x = ad.tensor(episode.support_x)
-    encoder = list(params.encoder)
-    head_w, head_b = params.head
+def _encode_stacked(encoder, x: np.ndarray) -> ad.Tensor:
+    """(B, m, d) inputs through the shared encoder as one (B*m, d) matrix,
+    returned as (B, m, e) embeddings."""
+    count, rows, dim = x.shape
+    return ad.reshape(_encode(encoder, ad.tensor(x.reshape(count * rows, dim))), (count, rows, -1))
+
+
+def _gradient_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:
+    """(B, n*q, n) query logits after each episode's inner loop.
+
+    The weights to adapt are tiled to ``(B, ...)`` fast weights, one copy
+    per episode, so the batch's inner loops are one tape. The inner loss is the
+    sum of the episodes' mean support losses; no fast weight is shared
+    between episodes, so its gradient is each episode's own gradient.
+    """
+    count, n = len(episodes), episodes[0].n
+    if params.head[0].shape[1] != n:
+        raise LearnerError(f"head width {params.head[0].shape[1]} does not match episode way {n}")
+    support = np.stack([ep.support_x for ep in episodes])
+    query = np.stack([ep.query_x for ep in episodes])
+    labels = np.concatenate([ep.support_labels for ep in episodes])
+    maml = params.algorithm == "maml"
+    if maml:
+        support, query = ad.tensor(support), ad.tensor(query)
+        slow = [t for pair in params.encoder for t in pair] + list(params.head)
+    else:
+        # ANIL adapts only the head. Encoding once, in the caller's
+        # recording mode and before the head is tiled, keeps the encoder
+        # forward out of every inner grad.
+        support = _encode_stacked(params.encoder, support)
+        query = _encode_stacked(params.encoder, query)
+        slow = list(params.head)
+
+    def forward(weights, x):
+        if maml:
+            x = _encode(list(zip(weights[:-2:2], weights[1:-2:2])), x)
+        return _affine(x, weights[-2], weights[-1])
+
     alpha = params.adaptation_rate
     # The inner loop differentiates the support loss, so recording must be
     # on even when the caller only wants values.
     with ad.enable_grad():
+        weights = [ad.tile(t, count) for t in slow]
         for step in range(params.adaptation_steps):
-            emb = _encode(encoder, sup_x)
-            logits = _affine(emb, head_w, head_b)
-            loss = ad.mean(ad.softmax_cross_entropy(logits, episode.support_labels))
-            if not np.isfinite(loss.item()):
-                raise LearnerError(f"non-finite inner-loop loss at adaptation step {step}")
-            if params.algorithm == "maml":
-                targets = [t for pair in encoder for t in pair] + [head_w, head_b]
-            else:
-                targets = [head_w, head_b]
-            grads = ad.grad(loss, targets, create_graph=True)
-            updated = [ad.sub(t, ad.smul(alpha, g)) for t, g in zip(targets, grads)]
-            if params.algorithm == "maml":
-                encoder = [(updated[2 * i], updated[2 * i + 1]) for i in range(len(encoder))]
-                head_w, head_b = updated[-2], updated[-1]
-            else:
-                head_w, head_b = updated
+            losses = ad.softmax_cross_entropy(ad.reshape(forward(weights, support), (-1, n)), labels)
+            means = ad.mean(ad.reshape(losses, (count, -1)), rows=True)
+            bad = np.flatnonzero(~np.isfinite(means.data))
+            if bad.size:
+                raise LearnerError(
+                    f"non-finite inner-loop loss in episode {bad[0]} of the batch"
+                    f" at adaptation step {step}"
+                )
+            grads = ad.grad(ad.sum(means), weights, create_graph=True)
+            weights = [ad.sub(w, ad.smul(alpha, g)) for w, g in zip(weights, grads)]
     # The query pass records only if the caller does, so a scoring call
-    # drops the inner-loop graph as soon as the episode is done.
-    emb_q = _encode(encoder, ad.tensor(episode.query_x))
-    return _affine(emb_q, head_w, head_b)
+    # drops the inner-loop graph as soon as the batch is done.
+    return forward(weights, query)
 
 
 def _episode_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:
@@ -254,7 +281,7 @@ def _episode_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Te
             raise LearnerError(f"episode shape {(ep.n, ep.k, ep.q)} differs from the batch's {shape}")
     if params.algorithm in PROTO_ALGORITHMS:
         return _proto_logits(params, episodes)
-    return ad.stack([_gradient_logits(params, ep) for ep in episodes])
+    return _gradient_logits(params, episodes)
 
 
 def _query_losses(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:
@@ -325,11 +352,20 @@ def save_checkpoint(params: LearnerParams, stem) -> None:
 def load_checkpoint(stem) -> LearnerParams:
     stem = Path(stem)
     manifest = json.loads(stem.with_suffix(".json").read_text())
-    with open(stem.with_suffix(".csv")) as fh:
+    csv_path = stem.with_suffix(".csv")
+    with open(csv_path) as fh:
         header = fh.readline().strip()
         if header != "value":
             raise LearnerError(f"unexpected checkpoint CSV header {header!r}")
         values = np.array([float(line) for line in fh if line.strip()], dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        # Line numbers are looked up only on failure, so a load holds no
+        # more than the values.
+        with open(csv_path) as fh:
+            lines = [lineno for lineno, line in enumerate(fh, start=1) if line.strip()]
+        value = float(values[bad[0]])
+        raise LearnerError(f"checkpoint CSV line {lines[bad[0] + 1]}: non-finite value {value}")
     sizes = manifest["layer_sizes"]
     cursor = 0
 

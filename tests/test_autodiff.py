@@ -52,6 +52,14 @@ class TestForwardOps:
         assert "add" in str(exc.value)
         assert "(2,)" in str(exc.value) and "(3,)" in str(exc.value)
 
+    def test_bias_row_must_match_the_leading_axis(self):
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.add(ad.tensor(np.zeros((3, 2, 4))), ad.tensor(np.zeros((2, 1, 4))))
+
+    def test_tile_copies_along_a_new_leading_axis(self):
+        a = ad.tensor([[1.0, 2.0]])
+        np.testing.assert_array_equal(ad.tile(a, 3).data, [[[1.0, 2.0]]] * 3)
+
     def test_log_domain_error(self):
         with pytest.raises(ad.DomainError):
             ad.log(ad.tensor([1.0, 0.0]))
@@ -278,11 +286,15 @@ def _random_case(rng, case):
         a = ad.tensor(rng.normal(size=(m, n)), requires_grad=True)
         w = ad.tensor(rng.normal(size=(n * m, 1)))
         return lambda x: ad.sum(ad.matmul(ad.reshape(ad.mul(x, x), (1, m * n)), w)), [a]
-    if case == "stack":
+    if case == "tile":
         a = ad.tensor(rng.normal(size=(m, n)), requires_grad=True)
         b = ad.tensor(rng.normal(size=(m, n)), requires_grad=True)
-        w = ad.tensor(rng.normal(size=(2, m, n)))
-        return lambda x, y: ad.sum(ad.mul(ad.stack([x, ad.mul(x, y)]), w)), [a, b]
+        w = ad.tensor(rng.normal(size=(3, m, n)))
+        return lambda x, y: ad.sum(ad.mul(ad.tile(ad.mul(x, y), 3), w)), [a, b]
+    if case == "add_bias_row_3d":
+        a = ad.tensor(rng.normal(size=(2, m + 1, n)), requires_grad=True)
+        b = ad.tensor(rng.normal(size=(2, 1, n)), requires_grad=True)
+        return lambda x, y: ad.sum(ad.mul(ad.add(x, y), ad.add(y, x))), [a, b]
     if case == "mean_rows":
         a = ad.tensor(rng.normal(size=(m, n)), requires_grad=True)
         w = ad.tensor(rng.normal(size=(m,)))
@@ -315,7 +327,8 @@ CASES = [
     "add_bias_row",
     "matmul_3d",
     "reshape",
-    "stack",
+    "tile",
+    "add_bias_row_3d",
     "mean_rows",
     "sqdist_3d",
 ]
@@ -357,17 +370,17 @@ class TestGradientProperties:
         assert second.item() == pytest.approx(2 * (1 - 2 * alpha) ** 2, abs=1e-12)
 
     def test_second_order_through_batched_ops(self):
-        # The first gradient is built with create_graph through the bias
-        # row, 3-D matmul and sqdist, reshape, stack and row means, so the
-        # vjps themselves must be differentiable.
+        # The first gradient is built with create_graph through tile, the
+        # (B, 1, n) bias row, 3-D matmul and sqdist, reshape and row means,
+        # so the vjps themselves must be differentiable.
         rng = _rng(5)
-        x = ad.tensor(rng.normal(size=(6, 3)))
+        x = ad.tensor(rng.normal(size=(2, 3, 3)))
         c = ad.tensor(rng.normal(size=(2, 2, 4)))
 
         def f(w, b):
-            h = ad.reshape(ad.add(ad.matmul(x, w), b), (2, 3, 4))
+            h = ad.add(ad.matmul(x, ad.tile(w, 2)), ad.tile(b, 2))
             d = ad.sqdist(h, c)
-            scores = ad.mean(ad.reshape(ad.stack([d, ad.matmul(h, c, tb=True)]), (4, 6)), rows=True)
+            scores = ad.mean(ad.reshape(ad.add(d, ad.matmul(h, c, tb=True)), (3, 4)), rows=True)
             inner = ad.sum(ad.mul(scores, scores))
             gw, gb = ad.grad(inner, [w, b], create_graph=True)
             return ad.add(ad.sum(ad.mul(gw, gw)), ad.sum(ad.mul(gb, gb)))

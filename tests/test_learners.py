@@ -10,6 +10,7 @@ import pytest
 from episampler import autodiff as ad
 from episampler import data, kernels, learners, streams
 from gradcheck import grad_check
+import per_episode
 
 
 def _episode(support_x, support_labels, query_x, query_labels, k, q):
@@ -162,6 +163,14 @@ class TestGradientLikelihoods:
         with pytest.raises(learners.LearnerError, match="width"):
             learners.episode_log_likelihoods(params, [ep])
 
+    @pytest.mark.parametrize("algorithm", learners.GRADIENT_ALGORITHMS)
+    def test_non_finite_inner_loss_names_the_episode(self, algorithm):
+        episodes = [_random_episode(12 + i, n=3) for i in range(4)]
+        episodes[2] = dataclasses.replace(episodes[2], support_x=np.full_like(episodes[2].support_x, 1e308))
+        params = learners.init_params(algorithm, 5, 3, seed=4)
+        with np.errstate(all="ignore"), pytest.raises(learners.LearnerError, match="episode 2 .*step 0"):
+            learners.episode_nll(params, episodes)
+
     def test_anil_inner_loop_never_touches_encoder(self):
         ep = _random_episode(9, n=3)
         params = learners.init_params("anil", 5, 3, seed=5, adaptation_steps=3)
@@ -218,7 +227,55 @@ class TestGradientLikelihoods:
         assert grad_check(f, tensors) < 1e-4
 
 
+class TestMatchesPerEpisodeReference:
+    """Batched inner loops against each episode adapting on its own tape
+    (``per_episode``). The outer gradient sums the episodes in another
+    order, so it agrees to 1e-10 of its largest entry, not bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 4, 16])
+    @pytest.mark.parametrize("shot", [1, 5])
+    @pytest.mark.parametrize("algorithm", learners.GRADIENT_ALGORITHMS)
+    def test_nll_and_outer_gradient(self, algorithm, shot, batch):
+        ds = data.generate_synthetic(8, shot + 6, 5, 3.0, 1.0, seed=70)
+        rng = streams.stream(70, streams.TRAIN_EPISODES)
+        episodes = [data.sample_episode(ds, 3, shot, 4, rng) for _ in range(batch)]
+        params = learners.init_params(
+            algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=13, adaptation_steps=3
+        )
+        tensors = params.trainable_tensors()
+        nll = learners.episode_nll(params, episodes)
+        ref = per_episode.episode_nlls(params, episodes)
+        np.testing.assert_allclose(nll.data, [t.item() for t in ref], rtol=1e-10, atol=0)
+        ref_total = ref[0]
+        for t in ref[1:]:
+            ref_total = ad.add(ref_total, t)
+        grads, ref_grads = ad.grad(ad.sum(nll), tensors), ad.grad(ref_total, tensors)
+        scale = max(float(np.abs(r.data).max()) for r in ref_grads)
+        for g, r in zip(grads, ref_grads):
+            np.testing.assert_allclose(g.data, r.data, rtol=0, atol=1e-10 * scale)
+
+
 class TestTapeCost:
+    @pytest.mark.parametrize("algorithm", learners.GRADIENT_ALGORITHMS)
+    def test_recorded_nodes_do_not_grow_with_the_batch(self, algorithm, monkeypatch):
+        params = learners.init_params(algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=14)
+        recorded = [0]
+        make = ad._make
+
+        def counting_make(*args):
+            out = make(*args)
+            recorded[0] += out.node is not None
+            return out
+
+        monkeypatch.setattr(ad, "_make", counting_make)
+        counts = []
+        for batch in (4, 16):
+            episodes = [_random_episode(80 + i, n=3, k=1, q=4) for i in range(batch)]
+            recorded[0] = 0
+            learners.episode_nll(params, episodes)
+            counts.append(recorded[0])
+        assert counts[0] == counts[1]
+
     @pytest.mark.parametrize("algorithm", learners.GRADIENT_ALGORITHMS)
     def test_inner_grad_cost_does_not_grow_with_the_step(self, algorithm, monkeypatch):
         # 5-way 1-shot 15-query episodes, d = 12 and a 64-64-64 MLP, as in perfbench.
@@ -334,6 +391,18 @@ class TestCheckpoints:
         assert loaded.adaptation_steps == params.adaptation_steps
         for a, b in zip(params.trainable_tensors(), loaded.trainable_tensors()):
             assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        params = learners.init_params("maml", 4, 3, hidden_sizes=(5,), embedding_dim=4, seed=9)
+        learners.save_checkpoint(params, tmp_path / "ckpt")
+        csv = tmp_path / "ckpt.csv"
+        lines = csv.read_text().splitlines()
+        lines[7] = bad
+        lines.insert(3, "")
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(learners.LearnerError, match=f"line 9: non-finite value {bad}$"):
+            learners.load_checkpoint(tmp_path / "ckpt")
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         ep = _random_episode(40, n=3)

@@ -1,8 +1,9 @@
 """Tests for the analysis toolkit.
 
-The Shapiro-Wilk and Spearman oracle values below were precomputed with a
-reference statistical implementation on deterministically regenerated
-input vectors and frozen here.
+The Shapiro-Wilk, Spearman and normal-quantile oracle values live in
+``reference_tables``, precomputed with a reference statistical
+implementation on the deterministically regenerated input vectors of its
+``make_vector``.
 """
 
 import math
@@ -11,85 +12,7 @@ import numpy as np
 import pytest
 
 from episampler import stats, streams
-
-# (seed, n, kind, W, p)
-SHAPIRO_ORACLE = [
-    (0, 3, "normal", 0.9662830335832894, 0.6473069635817855),
-    (1, 4, "uniform", 0.9569826768707793, 0.759920889889126),
-    (2, 5, "exponential", 0.82148420027962, 0.11988083564771657),
-    (3, 6, "lognormal", 0.7589358670911315, 0.024330071596660594),
-    (4, 8, "ties", 0.9808585449367807, 0.96702767275884),
-    (5, 10, "normal", 0.8806473533352431, 0.1327453259699179),
-    (6, 12, "uniform", 0.9354373966575532, 0.4413150753428806),
-    (7, 15, "exponential", 0.8719289100573211, 0.03601836598988932),
-    (8, 20, "lognormal", 0.6469992030620119, 9.41125310063261e-06),
-    (9, 30, "ties", 0.9762637510775876, 0.7199192965355323),
-    (10, 50, "normal", 0.9695892383335595, 0.22270639958841704),
-    (11, 80, "uniform", 0.9603718104784539, 0.014170253184440164),
-    (12, 100, "exponential", 0.8593686861769134, 2.6735812163534902e-08),
-    (13, 200, "lognormal", 0.3891426605878736, 1.4950829600195772e-25),
-    (14, 500, "ties", 0.9973583927456287, 0.6117456060983655),
-    (15, 800, "normal", 0.9952504225192429, 0.014128857077593707),
-    (16, 1000, "uniform", 0.9525728455996607, 1.95616647909856e-17),
-    (17, 2000, "exponential", 0.8214393601802843, 1.4581681692893407e-42),
-    (18, 3500, "lognormal", 0.6390682413179195, 2.379887605740657e-65),
-    (19, 5000, "ties", 0.9982178034071935, 1.801293570452519e-05),
-]
-
-# (seed, n, kind_x, kind_y, rho)
-SPEARMAN_ORACLE = [
-    (0, 3, "normal", "exponential", -0.5),
-    (1, 4, "uniform", "lognormal", 0.0),
-    (2, 5, "exponential", "ties", 0.49999999999999994),
-    (3, 6, "lognormal", "normal", 0.3142857142857143),
-    (4, 8, "ties", "uniform", 0.880952380952381),
-    (5, 10, "normal", "exponential", 0.6484848484848483),
-    (6, 12, "uniform", "lognormal", -0.06993006993006995),
-    (7, 15, "exponential", "ties", 0.5499999999999999),
-    (8, 20, "lognormal", "normal", 0.6616541353383457),
-    (9, 30, "ties", "uniform", 0.9198047868648873),
-    (10, 50, "normal", "exponential", 0.6329411764705882),
-    (11, 80, "uniform", "lognormal", 0.24667135489920303),
-    (12, 100, "exponential", "ties", 0.5281848184818482),
-    (13, 200, "lognormal", "normal", 0.5727458186454663),
-    (14, 500, "ties", "uniform", 0.9182037392201764),
-    (15, 800, "normal", "exponential", 0.6686237009745329),
-    (16, 1000, "uniform", "lognormal", 0.23372750972750972),
-    (17, 2000, "exponential", "ties", 0.5131930522982631),
-    (18, 3500, "lognormal", "normal", 0.6171422232069453),
-    (19, 5000, "ties", "uniform", 0.9288028341499135),
-]
-
-PPF_ORACLE = [
-    (1e-10, -6.361340902404056),
-    (1e-06, -4.753424308822899),
-    (0.0001, -3.7190164854556804),
-    (0.02425, -1.972961051311885),
-    (0.1, -1.2815515655446004),
-    (0.25, -0.6744897501960817),
-    (0.5, 0.0),
-    (0.75, 0.6744897501960817),
-    (0.9, 1.2815515655446004),
-    (0.99, 2.3263478740408408),
-    (0.9999, 3.719016485455709),
-    (0.999999, 4.753424308817087),
-    (0.9999999999, 6.361340889697422),
-]
-
-
-def _vec(seed, n, kind):
-    g = np.random.Generator(np.random.Philox(key=np.array([seed, 70], dtype=np.uint64)))
-    if kind == "normal":
-        return g.normal(size=n)
-    if kind == "uniform":
-        return g.uniform(size=n)
-    if kind == "exponential":
-        return g.exponential(size=n)
-    if kind == "lognormal":
-        return g.lognormal(size=n)
-    if kind == "ties":
-        return np.round(g.normal(size=n), 1)
-    raise AssertionError(kind)
+from reference_tables import PPF_ORACLE, SHAPIRO_ORACLE, SPEARMAN_ORACLE, make_vector
 
 
 class TestNormPpf:
@@ -123,8 +46,8 @@ class TestSpearman:
 
     def test_matches_reference_implementation(self):
         for seed, n, kx, ky, expected in SPEARMAN_ORACLE:
-            x = _vec(100 + seed, n, kx)
-            y = 0.6 * x + 0.8 * _vec(200 + seed, n, ky)
+            x = make_vector(100 + seed, n, kx)
+            y = 0.6 * x + 0.8 * make_vector(200 + seed, n, ky)
             assert stats.spearman(x, y) == pytest.approx(expected, abs=1e-9)
 
     def test_invariant_under_monotone_transforms(self):
@@ -155,7 +78,7 @@ class TestShapiroWilk:
 
     def test_matches_reference_implementation(self):
         for seed, n, kind, w_ref, p_ref in SHAPIRO_ORACLE:
-            w, p = stats.shapiro_wilk(_vec(seed, n, kind))
+            w, p = stats.shapiro_wilk(make_vector(seed, n, kind))
             assert w == pytest.approx(w_ref, abs=1e-3)
             assert p == pytest.approx(p_ref, abs=1e-3)
 
