@@ -5,7 +5,10 @@ are n-way k-shot tasks subsampled from it, with classes drawn uniformly
 without replacement and, within each class, k+q samples drawn uniformly
 without replacement (first k to the support set, rest to the query set).
 
-``sample_episode`` returns an ``Episode`` whose rows are grouped by class
+In memory a dataset is one read-only ``(N, d)`` float64 array holding every
+class's rows back to back, a class id per block and the block offsets.
+``sample_episode`` gathers an episode's support and query rows from it with
+one index each, and returns an ``Episode`` whose rows are grouped by class
 in label order, support and query alike.
 
 On disk a dataset is a directory with ``manifest.json`` and ``data.csv``
@@ -43,50 +46,41 @@ class DatasetParseError(DatasetError):
             loc.append(f"field {field!r}")
         suffix = f" ({', '.join(loc)})" if loc else ""
         super().__init__(message + suffix)
-        self.line = line
-        self.field = field
 
 
 SPLITS = ("train", "val", "test", "all")
 
 
 @dataclass(frozen=True, eq=False)
-class ClassRecord:
-    class_id: int
-    features: np.ndarray  # (count, feature_dim), read-only
-
-
-@dataclass(frozen=True, eq=False)
 class BaseDataset:
-    feature_dim: int
+    """Class ``class_ids[i]`` owns rows ``offsets[i]:offsets[i + 1]`` of ``x``.
+
+    ``class_ids`` keeps its given (for a loaded dataset, manifest) order:
+    ``sample_episode`` draws class positions over it, so sorting it would
+    change the episode stream of a manifest not in id order.
+    """
+
+    x: np.ndarray  # (N, feature_dim) float64, made read-only
+    class_ids: tuple[int, ...]
+    offsets: np.ndarray  # (num_classes + 1,) ints from 0 to N, made read-only
     split: str
-    classes: tuple[ClassRecord, ...]
     generator: dict = field(default_factory=dict)
-    features: dict[int, np.ndarray] = field(init=False, repr=False)  # class id -> rows
 
     def __post_init__(self):
         if self.split not in SPLITS:
             raise DatasetError(f"unknown split {self.split!r}")
-        features = {}
-        for rec in self.classes:
-            if rec.class_id in features:
-                raise DatasetError(f"duplicate class id {rec.class_id}")
-            if rec.features.ndim != 2 or rec.features.shape[1] != self.feature_dim:
-                raise DatasetError(
-                    f"class {rec.class_id}: feature shape {rec.features.shape} "
-                    f"does not match feature_dim {self.feature_dim}"
-                )
-            rec.features.setflags(write=False)
-            features[rec.class_id] = rec.features
-        object.__setattr__(self, "features", features)
+        if len(set(self.class_ids)) != len(self.class_ids):
+            raise DatasetError(f"duplicate class id in {self.class_ids}")
+        self.x.setflags(write=False)
+        self.offsets.setflags(write=False)
 
     @property
-    def class_ids(self) -> tuple[int, ...]:
-        return tuple(rec.class_id for rec in self.classes)
+    def feature_dim(self) -> int:
+        return self.x.shape[1]
 
     @property
     def num_classes(self) -> int:
-        return len(self.classes)
+        return len(self.class_ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +121,7 @@ def generate_synthetic(
     if class_separation < 0:
         raise DatasetError("class_separation must be non-negative")
     rng = streams.stream(seed, streams.DATASET)
-    records = []
+    x = np.empty((num_classes, samples_per_class, feature_dim))
     for cid in range(num_classes):
         direction = rng.standard_normal(feature_dim)
         norm = np.linalg.norm(direction)
@@ -135,8 +129,7 @@ def generate_synthetic(
             direction = rng.standard_normal(feature_dim)
             norm = np.linalg.norm(direction)
         mean = class_separation * direction / norm
-        samples = mean + noise_scale * rng.standard_normal((samples_per_class, feature_dim))
-        records.append(ClassRecord(cid, samples))
+        x[cid] = mean + noise_scale * rng.standard_normal((samples_per_class, feature_dim))
     generator = {
         "num_classes": num_classes,
         "samples_per_class": samples_per_class,
@@ -145,7 +138,8 @@ def generate_synthetic(
         "noise_scale": noise_scale,
         "seed": seed,
     }
-    return BaseDataset(feature_dim, split, tuple(records), generator)
+    offsets = np.arange(num_classes + 1) * samples_per_class
+    return BaseDataset(x.reshape(-1, feature_dim), tuple(range(num_classes)), offsets, split, generator)
 
 
 def _allocate(ratios, total: int) -> list[int]:
@@ -169,31 +163,26 @@ def split_classes(dataset: BaseDataset, ratios) -> tuple[BaseDataset, BaseDatase
     """
     if len(ratios) != 3:
         raise DatasetError("ratios must have exactly three entries")
-    names = ("train", "val", "test")
-    by_id = {rec.class_id: rec for rec in dataset.classes}
+    pos = {cid: i for i, cid in enumerate(dataset.class_ids)}
     if all(isinstance(r, (list, tuple)) for r in ratios):
-        requested = [list(r) for r in ratios]
-        flat = [cid for ids in requested for cid in ids]
+        groups = [sorted(r) for r in ratios]
+        flat = [cid for ids in groups for cid in ids]
         if len(set(flat)) != len(flat):
             raise DatasetError("requested class id lists overlap")
         for cid in flat:
-            if cid not in by_id:
+            if cid not in pos:
                 raise DatasetError(f"requested class id {cid} not in dataset")
-        groups = requested
     else:
-        counts = _allocate(ratios, dataset.num_classes)
-        ordered = sorted(by_id)
-        groups = []
-        start = 0
-        for c in counts:
-            groups.append(ordered[start : start + c])
-            start += c
+        ordered = sorted(pos)
+        ends = np.cumsum(_allocate(ratios, dataset.num_classes)).tolist()
+        groups = [ordered[start:end] for start, end in zip([0] + ends, ends)]
     out = []
-    for name, ids in zip(names, groups):
+    for name, ids in zip(("train", "val", "test"), groups):
         if not ids:
             raise DatasetError(f"{name} split is empty")
-        recs = tuple(by_id[cid] for cid in sorted(ids))
-        out.append(BaseDataset(dataset.feature_dim, name, recs, dict(dataset.generator)))
+        blocks = [dataset.x[dataset.offsets[pos[cid]] : dataset.offsets[pos[cid] + 1]] for cid in ids]
+        offsets = np.cumsum([0] + [len(b) for b in blocks])
+        out.append(BaseDataset(np.concatenate(blocks), tuple(ids), offsets, name, dict(dataset.generator)))
     return tuple(out)
 
 
@@ -206,31 +195,27 @@ def sample_episode(
         raise DatasetError(
             f"need {n} classes but dataset has only {dataset.num_classes}"
         )
-    ids = dataset.class_ids
-    chosen = sorted(int(ids[i]) for i in rng.choice(len(ids), size=n, replace=False))
-    rows, picks = [], []
-    for cid in chosen:
-        feats = dataset.features[cid]
-        count = feats.shape[0]
+    ids, offsets = dataset.class_ids, dataset.offsets
+    pos = sorted(rng.choice(len(ids), size=n, replace=False).tolist(), key=ids.__getitem__)
+    picks = []
+    for p in pos:
+        count = int(offsets[p + 1] - offsets[p])
         if count < k + q:
             raise DatasetError(
-                f"class {cid} has {count} samples but the episode needs {k + q}"
+                f"class {ids[p]} has {count} samples but the episode needs {k + q}"
             )
-        pick = rng.choice(count, size=k + q, replace=False)
-        rows.append(feats[pick])
-        picks.append(pick)
-    x = np.stack(rows)  # (n, k+q, d)
-    samples = np.stack(picks)  # (n, k+q)
-    d = dataset.feature_dim
+        picks.append(rng.choice(count, size=k + q, replace=False))
+    samples = np.array(picks)  # (n, k+q)
+    rows = offsets[pos][:, None] + samples
     return Episode(
         n=n,
         k=k,
         q=q,
-        classes=tuple(chosen),
-        support_x=np.ascontiguousarray(x[:, :k]).reshape(n * k, d),
+        classes=tuple(ids[p] for p in pos),
+        support_x=dataset.x[rows[:, :k].reshape(-1)],
         support_labels=np.repeat(np.arange(n), k),
         support_samples=samples[:, :k].reshape(-1),
-        query_x=np.ascontiguousarray(x[:, k:]).reshape(n * q, d),
+        query_x=dataset.x[rows[:, k:].reshape(-1)],
         query_labels=np.repeat(np.arange(n), q),
         query_samples=samples[:, k:].reshape(-1),
     )
@@ -243,7 +228,7 @@ def save_dataset(dataset: BaseDataset, path) -> None:
         "feature_dim": dataset.feature_dim,
         "split": dataset.split,
         "class_ids": list(dataset.class_ids),
-        "per_class_counts": [int(rec.features.shape[0]) for rec in dataset.classes],
+        "per_class_counts": np.diff(dataset.offsets).tolist(),
         "generator": dataset.generator,
     }
     with open(path / "manifest.json", "w") as fh:
@@ -251,10 +236,16 @@ def save_dataset(dataset: BaseDataset, path) -> None:
         fh.write("\n")
     header = "class_id," + ",".join(f"f{i}" for i in range(dataset.feature_dim))
     lines = [header]
-    for rec in dataset.classes:
-        for row in rec.features:
-            lines.append(f"{rec.class_id}," + ",".join(repr(float(v)) for v in row))
+    row_ids = np.repeat(dataset.class_ids, np.diff(dataset.offsets)).tolist()
+    for cid, row in zip(row_ids, dataset.x):
+        lines.append(f"{cid}," + ",".join(repr(float(v)) for v in row))
     (path / "data.csv").write_text("\n".join(lines) + "\n")
+
+
+def _manifest_ints(values: list, key: str, minimum: int) -> list[int]:
+    if not isinstance(values, list) or any(type(v) is not int or v < minimum for v in values):
+        raise DatasetParseError(f"manifest entries must be integers >= {minimum}", field=key)
+    return values
 
 
 def load_dataset(path) -> BaseDataset:
@@ -269,14 +260,16 @@ def load_dataset(path) -> BaseDataset:
     for key in ("feature_dim", "split", "class_ids", "per_class_counts"):
         if key not in manifest:
             raise DatasetParseError("manifest.json missing key", field=key)
-    feature_dim = int(manifest["feature_dim"])
-    class_ids = [int(c) for c in manifest["class_ids"]]
-    counts = [int(c) for c in manifest["per_class_counts"]]
+    (feature_dim,) = _manifest_ints([manifest["feature_dim"]], "feature_dim", 1)
+    class_ids = _manifest_ints(manifest["class_ids"], "class_ids", 0)
+    counts = _manifest_ints(manifest["per_class_counts"], "per_class_counts", 1)
+    rows: dict[int, list[np.ndarray]] = {cid: [] for cid in class_ids}
+    if not rows or len(rows) != len(class_ids):
+        raise DatasetParseError("manifest must list at least one class, each once", field="class_ids")
     if len(class_ids) != len(counts):
         raise DatasetParseError(
             "manifest class_ids and per_class_counts lengths differ", field="per_class_counts"
         )
-    rows: dict[int, list[np.ndarray]] = {cid: [] for cid in class_ids}
     csv_path = path / "data.csv"
     if not csv_path.exists():
         raise DatasetParseError(f"missing data.csv under {path}")
@@ -308,7 +301,6 @@ def load_dataset(path) -> BaseDataset:
                 bad = int(np.argmin(np.isfinite(vec)))
                 raise DatasetParseError("non-finite feature value", line=lineno, field=f"f{bad}")
             rows[cid].append(vec)
-    records = []
     for cid, count in zip(class_ids, counts):
         got = len(rows[cid])
         if got != count:
@@ -316,11 +308,11 @@ def load_dataset(path) -> BaseDataset:
                 f"class {cid}: manifest promises {count} samples, CSV has {got}",
                 field="per_class_counts",
             )
-        records.append(ClassRecord(cid, np.vstack(rows[cid])))
     return BaseDataset(
-        feature_dim,
+        np.array([vec for cid in class_ids for vec in rows[cid]]),
+        tuple(class_ids),
+        np.cumsum([0] + counts),
         manifest["split"],
-        tuple(records),
         dict(manifest.get("generator", {})),
     )
 

@@ -357,15 +357,22 @@ def load_checkpoint(stem) -> LearnerParams:
         header = fh.readline().strip()
         if header != "value":
             raise LearnerError(f"unexpected checkpoint CSV header {header!r}")
-        values = np.array([float(line) for line in fh if line.strip()], dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
+        try:
+            values = np.array([float(line) for line in fh if line.strip()], dtype=np.float64)
+        except ValueError:
+            values = None
+    if values is None or not np.isfinite(values).all():
         # Line numbers are looked up only on failure, so a load holds no
         # more than the values.
         with open(csv_path) as fh:
-            lines = [lineno for lineno, line in enumerate(fh, start=1) if line.strip()]
-        value = float(values[bad[0]])
-        raise LearnerError(f"checkpoint CSV line {lines[bad[0] + 1]}: non-finite value {value}")
+            fh.readline()
+            for lineno, text in enumerate(map(str.strip, fh), start=2):
+                try:
+                    value = float(text) if text else 0.0
+                except ValueError:
+                    raise LearnerError(f"checkpoint CSV line {lineno}: non-numeric value {text}") from None
+                if not np.isfinite(value):
+                    raise LearnerError(f"checkpoint CSV line {lineno}: non-finite value {value}")
     sizes = manifest["layer_sizes"]
     cursor = 0
 

@@ -162,6 +162,21 @@ class TestTrain:
         assert all(w == 1.0 for it in (1, 2, 3) for w in weights[it])
         assert any(w != 1.0 for w in weights[4])
 
+    @pytest.mark.parametrize(
+        "config", sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json")), ids=lambda p: p.stem
+    )
+    def test_shipped_config_runs(self, config, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = _run([
+            "train", "--config", config, "--out", out,
+            "--train.iterations", "2", "--train.validation_interval", "1",
+            "--train.validation_episodes", "2", "--train.test_episodes", "2",
+            "--scheme.warmup_iterations", "0",
+        ])
+        assert code == 0
+        capsys.readouterr()
+        cli.validate_result(json.loads((out / "result.json").read_text()))
+
     def test_dataset_path_loads_each_split_once(self, tiny_config, tmp_path, monkeypatch, capsys):
         ds_dir = tmp_path / "ds"
         assert _run(["gen-data", "--config", tiny_config, "--out", ds_dir]) == 0

@@ -1,5 +1,8 @@
 """Tests for synthetic dataset generation, episode sampling, and disk IO."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,33 @@ def _small_dataset(seed=0, classes=10, samples=20, dim=4):
     return data.generate_synthetic(classes, samples, dim, 3.0, 1.0, seed)
 
 
+SHUFFLED_ORDER = [3, 7, 0, 9, 5, 1, 8, 2, 6, 4]
+
+
+def _load_shuffled(ds, path):
+    """Save ``ds`` with its manifest listing classes in ``SHUFFLED_ORDER``,
+    then load it back."""
+    data.save_dataset(ds, path)
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["class_ids"] = [manifest["class_ids"][i] for i in SHUFFLED_ORDER]
+    manifest["per_class_counts"] = [manifest["per_class_counts"][i] for i in SHUFFLED_ORDER]
+    manifest_path.write_text(json.dumps(manifest))
+    return data.load_dataset(path)
+
+
+def _class_rows(ds, cid):
+    i = ds.class_ids.index(cid)
+    return ds.x[ds.offsets[i] : ds.offsets[i + 1]]
+
+
 class TestGenerate:
     def test_zero_noise_collapses_to_class_mean(self):
         ds = data.generate_synthetic(4, 6, 3, 2.0, 0.0, seed=1)
-        for rec in ds.classes:
-            np.testing.assert_array_equal(rec.features, np.broadcast_to(rec.features[0], rec.features.shape))
-            assert np.linalg.norm(rec.features[0]) == pytest.approx(2.0)
+        for cid in ds.class_ids:
+            rows = _class_rows(ds, cid)
+            np.testing.assert_array_equal(rows, np.broadcast_to(rows[0], rows.shape))
+            assert np.linalg.norm(rows[0]) == pytest.approx(2.0)
 
     def test_same_seed_is_bit_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -31,7 +55,7 @@ class TestGenerate:
     def test_different_seeds_differ(self):
         a = data.generate_synthetic(3, 3, 4, 3.0, 1.0, seed=0)
         b = data.generate_synthetic(3, 3, 4, 3.0, 1.0, seed=1)
-        assert not np.array_equal(a.classes[0].features, b.classes[0].features)
+        assert not np.array_equal(_class_rows(a, 0), _class_rows(b, 0))
 
 
 class TestSplit:
@@ -46,6 +70,14 @@ class TestSplit:
         ds = _small_dataset(classes=3, samples=3)
         parts = data.split_classes(ds, (1, 1, 1))
         assert [p.num_classes for p in parts] == [1, 1, 1]
+
+    def test_explicit_ids_are_sorted_and_keep_their_rows(self):
+        ds = _small_dataset(classes=5, samples=3)
+        parts = data.split_classes(ds, ([4, 1], [3, 0], [2]))
+        assert [p.class_ids for p in parts] == [(1, 4), (0, 3), (2,)]
+        for part in parts:
+            for cid in part.class_ids:
+                np.testing.assert_array_equal(_class_rows(part, cid), _class_rows(ds, cid))
 
     def test_overlapping_explicit_ids_rejected(self):
         ds = _small_dataset(classes=4, samples=3)
@@ -131,8 +163,8 @@ class TestDiskRoundTrip:
         assert loaded.feature_dim == ds.feature_dim
         assert loaded.split == ds.split
         assert loaded.class_ids == ds.class_ids
-        for a, b in zip(ds.classes, loaded.classes):
-            np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(loaded.offsets, ds.offsets)
+        np.testing.assert_array_equal(loaded.x, ds.x)
         assert loaded.generator == ds.generator
 
     def test_wrong_column_count_is_parse_error(self, tmp_path):
@@ -159,8 +191,6 @@ class TestDiskRoundTrip:
             data.load_dataset(tmp_path / "ds")
 
     def test_manifest_count_mismatch_is_validation_error(self, tmp_path):
-        import json
-
         ds = _small_dataset(classes=2, samples=2)
         data.save_dataset(ds, tmp_path / "ds")
         manifest_path = tmp_path / "ds" / "manifest.json"
@@ -170,27 +200,79 @@ class TestDiskRoundTrip:
         with pytest.raises(data.DatasetParseError, match="promises"):
             data.load_dataset(tmp_path / "ds")
 
-    def test_episode_rows_match_their_pairs_when_classes_are_not_id_ordered(self, tmp_path):
-        import json
-
-        ds = _small_dataset(seed=2)
-        data.save_dataset(ds, tmp_path / "ds")
+    @pytest.mark.parametrize(
+        "edits, field",
+        [
+            ({"feature_dim": "4x"}, "feature_dim"),
+            ({"class_ids": ["0x"]}, "class_ids"),
+            ({"per_class_counts": ["2x"]}, "per_class_counts"),
+            ({"class_ids": [0, 1], "per_class_counts": [2, 0]}, "per_class_counts"),
+            ({"class_ids": [], "per_class_counts": []}, "class_ids"),
+            ({"class_ids": [0, 0], "per_class_counts": [2, 2]}, "class_ids"),
+        ],
+        ids=["feature_dim", "class_id", "count", "zero_count", "no_classes", "duplicate_id"],
+    )
+    def test_bad_manifest_entry_names_its_field(self, tmp_path, edits, field):
+        data.save_dataset(_small_dataset(classes=1, samples=2), tmp_path / "ds")
         manifest_path = tmp_path / "ds" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        order = [3, 7, 0, 9, 5, 1, 8, 2, 6, 4]
-        manifest["class_ids"] = [manifest["class_ids"][i] for i in order]
-        manifest["per_class_counts"] = [manifest["per_class_counts"][i] for i in order]
+        manifest.update(edits)
         manifest_path.write_text(json.dumps(manifest))
-        shuffled = data.load_dataset(tmp_path / "ds")
-        assert shuffled.class_ids == tuple(order)
+        with pytest.raises(data.DatasetParseError, match=f"field '{field}'"):
+            data.load_dataset(tmp_path / "ds")
+
+    def test_episode_rows_match_their_pairs_when_classes_are_not_id_ordered(self, tmp_path):
+        ds = _small_dataset(seed=2)
+        shuffled = _load_shuffled(ds, tmp_path / "ds")
+        assert shuffled.class_ids == tuple(SHUFFLED_ORDER)
 
         rng = streams.stream(4, streams.TRAIN_EPISODES)
         eps = [data.sample_episode(shuffled, 4, 2, 3, rng) for _ in range(20)]
         data.save_episode_file(eps, tmp_path / "episodes.json")
         entries = json.loads((tmp_path / "episodes.json").read_text())["episodes"]
-        reference = {rec.class_id: rec.features for rec in ds.classes}
         for ep, entry in zip(eps, entries):
             for rows, pairs in ((ep.support_x, entry["support"]), (ep.query_x, entry["query"])):
                 assert len(rows) == len(pairs)
                 for row, (cid, idx) in zip(rows, pairs):
-                    np.testing.assert_array_equal(row, reference[cid][idx])
+                    np.testing.assert_array_equal(row, _class_rows(ds, cid)[idx])
+
+
+def _stream_digest(ds):
+    h = hashlib.sha256()
+    rng = streams.stream(4, streams.TRAIN_EPISODES)
+    for _ in range(50):
+        ep = data.sample_episode(ds, 4, 2, 3, rng)
+        for arr in (ep.classes, ep.support_samples, ep.query_samples, ep.support_x, ep.query_x):
+            h.update(np.asarray(arr).tobytes())
+    return h.hexdigest()
+
+
+class TestEpisodeStream:
+    # Literal digests of the first 50 episodes; a change to the draw order,
+    # to the dtypes or to which rows are gathered moves them.
+    def test_id_ordered_dataset(self):
+        digest = "6ca6d0e9a9678bcc88627d82595d7349b1095a397f57e2304655e155d6175415"
+        assert _stream_digest(_small_dataset(seed=2)) == digest
+
+    def test_shuffled_manifest(self, tmp_path):
+        # Positions are drawn over the manifest order, so storing classes
+        # sorted by id would change this stream.
+        digest = "63486676131914a3eabcbcfe9d1f4720927c0521de485df8ac12cc87f2f3adc0"
+        assert _stream_digest(_load_shuffled(_small_dataset(seed=2), tmp_path / "ds")) == digest
+
+
+class TestReadOnly:
+    def test_dataset_rows_cannot_be_written(self, tmp_path):
+        ds = _small_dataset()
+        data.save_dataset(ds, tmp_path / "ds")
+        for each in (ds, *data.split_classes(ds, (6, 2, 2)), data.load_dataset(tmp_path / "ds")):
+            with pytest.raises(ValueError):
+                each.x[0, 0] = 1.0
+
+    def test_episode_rows_are_copies(self):
+        ds = _small_dataset()
+        before = ds.x.copy()
+        ep = data.sample_episode(ds, 3, 2, 2, streams.stream(0, streams.TRAIN_EPISODES))
+        ep.support_x[:] = 99.0
+        ep.query_x[:] = 99.0
+        np.testing.assert_array_equal(ds.x, before)

@@ -392,7 +392,7 @@ class TestCheckpoints:
         for a, b in zip(params.trainable_tensors(), loaded.trainable_tensors()):
             assert a.data.tobytes() == b.data.tobytes()
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0.1x"])
     def test_non_finite_value_rejected(self, tmp_path, bad):
         params = learners.init_params("maml", 4, 3, hidden_sizes=(5,), embedding_dim=4, seed=9)
         learners.save_checkpoint(params, tmp_path / "ckpt")
@@ -401,7 +401,8 @@ class TestCheckpoints:
         lines[7] = bad
         lines.insert(3, "")
         csv.write_text("\n".join(lines) + "\n")
-        with pytest.raises(learners.LearnerError, match=f"line 9: non-finite value {bad}$"):
+        kind = "non-numeric" if bad == "0.1x" else "non-finite"
+        with pytest.raises(learners.LearnerError, match=f"line 9: {kind} value {bad}$"):
             learners.load_checkpoint(tmp_path / "ckpt")
 
     def test_round_trip_preserves_predictions(self, tmp_path):
