@@ -8,6 +8,14 @@ composed from the public ops, so running :func:`grad` with
 differentiated again. This is what lets a learner differentiate through its
 own adaptation step.
 
+Recording is per thread: :func:`no_grad` turns it off, :func:`enable_grad`
+back on, and :func:`is_grad_enabled` reports it, so a caller that only wants
+values can skip work that exists for a later backward pass (the learners'
+inner loop is first order then). A vjp that runs without recording, as every
+``grad`` without ``create_graph`` does, may work on plain arrays;
+``softmax_cross_entropy``'s does, with the float sequence of its op path, so
+a gradient has the same bits whether or not its graph is built.
+
 Supported ops: ``add``, ``sub``, ``mul`` (elementwise; one operand may be a
 scalar tensor of shape ``()``, and ``add`` also broadcasts a ``(1, n)`` bias
 row over an ``(m, n)`` operand, or a ``(B, 1, n)`` one over ``(B, m, n)``),
@@ -69,14 +77,18 @@ class GraphError(AutodiffError):
 _state = threading.local()
 
 
-def _recording() -> bool:
+def is_grad_enabled() -> bool:
+    """True when ops record onto the tape in this thread: the default, or
+    inside :func:`enable_grad`; False inside :func:`no_grad`. A caller that
+    only wants values can read it to skip work that exists for a later
+    backward pass."""
     return getattr(_state, "enabled", True)
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording within the block."""
-    prev = _recording()
+    prev = is_grad_enabled()
     _state.enabled = False
     try:
         yield
@@ -87,7 +99,7 @@ def no_grad():
 @contextmanager
 def enable_grad():
     """Force graph recording within the block (undoes an enclosing no_grad)."""
-    prev = _recording()
+    prev = is_grad_enabled()
     _state.enabled = True
     try:
         yield
@@ -149,7 +161,7 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 
 def _make(op: str, out_data: np.ndarray, inputs: Sequence[Tensor], vjps: Sequence) -> Tensor:
-    if _recording() and any(t.requires_grad for t in inputs):
+    if is_grad_enabled() and any(t.requires_grad for t in inputs):
         return Tensor(out_data, requires_grad=True, node=Node(op, tuple(inputs), tuple(vjps)))
     return Tensor(out_data)
 
@@ -397,6 +409,12 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     Returns an (m, 1) column of losses. Fused and stabilized by subtracting
     the row max, which is exact for softmax (row-uniform shifts lie in the
     kernel of every softmax derivative).
+
+    The vjp rebuilds the softmax as ``e * exp(-log(e @ 1))`` with ``e`` the
+    exponentiated shifted logits. When recording it does so from ops, so the
+    gradient can be differentiated again; otherwise it replays the same
+    float sequence on plain arrays. Both modes give the same bits, so a
+    first-order inner loop adapts exactly as a second-order one does.
     """
     if logits.data.ndim != 2:
         raise ShapeMismatchError("softmax_cross_entropy", logits.shape, ("m", "n"))
@@ -409,17 +427,22 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     if labels.min() < 0 or labels.max() >= n:
         raise DomainError(f"softmax_cross_entropy: label outside [0, {n})")
     labels = np.ascontiguousarray(labels, dtype=np.int64)
-    loss, probs = kernels.softmax_xent(np.ascontiguousarray(logits.data), labels)
+    loss, e_data = kernels.softmax_xent(np.ascontiguousarray(logits.data), labels)
 
     def vlogits(g):
         onehot = np.zeros((m, n), dtype=np.float64)
         onehot[np.arange(m), labels] = 1.0
-        if not _recording():
-            return Tensor((probs - onehot) * g.data)
+        if not is_grad_enabled():
+            # The op path below, step for step, on arrays, starting from the
+            # kernel's exponentiated shifted logits. A product with a ones
+            # row only copies a column across, so broadcasting the column
+            # gives the same bits.
+            rz = np.exp(-1.0 * np.log(e_data @ np.ones((n, 1))))
+            return Tensor(g.data * (e_data * rz - onehot))
         # Second-order path: rebuild the softmax from ops so the vjp is
         # itself differentiable with respect to the logits.
-        rowmax = Tensor(np.broadcast_to(logits.data.max(axis=1, keepdims=True), (m, n)).copy())
-        shifted = sub(logits, rowmax)
+        rowmax = logits.data.max(axis=1, keepdims=True)
+        shifted = sub(logits, Tensor(np.repeat(rowmax, n, axis=1)))
         e = exp(shifted)
         z = matmul(e, _ones((n, 1)))
         rz = exp(smul(-1.0, log(z)))

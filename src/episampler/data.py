@@ -238,7 +238,7 @@ def save_dataset(dataset: BaseDataset, path) -> None:
     lines = [header]
     row_ids = np.repeat(dataset.class_ids, np.diff(dataset.offsets)).tolist()
     for cid, row in zip(row_ids, dataset.x):
-        lines.append(f"{cid}," + ",".join(repr(float(v)) for v in row))
+        lines.append(f"{cid}," + ",".join(map(repr, row.tolist())))
     (path / "data.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -260,6 +260,11 @@ def load_dataset(path) -> BaseDataset:
     for key in ("feature_dim", "split", "class_ids", "per_class_counts"):
         if key not in manifest:
             raise DatasetParseError("manifest.json missing key", field=key)
+    if manifest["split"] not in SPLITS:
+        raise DatasetParseError(f"manifest split must be one of {SPLITS}", field="split")
+    generator = manifest.get("generator", {})
+    if not isinstance(generator, dict):
+        raise DatasetParseError("manifest generator must be a JSON object", field="generator")
     (feature_dim,) = _manifest_ints([manifest["feature_dim"]], "feature_dim", 1)
     class_ids = _manifest_ints(manifest["class_ids"], "class_ids", 0)
     counts = _manifest_ints(manifest["per_class_counts"], "per_class_counts", 1)
@@ -313,12 +318,12 @@ def load_dataset(path) -> BaseDataset:
         tuple(class_ids),
         np.cumsum([0] + counts),
         manifest["split"],
-        dict(manifest.get("generator", {})),
+        generator,
     )
 
 
 def _pairs(classes, labels, samples) -> list[list[int]]:
-    return [[classes[label], int(sample)] for label, sample in zip(labels, samples)]
+    return [[classes[label], sample] for label, sample in zip(labels.tolist(), samples.tolist())]
 
 
 def save_episode_file(episodes, path) -> None:
@@ -341,6 +346,5 @@ def save_episode_file(episodes, path) -> None:
             for ep in episodes
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    # json.dumps takes the C encoder; json.dump to a file never does.
+    Path(path).write_text(json.dumps(payload) + "\n")

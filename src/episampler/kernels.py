@@ -21,15 +21,16 @@ def pairwise_sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
-    """Per-row cross-entropy (m, 1) and the softmax probabilities (m, n)."""
+    """Per-row cross-entropy (m, 1) and ``e = exp(logits - rowmax)`` (m, n),
+    the unnormalized softmax: ``e / e.sum(axis=1, keepdims=True)`` gives the
+    probabilities, and the ``softmax_cross_entropy`` vjp reuses ``e``."""
     rowmax = logits.max(axis=1, keepdims=True)
     shifted = logits - rowmax
     e = np.exp(shifted)
     z = e.sum(axis=1, keepdims=True)
-    probs = e / z
     picked = shifted[np.arange(logits.shape[0]), labels][:, None]
     loss = np.log(z) - picked
-    return loss, probs
+    return loss, e
 
 
 def adam_update(p, g, m, v, t, lr, beta1, beta2, eps):

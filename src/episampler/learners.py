@@ -20,13 +20,17 @@ share one ``softmax_cross_entropy`` call.
 * ``proto_cosine`` - negative cosine similarity in place of the distance,
   multiplied by a learnable scale.
 * ``maml`` - all parameters adapted by ``adaptation_steps`` gradient
-  descent steps on the support NLL; the adapted parameters stay connected
-  to the originals so the outer gradient is the full second-order one.
-  The parameters are tiled into ``(B, ...)`` fast weights, one copy per
-  episode, so the batch adapts on one tape that does not grow with B.
+  descent steps on the support NLL. The parameters are tiled into
+  ``(B, ...)`` fast weights, one copy per episode, so the batch adapts on
+  one tape that does not grow with B. When the caller records, the
+  adapted parameters stay connected to the originals, so the outer
+  gradient is the full second-order one. Under ``autodiff.no_grad``
+  (evaluation, difficulty scoring) nothing can differentiate the result,
+  so each inner gradient is first order; the logits keep their bits.
 * ``anil`` - same, but only the linear head is adapted: the batch's
   supports and queries are encoded once each, as for the ProtoNets, and
-  only the head is tiled.
+  only the head is tiled. Its graph too is second order only when the
+  caller records.
 
 Checkpoint format: ``<stem>.json`` manifest (algorithm, layer sizes,
 adaptation hyper-parameters) plus ``<stem>.csv`` with one ``value`` column
@@ -226,6 +230,11 @@ def _gradient_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.T
     per episode, so the batch's inner loops are one tape. The inner loss is the
     sum of the episodes' mean support losses; no fast weight is shared
     between episodes, so its gradient is each episode's own gradient.
+
+    Only a recording caller can differentiate the adapted weights, so only
+    it gets the second-order graph. Otherwise each inner gradient is first
+    order and records nothing; the softmax vjp has the same bits in both
+    modes, so the logits do too.
     """
     count, n = len(episodes), episodes[0].n
     if params.head[0].shape[1] != n:
@@ -251,6 +260,7 @@ def _gradient_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.T
         return _affine(x, weights[-2], weights[-1])
 
     alpha = params.adaptation_rate
+    second_order = ad.is_grad_enabled()
     # The inner loop differentiates the support loss, so recording must be
     # on even when the caller only wants values.
     with ad.enable_grad():
@@ -264,10 +274,9 @@ def _gradient_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.T
                     f"non-finite inner-loop loss in episode {bad[0]} of the batch"
                     f" at adaptation step {step}"
                 )
-            grads = ad.grad(ad.sum(means), weights, create_graph=True)
+            grads = ad.grad(ad.sum(means), weights, create_graph=second_order)
             weights = [ad.sub(w, ad.smul(alpha, g)) for w, g in zip(weights, grads)]
-    # The query pass records only if the caller does, so a scoring call
-    # drops the inner-loop graph as soon as the batch is done.
+    # The query pass records only if the caller does.
     return forward(weights, query)
 
 
@@ -345,7 +354,7 @@ def save_checkpoint(params: LearnerParams, stem) -> None:
         fh.write("\n")
     lines = ["value"]
     for t in params.trainable_tensors():
-        lines.extend(repr(float(v)) for v in t.data.reshape(-1))
+        lines.extend(map(repr, t.data.reshape(-1).tolist()))
     stem.with_suffix(".csv").write_text("\n".join(lines) + "\n")
 
 

@@ -13,6 +13,11 @@ difficulties and the model never moves.
 ``evaluate`` and ``score_difficulties`` run their episodes through the
 learner ``EPISODE_CHUNK`` at a time; episodes are still sampled one by one
 in order, so every stream draws exactly as an episode-at-a-time loop would.
+Both run under ``autodiff.no_grad``, so a MAML or ANIL learner adapts first
+order there, without the second-order graph training needs; its
+difficulties and accuracies are the same floats either way. Offline mode
+scores each training batch with the proposal through
+``score_difficulties``, so it takes the same path.
 
 Artifacts: ``history.csv`` (per-iteration: iteration, loss, ess, mu,
 sigma2, fallback, val_accuracy), ``episodes.csv`` (per-episode: iteration,

@@ -412,3 +412,42 @@ class TestGradientProperties:
         with ad.no_grad():
             y = ad.mul(x, x)
         assert y.node is None
+
+    def test_is_grad_enabled_follows_the_context(self):
+        assert ad.is_grad_enabled()
+        with ad.no_grad():
+            assert not ad.is_grad_enabled()
+            with ad.enable_grad():
+                assert ad.is_grad_enabled()
+            assert not ad.is_grad_enabled()
+        assert ad.is_grad_enabled()
+
+
+class TestSoftmaxCrossEntropyVjp:
+    """The vjp computed on arrays (no recording) against the one built from
+    ops (recording): a first-order inner loop relies on their bits agreeing."""
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 1e4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_both_modes_give_the_same_bits(self, seed, scale):
+        rng = _rng(seed)
+        m, n = 48, 5
+        logits = scale * rng.normal(size=(m, n))
+        labels = rng.integers(0, n, size=m)
+        upstream = rng.normal(size=(m, 1))
+
+        def vjp(create_graph):
+            x = ad.tensor(logits, requires_grad=True)
+            loss = ad.sum(ad.mul(ad.softmax_cross_entropy(x, labels), ad.tensor(upstream)))
+            (g,) = ad.grad(loss, [x], create_graph=create_graph)
+            return g.data
+
+        plain, recorded = vjp(False), vjp(True)
+        np.testing.assert_array_equal(plain, recorded)
+        # Against the closed form (softmax - onehot) * g, relative to the
+        # largest entry: entries near zero carry cancellation noise.
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+        onehot = np.eye(n)[labels]
+        closed = (probs - onehot) * upstream
+        np.testing.assert_allclose(plain, closed, rtol=0, atol=1e-14 * np.abs(closed).max())

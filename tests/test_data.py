@@ -209,8 +209,18 @@ class TestDiskRoundTrip:
             ({"class_ids": [0, 1], "per_class_counts": [2, 0]}, "per_class_counts"),
             ({"class_ids": [], "per_class_counts": []}, "class_ids"),
             ({"class_ids": [0, 0], "per_class_counts": [2, 2]}, "class_ids"),
+            ({"generator": "x"}, "generator"),
+            ({"generator": 5}, "generator"),
+            ({"generator": [["seed", 1]]}, "generator"),
+            ({"split": "bogus"}, "split"),
+            ({"split": 5}, "split"),
+            ({"split": ["train"]}, "split"),
         ],
-        ids=["feature_dim", "class_id", "count", "zero_count", "no_classes", "duplicate_id"],
+        ids=[
+            "feature_dim", "class_id", "count", "zero_count", "no_classes", "duplicate_id",
+            "generator_string", "generator_int", "generator_pairs",
+            "split_unknown", "split_int", "split_list",
+        ],
     )
     def test_bad_manifest_entry_names_its_field(self, tmp_path, edits, field):
         data.save_dataset(_small_dataset(classes=1, samples=2), tmp_path / "ds")
@@ -220,6 +230,25 @@ class TestDiskRoundTrip:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(data.DatasetParseError, match=f"field '{field}'"):
             data.load_dataset(tmp_path / "ds")
+
+    def test_written_bytes(self, tmp_path):
+        # Literal digests of one dataset and one episode file (classes not in
+        # id order); a change to the float format or the JSON layout moves them.
+        ds = _small_dataset(seed=2)
+        data.save_dataset(ds, tmp_path / "ds")
+        shuffled = _load_shuffled(ds, tmp_path / "ds")
+        rng = streams.stream(4, streams.TRAIN_EPISODES)
+        data.save_episode_file(
+            [data.sample_episode(shuffled, 4, 2, 3, rng) for _ in range(20)], tmp_path / "episodes.json"
+        )
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("ds/data.csv", "episodes.json")
+        }
+        assert digests == {
+            "ds/data.csv": "8b6d1064a42dc8f840e24ffe18ff865c5057dd02370d6aa553a63c9c85739d13",
+            "episodes.json": "2ffbba801d4b02ed99d93e7c12ac9c7fc9cdb9ae3742f1817224fd2dfdb0f537",
+        }
 
     def test_episode_rows_match_their_pairs_when_classes_are_not_id_ordered(self, tmp_path):
         ds = _small_dataset(seed=2)

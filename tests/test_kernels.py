@@ -24,7 +24,9 @@ class TestNumpyKernels:
         rng = _rng()
         logits = rng.standard_normal((10, 5)) * 30
         labels = rng.integers(0, 5, size=10).astype(np.int64)
-        loss, probs = kernels.softmax_xent(logits, labels)
+        loss, e = kernels.softmax_xent(logits, labels)
+        np.testing.assert_array_equal(e, np.exp(logits - logits.max(axis=1, keepdims=True)))
+        probs = e / e.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(loss >= 0)
 

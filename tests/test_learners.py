@@ -1,14 +1,16 @@
 """Tests for the four episodic learners and the difficulty functional."""
 
+import contextlib
 import dataclasses
 import gc
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from episampler import autodiff as ad
-from episampler import data, kernels, learners, streams
+from episampler import data, kernels, learners, streams, training
 from gradcheck import grad_check
 import per_episode
 
@@ -36,7 +38,8 @@ def _episode(support_x, support_labels, query_x, query_labels, k, q):
 def _probabilities(params, ep):
     """(n*q, n) predicted class probabilities per query."""
     logits = learners._episode_logits(params, [ep]).data[0]
-    return kernels.softmax_xent(logits, ep.query_labels)[1]
+    e = kernels.softmax_xent(logits, ep.query_labels)[1]
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _identity_params(algorithm, dim, **kwargs):
@@ -168,8 +171,10 @@ class TestGradientLikelihoods:
         episodes = [_random_episode(12 + i, n=3) for i in range(4)]
         episodes[2] = dataclasses.replace(episodes[2], support_x=np.full_like(episodes[2].support_x, 1e308))
         params = learners.init_params(algorithm, 5, 3, seed=4)
-        with np.errstate(all="ignore"), pytest.raises(learners.LearnerError, match="episode 2 .*step 0"):
-            learners.episode_nll(params, episodes)
+        # Recording (second-order inner loop) and not (first-order).
+        for mode in (contextlib.nullcontext, ad.no_grad):
+            with mode(), np.errstate(all="ignore"), pytest.raises(learners.LearnerError, match="episode 2 .*step 0"):
+                learners.episode_nll(params, episodes)
 
     def test_anil_inner_loop_never_touches_encoder(self):
         ep = _random_episode(9, n=3)
@@ -253,6 +258,59 @@ class TestMatchesPerEpisodeReference:
         scale = max(float(np.abs(r.data).max()) for r in ref_grads)
         for g, r in zip(grads, ref_grads):
             np.testing.assert_allclose(g.data, r.data, rtol=0, atol=1e-10 * scale)
+
+
+class TestFirstOrderWhenNotRecording:
+    """Under ``no_grad`` the inner loop is first order on leaf fast weights;
+    its values must be the recording path's, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 4, 16])
+    @pytest.mark.parametrize("shot", [1, 5])
+    @pytest.mark.parametrize("algorithm", learners.GRADIENT_ALGORITHMS)
+    def test_values_equal_the_recording_path(self, algorithm, shot, batch):
+        ds = data.generate_synthetic(8, shot + 6, 5, 3.0, 1.0, seed=71)
+        rng = streams.stream(71, streams.TRAIN_EPISODES)
+        episodes = [data.sample_episode(ds, 3, shot, 4, rng) for _ in range(batch)]
+        params = learners.init_params(
+            algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=15, adaptation_steps=3
+        )
+        logits = learners._episode_logits(params, episodes).data
+        lls = learners.episode_log_likelihoods(params, episodes).data
+        accuracy = learners.episode_accuracy(params, episodes)
+        with ad.no_grad():
+            np.testing.assert_array_equal(learners._episode_logits(params, episodes).data, logits)
+            np.testing.assert_array_equal(learners.episode_accuracy(params, episodes), accuracy)
+        np.testing.assert_array_equal(
+            training.score_difficulties(params, episodes),
+            [learners.episode_difficulty(row) for row in lls],
+        )
+
+    def test_inner_grads_build_no_graph(self, monkeypatch):
+        # 5-way 1-shot 15-query episodes, d = 12 and a 64-64-64 MLP, as in perfbench.
+        episodes = [_random_episode(90 + i, n=5, k=1, q=15, dim=12) for i in range(4)]
+        params = learners.init_params("maml", 12, 5, hidden_sizes=(64, 64), embedding_dim=64, seed=16)
+        flags, recorded, inside = [], [0], [False]
+        make, grad = ad._make, ad.grad
+
+        def counting_make(*args):
+            out = make(*args)
+            recorded[0] += inside[0] and out.node is not None
+            return out
+
+        def counting_grad(output, inputs, create_graph=False, allow_unused=False):
+            flags.append(create_graph)
+            inside[0] = True
+            try:
+                return grad(output, inputs, create_graph=create_graph, allow_unused=allow_unused)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(ad, "_make", counting_make)
+        monkeypatch.setattr(ad, "grad", counting_grad)
+        with ad.no_grad():
+            learners.episode_accuracy(params, episodes)
+        assert flags == [False] * params.adaptation_steps
+        assert recorded[0] == 0
 
 
 class TestTapeCost:
@@ -404,6 +462,20 @@ class TestCheckpoints:
         kind = "non-numeric" if bad == "0.1x" else "non-finite"
         with pytest.raises(learners.LearnerError, match=f"line 9: {kind} value {bad}$"):
             learners.load_checkpoint(tmp_path / "ckpt")
+
+    def test_written_bytes(self, tmp_path):
+        # Literal digests of one checkpoint; a change to the value format
+        # or the manifest moves them.
+        params = learners.init_params("maml", 6, 3, hidden_sizes=(8,), embedding_dim=4, seed=9)
+        learners.save_checkpoint(params, tmp_path / "ckpt")
+        digests = {
+            suffix: hashlib.sha256((tmp_path / f"ckpt{suffix}").read_bytes()).hexdigest()
+            for suffix in (".csv", ".json")
+        }
+        assert digests == {
+            ".csv": "83b97ff54adfcd94179915bf482e2b8155eb474a09e8f6854a2b0dc4efd42fd2",
+            ".json": "a6fe3405c40ddcf569b119dfb8732d9aec7fbdacd68aa3a004ba488c5fd513aa",
+        }
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         ep = _random_episode(40, n=3)

@@ -336,6 +336,30 @@ class TestTrainLoop:
         for rec in result.history:
             assert rec.mu == model.mu and rec.sigma2 == model.var
 
+    @pytest.mark.parametrize("algorithm", learners.GRADIENT_ALGORITHMS)
+    def test_offline_omegas_are_the_proposal_nlls(self, algorithm):
+        # The proposal scores each batch first order, under no_grad; every
+        # omega must still be the recording path's NLL, bit for bit.
+        train_ds, val_ds, _ = _datasets()
+        config = _config(iterations=4, validation_interval=4)
+        params = learners.init_params("proto_euclidean", 6, 3, seed=0)
+        proposal = learners.init_params(
+            algorithm, 6, 3, hidden_sizes=(16,), embedding_dim=8, seed=98, adaptation_steps=2
+        )
+        model = sampling.estimate_offline(streams.stream(0, streams.STATS).normal(1.1, 0.2, size=100))
+        result = training.train(
+            config, params, train_ds, val_ds, SamplingScheme("uniform", mode="offline"),
+            difficulty_model=model, proposal_params=proposal,
+        )
+        rng = streams.stream(config.seed, streams.TRAIN_EPISODES)
+        for rec in result.history:
+            batch = [
+                data.sample_episode(train_ds, config.way, config.shot, config.query, rng)
+                for _ in range(config.batch_size)
+            ]
+            expected = learners.episode_nll(proposal, batch).data.tolist()
+            assert [ep.omega for ep in rec.episodes] == expected
+
     def test_way_mismatch_rejected(self):
         train_ds, val_ds, _ = _datasets()
         params = learners.init_params("maml", 6, 4, seed=0)
