@@ -20,7 +20,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from . import data, learners, sampling, stats, streams, training
+from . import data, files, learners, sampling, stats, streams, training
 from .sampling import DifficultyModel, SamplingScheme
 from .training import TrainConfig
 
@@ -212,10 +212,10 @@ def _run_training(config: dict, out: Path) -> dict:
     if scheme.mode == "offline":
         proposal_params = learners.load_checkpoint(scheme_cfg["proposal_checkpoint"])
         pool_rng = streams.stream(config["seed"], streams.ANALYSIS)
-        pool = [
-            data.sample_episode(train_ds, train_cfg.way, train_cfg.shot, train_cfg.query, pool_rng)
-            for _ in range(scheme_cfg["offline_episodes"])
-        ]
+        pool = data.sample_episodes(
+            train_ds, train_cfg.way, train_cfg.shot, train_cfg.query, pool_rng,
+            scheme_cfg["offline_episodes"],
+        )
         model = sampling.estimate_offline(
             training.score_difficulties(proposal_params, pool), lam=scheme_cfg["ema_lambda"]
         )
@@ -261,9 +261,7 @@ def _run_training(config: dict, out: Path) -> dict:
 def cmd_train(args) -> Path:
     config = load_config(args.config, args.overrides)
     out = _prepare_out(args.out, "run", args.force)
-    with open(out / "config.json", "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files.write_json(out / "config.json", config)
     payload = _run_training(config, out)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return out
@@ -286,7 +284,7 @@ def cmd_evaluate(args) -> dict:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text + "\n")
+        files.write_text(args.out, text + "\n")
     print(text)
     return payload
 
@@ -307,9 +305,7 @@ def cmd_compare_schemes(args) -> Path:
         run_config["scheme"]["kind"] = scheme
         run_dir = out / scheme
         run_dir.mkdir(parents=True, exist_ok=True)
-        with open(run_dir / "config.json", "w") as fh:
-            json.dump(run_config, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        files.write_json(run_dir / "config.json", run_config)
         try:
             payload = _run_training(run_config, run_dir)
         except Exception as exc:  # preserve partial results before aborting
@@ -321,7 +317,7 @@ def cmd_compare_schemes(args) -> Path:
     lines = ["scheme,test_accuracy_mean,test_accuracy_ci95,best_iteration"]
     for scheme, mean, ci, best in rows:
         lines.append(f"{scheme},{mean!r},{ci!r},{best}")
-    (out / "comparison.csv").write_text("\n".join(lines) + "\n")
+    files.write_text(out / "comparison.csv", "\n".join(lines) + "\n")
     if failure is not None:
         raise failure
     print(f"comparison written to {out / 'comparison.csv'}")
@@ -332,7 +328,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
     lines = [header]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    files.write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_analyze(args) -> Path:
@@ -340,10 +336,7 @@ def cmd_analyze(args) -> Path:
     dataset = _load_split(args.data, args.split)
     params = learners.load_checkpoint(args.checkpoint)
     rng = streams.stream(args.seed, streams.ANALYSIS)
-    episodes = [
-        data.sample_episode(dataset, args.way, args.shot, args.query, rng)
-        for _ in range(args.episodes)
-    ]
+    episodes = data.sample_episodes(dataset, args.way, args.shot, args.query, rng, args.episodes)
     data.save_episode_file(episodes, out / "episodes.json")
     omegas = np.array(training.score_difficulties(params, episodes))
     ran_any = False

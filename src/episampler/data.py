@@ -7,9 +7,26 @@ without replacement (first k to the support set, rest to the query set).
 
 In memory a dataset is one read-only ``(N, d)`` float64 array holding every
 class's rows back to back, a class id per block and the block offsets.
-``sample_episode`` gathers an episode's support and query rows from it with
-one index each, and returns an ``Episode`` whose rows are grouped by class
-in label order, support and query alike.
+An episode's support and query rows are gathered from it with one index
+each, into an ``Episode`` whose rows are grouped by class in label order,
+support and query alike. Its label arrays are shared by every episode of
+the same shape and are read-only.
+
+Each episode consumes one block of ``L = num_classes + n * max_count``
+uniforms from ``rng.random``, ``max_count`` being the largest class size:
+
+- the first ``num_classes`` values belong to the class positions (the
+  order of ``class_ids``); the ``n`` smallest choose the episode's
+  classes, which are then sorted by class id;
+- the rest, as an ``(n, max_count)`` array, gives row ``j`` to the
+  ``j``-th chosen class. Slots at or past that class's sample count are
+  masked to ``+inf``, and the first ``k + q`` entries of the row's stable
+  argsort are the class's sample indices.
+
+Philox is counter-based, so ``rng.random((B, L))`` holds the same values as
+``B`` successive ``rng.random(L)`` calls: ``sample_episodes`` with
+``count=B`` returns the same episodes as ``B`` ``sample_episode`` calls,
+and batching or chunking the draws never changes a stream.
 
 On disk a dataset is a directory with ``manifest.json`` and ``data.csv``
 (header ``class_id,f0,...,f{d-1}``, one sample per row, floats written as
@@ -22,13 +39,15 @@ samples an analysis used; nothing in the package reads it back.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from . import streams
+from . import files, streams
 
 
 class DatasetError(Exception):
@@ -51,13 +70,25 @@ class DatasetParseError(DatasetError):
 SPLITS = ("train", "val", "test", "all")
 
 
+class _DrawTables(NamedTuple):
+    """Per-dataset constants of the episode draw, indexed by class position."""
+
+    ids: np.ndarray  # class id per position
+    counts: np.ndarray  # samples per position
+    min_count: int
+    max_count: int
+    rank: np.ndarray  # rank of each position's id among the ids
+    by_rank: np.ndarray  # position of the id of each rank
+
+
 @dataclass(frozen=True, eq=False)
 class BaseDataset:
     """Class ``class_ids[i]`` owns rows ``offsets[i]:offsets[i + 1]`` of ``x``.
 
     ``class_ids`` keeps its given (for a loaded dataset, manifest) order:
-    ``sample_episode`` draws class positions over it, so sorting it would
-    change the episode stream of a manifest not in id order.
+    the episode draw gives its uniforms to class positions in that order,
+    so sorting it would change the episode stream of a manifest not in id
+    order.
     """
 
     x: np.ndarray  # (N, feature_dim) float64, made read-only
@@ -81,6 +112,17 @@ class BaseDataset:
     @property
     def num_classes(self) -> int:
         return len(self.class_ids)
+
+    @functools.cached_property
+    def _draw_tables(self) -> _DrawTables:
+        # cached_property writes the instance __dict__ directly, which a
+        # frozen dataclass allows; x, class_ids and offsets never change.
+        ids = np.array(self.class_ids)
+        counts = np.diff(self.offsets)
+        by_rank = np.argsort(ids, kind="stable")
+        rank = np.empty_like(by_rank)
+        rank[by_rank] = np.arange(len(ids))
+        return _DrawTables(ids, counts, int(counts.min()), int(counts.max()), rank, by_rank)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,38 +228,78 @@ def split_classes(dataset: BaseDataset, ratios) -> tuple[BaseDataset, BaseDatase
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _labels(n: int, per_class: int) -> np.ndarray:
+    """Read-only local labels ``[0]*per_class + ... + [n-1]*per_class``,
+    shared by every episode of that shape."""
+    labels = np.repeat(np.arange(n), per_class)
+    labels.setflags(write=False)
+    return labels
+
+
+def _draw(dataset: BaseDataset, n: int, k: int, q: int, rng: np.random.Generator, lead: tuple):
+    """Draw ``lead`` episodes from one uniform block each (see the module
+    docstring); returns ``(classes, support_samples, query_samples,
+    support_x, query_x)`` with leading shape ``lead``."""
+    if n <= 0 or k <= 0 or q <= 0:
+        raise DatasetError("n, k and q must be positive")
+    num_classes = dataset.num_classes
+    if num_classes < n:
+        raise DatasetError(f"need {n} classes but dataset has only {num_classes}")
+    tables = dataset._draw_tables
+    max_count, m = tables.max_count, k + q
+    u = rng.random(lead + (num_classes + n * max_count,))
+    chosen = np.argpartition(u[..., :num_classes], n - 1, axis=-1)[..., :n]
+    pos = tables.by_rank[np.sort(tables.rank[chosen], axis=-1)]
+    counts = tables.counts[pos]
+    if tables.min_count < m:
+        short = counts < m
+        if short.any():
+            first = tuple(np.argwhere(short)[0])
+            raise DatasetError(
+                f"class {dataset.class_ids[pos[first]]} has {counts[first]} samples "
+                f"but the episode needs {m}"
+            )
+    keys = u[..., num_classes:].reshape(lead + (n, max_count))
+    if tables.min_count < max_count:
+        keys = np.where(np.arange(max_count) >= counts[..., None], np.inf, keys)
+    samples = np.argsort(keys, axis=-1, kind="stable")[..., :m]
+    rows = dataset.offsets[pos][..., None] + samples
+    support = samples[..., :k].reshape(lead + (n * k,))
+    query = samples[..., k:].reshape(lead + (n * q,))
+    # ndarray.take copies the same rows as fancy indexing, at a fraction
+    # of its per-call cost on these small index arrays.
+    support_x = dataset.x.take(rows[..., :k].reshape(lead + (n * k,)), axis=0)
+    query_x = dataset.x.take(rows[..., k:].reshape(lead + (n * q,)), axis=0)
+    return tables.ids[pos].tolist(), support, query, support_x, query_x
+
+
+def sample_episodes(
+    dataset: BaseDataset, n: int, k: int, q: int, rng: np.random.Generator, count: int
+) -> list[Episode]:
+    """``count`` episodes, each from its own block of ``rng``; the same
+    episodes as ``count`` successive ``sample_episode`` calls."""
+    if count <= 0:
+        raise DatasetError(f"count must be positive, got {count}")
+    classes, support, query, support_x, query_x = _draw(dataset, n, k, q, rng, (count,))
+    support_labels, query_labels = _labels(n, k), _labels(n, q)
+    return [
+        Episode(
+            n, k, q, tuple(c), support_x[i], support_labels, support[i],
+            query_x[i], query_labels, query[i],
+        )
+        for i, c in enumerate(classes)
+    ]
+
+
 def sample_episode(
     dataset: BaseDataset, n: int, k: int, q: int, rng: np.random.Generator
 ) -> Episode:
-    if n <= 0 or k <= 0 or q <= 0:
-        raise DatasetError("n, k and q must be positive")
-    if dataset.num_classes < n:
-        raise DatasetError(
-            f"need {n} classes but dataset has only {dataset.num_classes}"
-        )
-    ids, offsets = dataset.class_ids, dataset.offsets
-    pos = sorted(rng.choice(len(ids), size=n, replace=False).tolist(), key=ids.__getitem__)
-    picks = []
-    for p in pos:
-        count = int(offsets[p + 1] - offsets[p])
-        if count < k + q:
-            raise DatasetError(
-                f"class {ids[p]} has {count} samples but the episode needs {k + q}"
-            )
-        picks.append(rng.choice(count, size=k + q, replace=False))
-    samples = np.array(picks)  # (n, k+q)
-    rows = offsets[pos][:, None] + samples
+    """One episode from one block of ``rng``; ``sample_episodes`` with
+    ``count=1`` without its batch axis."""
+    classes, support, query, support_x, query_x = _draw(dataset, n, k, q, rng, ())
     return Episode(
-        n=n,
-        k=k,
-        q=q,
-        classes=tuple(ids[p] for p in pos),
-        support_x=dataset.x[rows[:, :k].reshape(-1)],
-        support_labels=np.repeat(np.arange(n), k),
-        support_samples=samples[:, :k].reshape(-1),
-        query_x=dataset.x[rows[:, k:].reshape(-1)],
-        query_labels=np.repeat(np.arange(n), q),
-        query_samples=samples[:, k:].reshape(-1),
+        n, k, q, tuple(classes), support_x, _labels(n, k), support, query_x, _labels(n, q), query
     )
 
 
@@ -231,15 +313,13 @@ def save_dataset(dataset: BaseDataset, path) -> None:
         "per_class_counts": np.diff(dataset.offsets).tolist(),
         "generator": dataset.generator,
     }
-    with open(path / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files.write_json(path / "manifest.json", manifest)
     header = "class_id," + ",".join(f"f{i}" for i in range(dataset.feature_dim))
     lines = [header]
     row_ids = np.repeat(dataset.class_ids, np.diff(dataset.offsets)).tolist()
     for cid, row in zip(row_ids, dataset.x):
         lines.append(f"{cid}," + ",".join(map(repr, row.tolist())))
-    (path / "data.csv").write_text("\n".join(lines) + "\n")
+    files.write_text(path / "data.csv", "\n".join(lines) + "\n")
 
 
 def _manifest_ints(values: list, key: str, minimum: int) -> list[int]:
@@ -347,4 +427,4 @@ def save_episode_file(episodes, path) -> None:
         ],
     }
     # json.dumps takes the C encoder; json.dump to a file never does.
-    Path(path).write_text(json.dumps(payload) + "\n")
+    files.write_text(path, json.dumps(payload) + "\n")

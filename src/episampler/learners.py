@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import streams
+from . import files, streams
 from .data import Episode
 
 ALGORITHMS = ("proto_euclidean", "proto_cosine", "maml", "anil")
@@ -349,13 +349,11 @@ def save_checkpoint(params: LearnerParams, stem) -> None:
         "adaptation_steps": params.adaptation_steps,
         "has_cosine_scale": params.cosine_scale is not None,
     }
-    with open(stem.with_suffix(".json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files.write_json(stem.with_suffix(".json"), manifest)
     lines = ["value"]
     for t in params.trainable_tensors():
         lines.extend(map(repr, t.data.reshape(-1).tolist()))
-    stem.with_suffix(".csv").write_text("\n".join(lines) + "\n")
+    files.write_text(stem.with_suffix(".csv"), "\n".join(lines) + "\n")
 
 
 def load_checkpoint(stem) -> LearnerParams:

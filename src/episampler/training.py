@@ -10,9 +10,12 @@ difficulty, in iteration order, after the batch's weights were computed
 from the model snapshot; in offline mode a frozen proposal network scores
 difficulties and the model never moves.
 
-``evaluate`` and ``score_difficulties`` run their episodes through the
-learner ``EPISODE_CHUNK`` at a time; episodes are still sampled one by one
-in order, so every stream draws exactly as an episode-at-a-time loop would.
+Each training batch is drawn with one ``sample_episodes`` call, and
+``evaluate`` draws and runs its episodes ``EPISODE_CHUNK`` at a time; a
+batch of episodes is the same stream as one-at-a-time draws, so neither
+the batch size nor the chunk size changes which episodes a stream yields.
+``score_difficulties`` runs given episodes through the learner
+``EPISODE_CHUNK`` at a time.
 Both run under ``autodiff.no_grad``, so a MAML or ANIL learner adapts first
 order there, without the second-order graph training needs; its
 difficulties and accuracies are the same floats either way. Offline mode
@@ -27,16 +30,15 @@ learner format.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from . import kernels, learners, sampling, streams
-from .data import BaseDataset, sample_episode
+from . import files, kernels, learners, sampling, streams
+# sample_episode stays bound here: benchmark tracing wraps this module's name.
+from .data import BaseDataset, sample_episode, sample_episodes  # noqa: F401
 from .sampling import DifficultyModel, SamplingScheme
 
 logger = logging.getLogger(__name__)
@@ -190,7 +192,7 @@ def evaluate(
     with ad.no_grad():
         for start in range(0, num_episodes, EPISODE_CHUNK):
             stop = min(start + EPISODE_CHUNK, num_episodes)
-            chunk = [sample_episode(dataset, n, k, q, rng) for _ in range(start, stop)]
+            chunk = sample_episodes(dataset, n, k, q, rng, stop - start)
             accs[start:stop] = learners.episode_accuracy(params, chunk)
     ci = 1.96 * float(accs.std(ddof=1)) / np.sqrt(num_episodes)
     return float(accs.mean()), ci
@@ -242,10 +244,9 @@ def train(
     adam = AdamState.for_params(tensors)
 
     for iteration in range(1, config.iterations + 1):
-        episodes = [
-            sample_episode(train_dataset, config.way, config.shot, config.query, train_rng)
-            for _ in range(config.batch_size)
-        ]
+        episodes = sample_episodes(
+            train_dataset, config.way, config.shot, config.query, train_rng, config.batch_size
+        )
         nll = learners.episode_nll(params, episodes)
         nll_values = nll.data.tolist()
         if scheme.mode == "offline":
@@ -332,7 +333,7 @@ def write_history_csv(history, path) -> None:
             f"{rec.iteration},{_format(rec.loss)},{_format(rec.ess)},{mu},{sigma2},"
             f"{int(rec.fallback)},{val}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    files.write_text(path, "\n".join(lines) + "\n")
 
 
 def write_episodes_csv(history, path) -> None:
@@ -342,7 +343,7 @@ def write_episodes_csv(history, path) -> None:
             lines.append(
                 f"{rec.iteration},{idx},{_format(ep.omega)},{_format(ep.weight)},{_format(ep.nll)}"
             )
-    Path(path).write_text("\n".join(lines) + "\n")
+    files.write_text(path, "\n".join(lines) + "\n")
 
 
 def read_episodes_csv(path) -> list[list[tuple[float, float]]]:
@@ -362,6 +363,4 @@ def read_episodes_csv(path) -> list[list[tuple[float, float]]]:
 
 
 def write_result_json(payload: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files.write_json(path, payload)

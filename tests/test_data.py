@@ -1,5 +1,6 @@
 """Tests for synthetic dataset generation, episode sampling, and disk IO."""
 
+import collections
 import hashlib
 import json
 
@@ -31,6 +32,44 @@ def _load_shuffled(ds, path):
 def _class_rows(ds, cid):
     i = ds.class_ids.index(cid)
     return ds.x[ds.offsets[i] : ds.offsets[i + 1]]
+
+
+RAGGED_IDS = (4, 0, 5, 1, 3, 2)  # manifest order, not id order
+RAGGED_COUNTS = (4, 7, 5, 6, 4, 5)
+
+
+def _ragged(path, counts=RAGGED_COUNTS, ids=RAGGED_IDS, dim=3):
+    """A saved and reloaded dataset whose classes hold ``counts`` samples."""
+    offsets = np.cumsum([0, *counts])
+    x = streams.stream(0, 99).standard_normal((offsets[-1], dim))
+    data.save_dataset(data.BaseDataset(x, tuple(ids), offsets, "train"), path)
+    return data.load_dataset(path)
+
+
+def _reference_episode(ds, n, k, q, rng):
+    """The episode of the next uniform block, read off the block definition
+    in the ``data`` docstring with plain Python lists and sorts."""
+    counts = np.diff(ds.offsets).tolist()
+    num_classes, max_count = ds.num_classes, max(counts)
+    u = rng.random(num_classes + n * max_count).tolist()
+    chosen = sorted(range(num_classes), key=lambda i: u[i])[:n]
+    pos = sorted(chosen, key=lambda i: ds.class_ids[i])
+    picks = []
+    for j, p in enumerate(pos):
+        block = u[num_classes + j * max_count :][: counts[p]]
+        picks.append(sorted(range(counts[p]), key=lambda i: block[i])[: k + q])  # stable
+    support = [s for pick in picks for s in pick[:k]]
+    query = [s for pick in picks for s in pick[k:]]
+    support_rows = [int(ds.offsets[p]) + s for p, pick in zip(pos, picks) for s in pick[:k]]
+    query_rows = [int(ds.offsets[p]) + s for p, pick in zip(pos, picks) for s in pick[k:]]
+    return tuple(ds.class_ids[p] for p in pos), support, query, ds.x[support_rows], ds.x[query_rows]
+
+
+def _assert_same_episode(a, b):
+    assert (a.n, a.k, a.q, a.classes) == (b.n, b.k, b.q, b.classes)
+    for name in ("support_x", "support_labels", "support_samples", "query_x", "query_labels", "query_samples"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
 class TestGenerate:
@@ -155,6 +194,118 @@ class TestSampleEpisode:
         assert chi2 < 21.666
 
 
+class TestBlockStream:
+    @pytest.fixture(params=["generated", "shuffled", "ragged"])
+    def dataset(self, request, tmp_path):
+        if request.param == "generated":
+            return _small_dataset(seed=2)
+        if request.param == "shuffled":
+            return _load_shuffled(_small_dataset(seed=2), tmp_path / "ds")
+        return _ragged(tmp_path / "ds")
+
+    @pytest.mark.parametrize("count", [1, 3, 16])
+    def test_batch_equals_single_draws(self, dataset, count):
+        a, b = streams.stream(6, streams.TRAIN_EPISODES), streams.stream(6, streams.TRAIN_EPISODES)
+        for _ in range(3):
+            batch = data.sample_episodes(dataset, 3, 1, 3, a, count)
+            assert len(batch) == count
+            for ep in batch:
+                _assert_same_episode(ep, data.sample_episode(dataset, 3, 1, 3, b))
+        assert a.random() == b.random()
+
+    def test_matches_the_python_reference(self, dataset):
+        rng, ref = streams.stream(8, streams.TRAIN_EPISODES), streams.stream(8, streams.TRAIN_EPISODES)
+        for ep in data.sample_episodes(dataset, 3, 2, 2, rng, 200):
+            classes, support, query, support_x, query_x = _reference_episode(dataset, 3, 2, 2, ref)
+            assert ep.classes == classes
+            assert ep.support_samples.tolist() == support and ep.query_samples.tolist() == query
+            np.testing.assert_array_equal(ep.support_x, support_x)
+            np.testing.assert_array_equal(ep.query_x, query_x)
+        assert rng.random() == ref.random()
+
+    def test_labels_are_shared_and_read_only(self, dataset):
+        a, b = data.sample_episodes(dataset, 3, 2, 1, streams.stream(0, 1), 2)
+        c = data.sample_episode(dataset, 3, 2, 1, streams.stream(0, 1))
+        np.testing.assert_array_equal(a.support_labels, [0, 0, 1, 1, 2, 2])
+        np.testing.assert_array_equal(a.query_labels, [0, 1, 2])
+        assert a.support_labels is b.support_labels is c.support_labels
+        for labels in (a.support_labels, a.query_labels):
+            with pytest.raises(ValueError):
+                labels[0] = 1
+
+    def test_non_positive_count_rejected(self):
+        with pytest.raises(data.DatasetError, match="count"):
+            data.sample_episodes(_small_dataset(), 3, 1, 1, streams.stream(0, 1), 0)
+
+    def test_class_subsets_uniform_chi_square(self, tmp_path):
+        # Each episode's class set is one of C(6, 2) = 15 equally likely
+        # subsets; Pearson's statistic over 30k episodes against
+        # chi2(df=14, 0.999) = 36.123, a 0.1% false-alarm rate.
+        ds = _ragged(tmp_path / "ds")
+        episodes = data.sample_episodes(ds, 2, 1, 1, streams.stream(12, streams.TRAIN_EPISODES), 30_000)
+        counts = collections.Counter(ep.classes for ep in episodes)
+        assert len(counts) == 15
+        observed = np.array(list(counts.values()))
+        expected = len(episodes) / 15
+        assert float(((observed - expected) ** 2 / expected).sum()) < 36.123
+
+    def test_within_class_samples_uniform_chi_square(self, tmp_path):
+        # Within a chosen class of c samples, the (support, query) pair is
+        # one of c * (c - 1) equally likely ordered pairs, independently of
+        # the other classes. Summed over the six classes, Pearson's statistic
+        # has df = sum(c * (c - 1) - 1) = 130 when each class's number of
+        # draws is conditioned on; against chi2(df=130, 0.999) = 185.571, a
+        # 0.1% false-alarm rate.
+        ds = _ragged(tmp_path / "ds")
+        episodes = data.sample_episodes(ds, 2, 1, 1, streams.stream(13, streams.TRAIN_EPISODES), 30_000)
+        pairs = {cid: collections.Counter() for cid in ds.class_ids}
+        for ep in episodes:
+            for cid, s, t in zip(ep.classes, ep.support_samples.tolist(), ep.query_samples.tolist()):
+                pairs[cid][s, t] += 1
+        chi2 = 0.0
+        for cid, count in zip(ds.class_ids, np.diff(ds.offsets).tolist()):
+            cells = [(s, t) for s in range(count) for t in range(count) if s != t]
+            assert set(pairs[cid]) == set(cells)  # no masked slot is ever drawn
+            observed = np.array([pairs[cid][cell] for cell in cells])
+            expected = observed.sum() / len(cells)
+            chi2 += float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 < 185.571
+
+
+class TestRaggedClasses:
+    def test_samples_stay_inside_their_class(self, tmp_path):
+        ds = _ragged(tmp_path / "ds")
+        count_of = dict(zip(ds.class_ids, np.diff(ds.offsets).tolist()))
+        for ep in data.sample_episodes(ds, 4, 2, 2, streams.stream(2, streams.TRAIN_EPISODES), 2000):
+            for rows, labels, samples in (
+                (ep.support_x, ep.support_labels, ep.support_samples),
+                (ep.query_x, ep.query_labels, ep.query_samples),
+            ):
+                for row, label, s in zip(rows, labels.tolist(), samples.tolist()):
+                    cid = ep.classes[label]
+                    assert 0 <= s < count_of[cid]
+                    np.testing.assert_array_equal(row, _class_rows(ds, cid)[s])
+
+    def test_only_a_chosen_short_class_raises(self, tmp_path):
+        # Class 7 (position 2) has 3 samples; the episodes need 4 per class.
+        ds = _ragged(tmp_path / "ds", counts=(6, 5, 3, 8), ids=(9, 2, 7, 4))
+        rng, ref = streams.stream(5, streams.TRAIN_EPISODES), streams.stream(5, streams.TRAIN_EPISODES)
+        outcomes = set()
+        for _ in range(40):
+            u = ref.random(4 + 2 * 8)
+            chosen = 2 in np.argsort(u[:4])[:2]
+            if chosen:
+                with pytest.raises(data.DatasetError, match="class 7 has 3 samples but the episode needs 4"):
+                    data.sample_episode(ds, 2, 2, 2, rng)
+            else:
+                ep = data.sample_episode(ds, 2, 2, 2, rng)
+                assert 7 not in ep.classes
+            outcomes.add(chosen)
+        assert outcomes == {True, False}
+        with pytest.raises(data.DatasetError, match="class 7 has 3 samples"):
+            data.sample_episodes(ds, 2, 2, 2, rng, 40)
+
+
 class TestDiskRoundTrip:
     def test_round_trip_is_value_identical(self, tmp_path):
         ds = _small_dataset(seed=5)
@@ -247,7 +398,7 @@ class TestDiskRoundTrip:
         }
         assert digests == {
             "ds/data.csv": "8b6d1064a42dc8f840e24ffe18ff865c5057dd02370d6aa553a63c9c85739d13",
-            "episodes.json": "2ffbba801d4b02ed99d93e7c12ac9c7fc9cdb9ae3742f1817224fd2dfdb0f537",
+            "episodes.json": "b7be8cd49ca002b1f3bb8ad26ed3466b27955c9428f6fa5ec14f4f7f535ed831",
         }
 
     def test_episode_rows_match_their_pairs_when_classes_are_not_id_ordered(self, tmp_path):
@@ -280,13 +431,13 @@ class TestEpisodeStream:
     # Literal digests of the first 50 episodes; a change to the draw order,
     # to the dtypes or to which rows are gathered moves them.
     def test_id_ordered_dataset(self):
-        digest = "6ca6d0e9a9678bcc88627d82595d7349b1095a397f57e2304655e155d6175415"
+        digest = "4a605bd9a7ee844efadf5d43b7f235756aa93cec8232ee394ecc5fe4ac39105d"
         assert _stream_digest(_small_dataset(seed=2)) == digest
 
     def test_shuffled_manifest(self, tmp_path):
-        # Positions are drawn over the manifest order, so storing classes
-        # sorted by id would change this stream.
-        digest = "63486676131914a3eabcbcfe9d1f4720927c0521de485df8ac12cc87f2f3adc0"
+        # The class uniforms go to positions in manifest order, so storing
+        # classes sorted by id would change this stream.
+        digest = "dce0fb7e67f3901a424ddabeeeb4819e19f0e7afd9c371b0405621221845f27b"
         assert _stream_digest(_load_shuffled(_small_dataset(seed=2), tmp_path / "ds")) == digest
 
 

@@ -93,6 +93,19 @@ class TestTargetDensity:
         mass = _trapezoid_mass(lambda x: sampling.target_density(x, scheme, model, progress), lo, hi)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        mu=st.floats(-50.0, 50.0),
+        var=st.floats(1e-4, 1e4),
+        progress=st.floats(0.0, 1.0),
+    )
+    def test_curriculum_integrates_to_one_for_any_progress(self, mu, var, progress):
+        model = _ready_model(mu=mu, var=var)
+        lo, hi = model.support_bounds()
+        scheme = SamplingScheme("curriculum")
+        mass = _trapezoid_mass(lambda x: sampling.target_density(x, scheme, model, progress), lo, hi, 4001)
+        assert mass == pytest.approx(1.0, abs=1e-6)
+
     def test_baseline_is_the_proposal(self):
         model = _ready_model(mu=0.4, var=2.0)
         got = sampling.target_density(1.0, SamplingScheme("baseline"), model, 0.0)
@@ -195,6 +208,20 @@ class TestEffectiveSampleSize:
             if ess >= len(w) - 1e-12:
                 positive = w[w > 0]
                 assert np.allclose(positive, positive[0], rtol=1e-9)
+
+    # Zero or between 1e-6 and the cap, covering every importance weight
+    # (a curriculum weight inside the support is at least about 4.6e-5).
+    @settings(derandomize=True, deadline=None)
+    @given(
+        w=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, sampling.WEIGHT_CAP)), min_size=1, max_size=32
+        ).filter(any),
+        c=st.floats(1e-3, 1e3),
+    )
+    def test_bounds_and_scale_invariance_property(self, w, c):
+        ess = sampling.effective_sample_size(w)
+        assert 1.0 - 1e-12 <= ess <= len(w) * (1.0 + 1e-12)
+        assert sampling.effective_sample_size([c * v for v in w]) == pytest.approx(ess, rel=1e-12)
 
 
 class TestOnlineModel:

@@ -187,6 +187,17 @@ class TestBatchedMatchesPerEpisode:
             training.score_difficulties(params, episodes), ref_omegas, rtol=1e-10, atol=0
         )
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 16])
+    def test_any_chunk_size_gives_the_same_evaluation(self, monkeypatch, chunk):
+        _, _, test_ds = _datasets()
+        params = learners.init_params("proto_cosine", 6, 3, seed=2)
+        ref_rng = streams.stream(3, streams.TEST_EPISODES)
+        expected = training.evaluate(params, test_ds, 3, 2, 5, 9, ref_rng)
+        monkeypatch.setattr(training, "EPISODE_CHUNK", chunk)
+        rng = streams.stream(3, streams.TEST_EPISODES)
+        assert training.evaluate(params, test_ds, 3, 2, 5, 9, rng) == expected
+        assert rng.random() == ref_rng.random()
+
 
 class TestEvaluate:
     def test_zero_variance_ci(self):
