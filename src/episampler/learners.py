@@ -4,12 +4,14 @@ Every public function takes a batch: a non-empty sequence of episodes
 that share ``n``, ``k`` and ``q``, and returns one result per episode in
 batch order. All share one entry point, ``_episode_logits``: the batch's
 ``(B, n*q, n)`` query logits over each episode's local labels. From it come
-``episode_log_likelihoods`` (a ``(B, n*q)`` tensor of each query's
-log-likelihood of its true label; ``episode_difficulty`` turns one row into
-that episode's difficulty, the mean query negative log-likelihood),
-``episode_nll`` (the same means as a ``(B,)`` graph tensor, the training
-loss) and ``episode_accuracy`` (a ``(B,)`` array). The batch's queries
-share one ``softmax_cross_entropy`` call.
+``episode_nll`` (each episode's mean query negative log-likelihood, as a
+``(B,)`` graph tensor), ``episode_log_likelihoods`` (a ``(B, n*q)`` tensor
+of each query's log-likelihood of its true label) and ``episode_accuracy``
+(a ``(B,)`` array). The batch's queries share one ``softmax_cross_entropy``
+call. An entry of ``episode_nll`` is the training loss of its episode and
+also its difficulty, the paper's omega; every difficulty in the package is
+one. It is never negative: each query loss is ``log(z) - picked``, where
+the row maximum alone puts 1 into ``z`` and ``picked <= 0``.
 
 * ``proto_euclidean`` - log-softmax over negative squared Euclidean
   distances between query embeddings and class prototypes (per-class mean
@@ -36,11 +38,15 @@ Checkpoint format: ``<stem>.json`` manifest (algorithm, layer sizes,
 adaptation hyper-parameters) plus ``<stem>.csv`` with one ``value`` column
 holding the flattened parameters in canonical order: per encoder layer the
 weight matrix row-major then the bias, then head weight and bias (maml and
-anil), then the cosine scale (proto_cosine).
+anil), then the cosine scale (proto_cosine). ``trainable_tensors`` lists
+the tensors in that order and ``LearnerParams.with_tensors`` is its inverse.
+Loading builds the manifest's learner with ``init_params`` as a template and
+fills it with the values, split to the template's shapes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -97,6 +103,21 @@ class LearnerParams:
         if self.cosine_scale is not None:
             out.append(self.cosine_scale)
         return out
+
+    def with_tensors(self, tensors) -> "LearnerParams":
+        """The same learner with ``tensors``, in the canonical order of
+        ``trainable_tensors``, as its parameters."""
+        tensors = list(tensors)
+        expected = len(self.trainable_tensors())
+        if len(tensors) != expected:
+            raise LearnerError(f"{self.algorithm} learner has {expected} tensors, got {len(tensors)}")
+        it = iter(tensors)
+        return dataclasses.replace(
+            self,
+            encoder=[(next(it), next(it)) for _ in self.encoder],
+            head=None if self.head is None else (next(it), next(it)),
+            cosine_scale=None if self.cosine_scale is None else next(it),
+        )
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -245,7 +266,7 @@ def _gradient_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.T
     maml = params.algorithm == "maml"
     if maml:
         support, query = ad.tensor(support), ad.tensor(query)
-        slow = [t for pair in params.encoder for t in pair] + list(params.head)
+        slow = params.trainable_tensors()
     else:
         # ANIL adapts only the head. Encoding once, in the caller's
         # recording mode and before the head is tiled, keeps the encoder
@@ -256,8 +277,9 @@ def _gradient_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.T
 
     def forward(weights, x):
         if maml:
-            x = _encode(list(zip(weights[:-2:2], weights[1:-2:2])), x)
-        return _affine(x, weights[-2], weights[-1])
+            fast = params.with_tensors(weights)
+            return _affine(_encode(fast.encoder, x), *fast.head)
+        return _affine(x, *weights)
 
     alpha = params.adaptation_rate
     second_order = ad.is_grad_enabled()
@@ -317,20 +339,6 @@ def episode_nll(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor
     return ad.mean(_query_losses(params, episodes), rows=True)
 
 
-def episode_difficulty(log_likelihoods) -> float:
-    """Difficulty = mean negative log-likelihood over the query set."""
-    values = log_likelihoods.data if isinstance(log_likelihoods, ad.Tensor) else np.asarray(log_likelihoods)
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if values.size == 0:
-        raise LearnerError("episode_difficulty: empty log-likelihood vector")
-    if not np.all(np.isfinite(values)):
-        raise LearnerError("episode_difficulty: non-finite log-likelihood")
-    if np.any(values > 1e-9):
-        raise LearnerError("episode_difficulty: positive log-likelihood")
-    # Each value is <= 0 up to rounding, so clamp tiny negative means to 0.
-    return max(float(-values.mean()), 0.0)
-
-
 def episode_accuracy(params: LearnerParams, episodes: Sequence[Episode]) -> np.ndarray:
     """Per episode, the fraction of query points whose argmax class matches
     the label; ties break toward the lowest class id (argmax convention)."""
@@ -380,58 +388,29 @@ def load_checkpoint(stem) -> LearnerParams:
                     raise LearnerError(f"checkpoint CSV line {lineno}: non-numeric value {text}") from None
                 if not np.isfinite(value):
                     raise LearnerError(f"checkpoint CSV line {lineno}: non-finite value {value}")
-    sizes = manifest["layer_sizes"]
-    cursor = 0
-
-    def take(shape) -> ad.Tensor:
-        nonlocal cursor
-        count = int(np.prod(shape))
-        chunk = values[cursor : cursor + count]
-        if chunk.size != count:
-            raise LearnerError("checkpoint CSV has too few values")
-        cursor += count
-        return ad.tensor(chunk.reshape(shape), requires_grad=True)
-
-    encoder = [
-        (take((fan_in, fan_out)), take((1, fan_out)))
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
-    ]
-    head = None
-    if manifest["way"] is not None:
-        head = (take((sizes[-1], manifest["way"])), take((1, manifest["way"])))
-    scale = take(()) if manifest["has_cosine_scale"] else None
-    if cursor != values.size:
-        raise LearnerError("checkpoint CSV has extra values")
-    return LearnerParams(
-        algorithm=manifest["algorithm"],
-        encoder=encoder,
-        head=head,
-        cosine_scale=scale,
-        adaptation_rate=manifest["adaptation_rate"],
-        adaptation_steps=manifest["adaptation_steps"],
+    algorithm, way, sizes = manifest["algorithm"], manifest["way"], manifest["layer_sizes"]
+    scaled = manifest["has_cosine_scale"]
+    if (way is None) == (algorithm in GRADIENT_ALGORITHMS) or scaled != (algorithm == "proto_cosine"):
+        raise LearnerError(
+            f"checkpoint manifest way {way} and has_cosine_scale {scaled}"
+            f" do not fit algorithm {algorithm!r}"
+        )
+    template = init_params(
+        algorithm, sizes[0], way, hidden_sizes=sizes[1:-1], embedding_dim=sizes[-1],
+        adaptation_rate=manifest["adaptation_rate"], adaptation_steps=manifest["adaptation_steps"],
+    )
+    slots = template.trainable_tensors()
+    counts = [t.size for t in slots]
+    if values.size != sum(counts):
+        raise LearnerError(f"checkpoint CSV has {values.size} values, its manifest needs {sum(counts)}")
+    chunks = np.split(values, np.cumsum(counts)[:-1])
+    return template.with_tensors(
+        ad.tensor(chunk.reshape(t.shape), requires_grad=True) for chunk, t in zip(chunks, slots)
     )
 
 
 def clone_params(params: LearnerParams) -> LearnerParams:
     """Deep copy with fresh leaf tensors (used for checkpoint snapshots)."""
-    encoder = [
-        (ad.tensor(w.data.copy(), requires_grad=True), ad.tensor(b.data.copy(), requires_grad=True))
-        for w, b in params.encoder
-    ]
-    head = None
-    if params.head is not None:
-        head = (
-            ad.tensor(params.head[0].data.copy(), requires_grad=True),
-            ad.tensor(params.head[1].data.copy(), requires_grad=True),
-        )
-    scale = None
-    if params.cosine_scale is not None:
-        scale = ad.tensor(params.cosine_scale.data.copy(), requires_grad=True)
-    return LearnerParams(
-        algorithm=params.algorithm,
-        encoder=encoder,
-        head=head,
-        cosine_scale=scale,
-        adaptation_rate=params.adaptation_rate,
-        adaptation_steps=params.adaptation_steps,
+    return params.with_tensors(
+        ad.tensor(t.data.copy(), requires_grad=True) for t in params.trainable_tensors()
     )

@@ -155,9 +155,13 @@ def effective_sample_size(weights) -> float:
         raise SamplerError("effective_sample_size: empty weight vector")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise SamplerError("effective_sample_size: weights must be finite and non-negative")
-    total = w.sum()
-    if total == 0.0:
+    if not w.any():
         raise SamplerError("effective_sample_size: all weights are zero")
+    # Scaling by a power of two is exact in the normal range, so no ESS
+    # changes; with the largest weight in [0.5, 1) neither sum can
+    # overflow, and neither can underflow to zero.
+    w = np.ldexp(w, -np.frexp(w.max())[1])
+    total = w.sum()
     return float(total * total / np.dot(w, w))
 
 

@@ -17,6 +17,9 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
+# Significance level of each Shapiro-Wilk test in normality_rejection_rate.
+NORMALITY_ALPHA = 0.05
+
 
 class StatsError(Exception):
     pass
@@ -189,10 +192,10 @@ def normality_rejection_rate(
     rng: np.random.Generator,
     subsample_size: int = 50,
     repetitions: int = 100,
-    alpha: float = 0.05,
 ) -> float:
-    """Average Shapiro-Wilk rejection rate over repeated subsamples drawn
-    without replacement (the large-sample-safe normality protocol)."""
+    """Average Shapiro-Wilk rejection rate at level ``NORMALITY_ALPHA`` over
+    repeated subsamples drawn without replacement (the large-sample-safe
+    normality protocol)."""
     omegas = np.asarray(omegas, dtype=np.float64)
     if repetitions <= 0:
         raise StatsError("normality_rejection_rate: repetitions must be positive")
@@ -208,22 +211,19 @@ def normality_rejection_rate(
         except StatsError as exc:
             logger.warning("degenerate subsample counted as non-rejection: %s", exc)
             continue
-        if p < alpha:
+        if p < NORMALITY_ALPHA:
             rejections += 1
     return rejections / repetitions
 
 
 def export_density_and_qq(
-    omegas,
-    bins: int,
-    loc: float | None = None,
-    scale: float | None = None,
+    omegas, bins: int
 ) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
     """Histogram rows (bin left edge, normalized density) and Q-Q rows
     (normal quantile at plotting position (i-0.5)/N, sorted sample value).
 
-    The reference normal defaults to the sample's own mean and standard
-    deviation; pass ``loc``/``scale`` to pin it explicitly.
+    The reference normal has the sample's own mean and (ddof=1) standard
+    deviation.
     """
     omegas = np.asarray(omegas, dtype=np.float64)
     if omegas.size < 2:
@@ -232,10 +232,8 @@ def export_density_and_qq(
         raise StatsError("export_density_and_qq: bins must be at least 1")
     density, edges = np.histogram(omegas, bins=bins, density=True)
     hist_rows = [(float(edges[i]), float(density[i])) for i in range(bins)]
-    if loc is None:
-        loc = float(omegas.mean())
-    if scale is None:
-        scale = float(omegas.std(ddof=1))
+    loc = float(omegas.mean())
+    scale = float(omegas.std(ddof=1))
     n = omegas.size
     sorted_vals = np.sort(omegas)
     qq_rows = [

@@ -14,13 +14,21 @@ Each training batch is drawn with one ``sample_episodes`` call, and
 ``evaluate`` draws and runs its episodes ``EPISODE_CHUNK`` at a time; a
 batch of episodes is the same stream as one-at-a-time draws, so neither
 the batch size nor the chunk size changes which episodes a stream yields.
-``score_difficulties`` runs given episodes through the learner
-``EPISODE_CHUNK`` at a time.
+``score_difficulties`` runs given episodes through ``learners.episode_nll``
+``EPISODE_CHUNK`` at a time, so a scored difficulty is the same float as
+the training loss of that episode under those parameters, and it rejects a
+non-finite one.
 Both run under ``autodiff.no_grad``, so a MAML or ANIL learner adapts first
 order there, without the second-order graph training needs; its
 difficulties and accuracies are the same floats either way. Offline mode
 scores each training batch with the proposal through
 ``score_difficulties``, so it takes the same path.
+
+A run that meets a ``TrainerError`` (a non-finite loss or gradient), a
+``LearnerError`` (a non-finite inner-loop loss) or a ``SamplerError`` (a
+degenerate difficulty model) stops at that iteration and returns what it
+has, marked aborted, with a diagnostic that names the iteration and the
+error.
 
 Artifacts: ``history.csv`` (per-iteration: iteration, loss, ess, mu,
 sigma2, fallback, val_accuracy), ``episodes.csv`` (per-episode: iteration,
@@ -49,6 +57,11 @@ logger = logging.getLogger(__name__)
 # at a time and 8 by about 2.5%, while their throughputs stayed within
 # run-to-run noise of each other.
 EPISODE_CHUNK = 4
+
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainerError(Exception):
@@ -134,15 +147,7 @@ class AdamState:
         )
 
 
-def adam_step(
-    tensors,
-    grads,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(tensors, grads, state: AdamState, lr: float) -> None:
     """Standard bias-corrected Adam update, in place on the leaf tensors."""
     if len(tensors) != len(state.m):
         raise TrainerError("adam state does not match parameter list")
@@ -155,7 +160,7 @@ def adam_step(
             raise TrainerError("non-finite gradient")
         p2, m2, v2 = kernels.adam_update(
             np.ascontiguousarray(t.data.reshape(-1)), g_flat, state.m[i], state.v[i],
-            state.t, lr, beta1, beta2, eps,
+            state.t, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
         )
         t.data = p2.reshape(t.shape)
         state.m[i] = m2
@@ -198,16 +203,20 @@ def evaluate(
     return float(accs.mean()), ci
 
 
-def score_difficulties(
-    params: learners.LearnerParams, episodes
-) -> list[float]:
-    """Difficulty of each episode under the given (frozen) parameters."""
+def score_difficulties(params: learners.LearnerParams, episodes) -> list[float]:
+    """Difficulty of each episode under the given (frozen) parameters: its
+    entry of ``learners.episode_nll``. Raises ``LearnerError`` naming the
+    first episode, by its index in ``episodes``, whose difficulty is not
+    finite."""
     episodes = list(episodes)
-    out = []
+    out: list[float] = []
     with ad.no_grad():
         for start in range(0, len(episodes), EPISODE_CHUNK):
-            lls = learners.episode_log_likelihoods(params, episodes[start : start + EPISODE_CHUNK])
-            out.extend(learners.episode_difficulty(row) for row in lls.data)
+            means = learners.episode_nll(params, episodes[start : start + EPISODE_CHUNK]).data
+            bad = np.flatnonzero(~np.isfinite(means))
+            if bad.size:
+                raise learners.LearnerError(f"non-finite difficulty for episode {start + bad[0]}")
+            out.extend(means.tolist())
     return out
 
 
@@ -244,31 +253,65 @@ def train(
     adam = AdamState.for_params(tensors)
 
     for iteration in range(1, config.iterations + 1):
-        episodes = sample_episodes(
-            train_dataset, config.way, config.shot, config.query, train_rng, config.batch_size
-        )
-        nll = learners.episode_nll(params, episodes)
-        nll_values = nll.data.tolist()
-        if scheme.mode == "offline":
-            omegas = score_difficulties(proposal_params, episodes)
-        else:
-            omegas = nll_values
+        try:
+            episodes = sample_episodes(
+                train_dataset, config.way, config.shot, config.query, train_rng, config.batch_size
+            )
+            nll = learners.episode_nll(params, episodes)
+            nll_values = nll.data.tolist()
+            if scheme.mode == "offline":
+                omegas = score_difficulties(proposal_params, episodes)
+            else:
+                omegas = nll_values
 
-        progress = _curriculum_progress(iteration, config.iterations)
-        weights = [
-            sampling.importance_weight(omega, scheme, difficulty_model, progress)
-            for omega in omegas
-        ]
-        fallback = False
-        if all(w == 0.0 for w in weights):
-            weights = [1.0] * len(weights)
-            fallback = True
-            logger.warning("iteration %d: all-zero weights, falling back to unit weights", iteration)
+            progress = _curriculum_progress(iteration, config.iterations)
+            weights = [
+                sampling.importance_weight(omega, scheme, difficulty_model, progress)
+                for omega in omegas
+            ]
+            fallback = False
+            if all(w == 0.0 for w in weights):
+                weights = [1.0] * len(weights)
+                fallback = True
+                logger.warning("iteration %d: all-zero weights, falling back to unit weights", iteration)
 
-        loss_tensor, ess = weighted_batch_loss(nll, weights)
-        loss_value = loss_tensor.item()
-        if not np.isfinite(loss_value):
-            diagnostic = f"non-finite loss at iteration {iteration}"
+            loss_tensor, ess = weighted_batch_loss(nll, weights)
+            loss_value = loss_tensor.item()
+            if not np.isfinite(loss_value):
+                raise TrainerError("non-finite loss")
+            grads = ad.grad(loss_tensor, tensors)
+            adam_step(tensors, grads, adam, config.learning_rate)
+
+            if scheme.mode == "online":
+                for omega in omegas:
+                    sampling.update_online(difficulty_model, omega)
+
+            record = TrainRecord(
+                iteration=iteration,
+                episodes=[
+                    EpisodeStat(omega=o, weight=w, nll=nv)
+                    for o, w, nv in zip(omegas, weights, nll_values)
+                ],
+                ess=ess,
+                loss=loss_value,
+                mu=difficulty_model.mu if difficulty_model.ready else float("nan"),
+                sigma2=difficulty_model.var if difficulty_model.ready else float("nan"),
+                fallback=fallback,
+            )
+            if iteration % config.validation_interval == 0:
+                acc, _ = evaluate(
+                    params, val_dataset, config.way, config.shot, config.query,
+                    config.validation_episodes, val_rng,
+                )
+                record.val_accuracy = acc
+                snapshot = learners.clone_params(params)
+                checkpoints.append((iteration, snapshot, acc))
+                if best_accuracy is None or acc > best_accuracy:
+                    best_accuracy = acc
+                    best_iteration = iteration
+                    best_params = snapshot
+        except (TrainerError, learners.LearnerError, sampling.SamplerError) as exc:
+            diagnostic = f"iteration {iteration}: {type(exc).__name__}: {exc}"
             logger.error(diagnostic)
             return TrainResult(
                 params=best_params,
@@ -278,37 +321,6 @@ def train(
                 aborted=True,
                 diagnostic=diagnostic,
             )
-        grads = ad.grad(loss_tensor, tensors)
-        adam_step(tensors, grads, adam, config.learning_rate)
-
-        if scheme.mode == "online":
-            for omega in omegas:
-                sampling.update_online(difficulty_model, omega)
-
-        record = TrainRecord(
-            iteration=iteration,
-            episodes=[
-                EpisodeStat(omega=o, weight=w, nll=nv)
-                for o, w, nv in zip(omegas, weights, nll_values)
-            ],
-            ess=ess,
-            loss=loss_value,
-            mu=difficulty_model.mu if difficulty_model.ready else float("nan"),
-            sigma2=difficulty_model.var if difficulty_model.ready else float("nan"),
-            fallback=fallback,
-        )
-        if iteration % config.validation_interval == 0:
-            acc, _ = evaluate(
-                params, val_dataset, config.way, config.shot, config.query,
-                config.validation_episodes, val_rng,
-            )
-            record.val_accuracy = acc
-            snapshot = learners.clone_params(params)
-            checkpoints.append((iteration, snapshot, acc))
-            if best_accuracy is None or acc > best_accuracy:
-                best_accuracy = acc
-                best_iteration = iteration
-                best_params = snapshot
         history.append(record)
 
     return TrainResult(

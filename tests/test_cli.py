@@ -1,11 +1,15 @@
 """Tests for the command-line interface and its artifacts."""
 
+import dataclasses
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from episampler import cli, data, learners
+from episampler import autodiff as ad
+from episampler import cli, data, learners, sampling, training
 
 TINY_CONFIG = {
     "seed": 0,
@@ -161,6 +165,77 @@ class TestTrain:
         assert all(len(weights[it]) == 4 for it in (1, 2, 3, 4))
         assert all(w == 1.0 for it in (1, 2, 3) for w in weights[it])
         assert any(w != 1.0 for w in weights[4])
+
+    @pytest.mark.parametrize(
+        "failure, expected",
+        [
+            ("loss", "TrainerError: non-finite loss"),
+            ("gradient", "TrainerError: non-finite gradient"),
+            ("inner_loss", "LearnerError: non-finite inner-loop loss in episode 0"),
+            ("difficulty_model", "SamplerError: update_online: non-finite difficulty nan"),
+        ],
+    )
+    def test_failure_keeps_the_completed_iterations(
+        self, tiny_config, tmp_path, capsys, monkeypatch, failure, expected
+    ):
+        # Each failure is injected into iteration 3 of 20; the run must stop
+        # there with both CSVs holding iterations 1 and 2.
+        calls = [0]
+
+        def nth(k):
+            calls[0] += 1
+            return calls[0] == k
+
+        extra = []
+        if failure == "loss":
+            batch_loss = training.weighted_batch_loss
+
+            def corrupt_loss(nll, weights):
+                loss, ess = batch_loss(nll, weights)
+                return (ad.smul(math.nan, loss) if nth(3) else loss), ess
+
+            monkeypatch.setattr(training, "weighted_batch_loss", corrupt_loss)
+        elif failure == "gradient":
+            grad = ad.grad
+
+            def corrupt_grad(output, inputs, **kwargs):
+                grads = grad(output, inputs, **kwargs)
+                return [ad.smul(math.nan, g) for g in grads] if nth(3) else grads
+
+            monkeypatch.setattr(ad, "grad", corrupt_grad)
+        elif failure == "inner_loss":
+            extra = ["--learner.algorithm", "maml"]
+            sample_episodes = training.sample_episodes
+
+            def corrupt_batch(*args):
+                episodes = sample_episodes(*args)
+                if nth(3):
+                    episodes[0] = dataclasses.replace(
+                        episodes[0], support_x=np.full_like(episodes[0].support_x, 1e308)
+                    )
+                return episodes
+
+            monkeypatch.setattr(training, "sample_episodes", corrupt_batch)
+        else:
+            update_online = sampling.update_online
+
+            def corrupt_update(model, omega):
+                # Four episodes per batch: call 9 is iteration 3's first.
+                return update_online(model, math.nan if nth(9) else omega)
+
+            monkeypatch.setattr(sampling, "update_online", corrupt_update)
+
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            code = _run(["train", "--config", tiny_config, "--out", out, *extra])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"].startswith(f"iteration 3: {expected}")
+        history = (out / "history.csv").read_text().splitlines()
+        episodes = (out / "episodes.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in history[1:]] == ["1", "2"]
+        assert [line.split(",")[0] for line in episodes[1:]] == ["1"] * 4 + ["2"] * 4
+        assert not (out / "result.json").exists()
 
     @pytest.mark.parametrize(
         "config", sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json")), ids=lambda p: p.stem

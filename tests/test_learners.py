@@ -1,13 +1,17 @@
-"""Tests for the four episodic learners and the difficulty functional."""
+"""Tests for the four episodic learners and their difficulties."""
 
 import contextlib
 import dataclasses
 import gc
 import hashlib
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from episampler import autodiff as ad
 from episampler import data, kernels, learners, streams, training
@@ -208,19 +212,8 @@ class TestGradientLikelihoods:
         tensors = params.trainable_tensors()
 
         def f(*ts):
-            trial = learners.clone_params(params)
-            flat = trial.trainable_tensors()
-            for dst, src in zip(flat, ts):
-                dst.data = src.data
             # rebuild with the caller's leaves so gradients attach to them
-            rebuilt = learners.LearnerParams(
-                algorithm="maml",
-                encoder=[(ts[2 * i], ts[2 * i + 1]) for i in range(len(params.encoder))],
-                head=(ts[-2], ts[-1]),
-                adaptation_rate=params.adaptation_rate,
-                adaptation_steps=params.adaptation_steps,
-            )
-            return ad.reshape(learners.episode_nll(rebuilt, [ep]), ())
+            return ad.reshape(learners.episode_nll(params.with_tensors(ts), [ep]), ())
 
         assert grad_check(f, tensors) < 1e-4
 
@@ -233,14 +226,7 @@ class TestGradientLikelihoods:
         tensors = params.trainable_tensors()
 
         def f(*ts):
-            rebuilt = learners.LearnerParams(
-                algorithm="anil",
-                encoder=[(ts[2 * i], ts[2 * i + 1]) for i in range(len(params.encoder))],
-                head=(ts[-2], ts[-1]),
-                adaptation_rate=params.adaptation_rate,
-                adaptation_steps=params.adaptation_steps,
-            )
-            return ad.reshape(learners.episode_nll(rebuilt, [ep]), ())
+            return ad.reshape(learners.episode_nll(params.with_tensors(ts), [ep]), ())
 
         assert grad_check(f, tensors) < 1e-4
 
@@ -293,10 +279,7 @@ class TestFirstOrderWhenNotRecording:
         with ad.no_grad():
             np.testing.assert_array_equal(learners._episode_logits(params, episodes).data, logits)
             np.testing.assert_array_equal(learners.episode_accuracy(params, episodes), accuracy)
-        np.testing.assert_array_equal(
-            training.score_difficulties(params, episodes),
-            [learners.episode_difficulty(row) for row in lls],
-        )
+        np.testing.assert_array_equal(training.score_difficulties(params, episodes), -lls.mean(axis=1))
 
     def test_inner_grads_build_no_graph(self, monkeypatch):
         # 5-way 1-shot 15-query episodes, d = 12 and a 64-64-64 MLP, as in perfbench.
@@ -412,25 +395,29 @@ class TestLikelihoodProperties:
     def test_difficulty_recompute_is_bit_identical(self, algorithm):
         ep = _random_episode(30, n=3)
         params = learners.init_params(algorithm, 5, 3, seed=8)
-        a = learners.episode_difficulty(learners.episode_log_likelihoods(params, [ep]))
-        b = learners.episode_difficulty(learners.episode_log_likelihoods(params, [ep]))
-        assert a == b
+        a = training.score_difficulties(params, [ep])
+        b = training.score_difficulties(params, [ep])
+        assert a == b == [-learners.episode_log_likelihoods(params, [ep]).data.mean()]
 
-
-class TestDifficulty:
-    def test_chance_level_five_way(self):
-        lls = np.full((10, 1), -math.log(5.0))
-        assert learners.episode_difficulty(lls) == pytest.approx(math.log(5.0), abs=1e-15)
-
-    def test_perfect_predictions_tend_to_zero(self):
-        assert learners.episode_difficulty(np.array([-1e-12, -2e-12])) == pytest.approx(0.0, abs=1e-11)
-
-    def test_hand_mean(self):
-        assert learners.episode_difficulty(np.array([-0.1, -0.3])) == pytest.approx(0.2, abs=1e-15)
-
-    def test_empty_vector_rejected(self):
-        with pytest.raises(learners.LearnerError):
-            learners.episode_difficulty(np.array([]))
+    # Finite logits up to 1e300 in size keep every shifted logit and every
+    # mean of losses finite; larger ones can overflow the shift itself.
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_difficulty_is_never_negative(self, data):
+        count = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(2, 4))
+        q = data.draw(st.integers(1, 3))
+        logits = data.draw(
+            st.lists(st.floats(-1e300, 1e300), min_size=count * n * q * n, max_size=count * n * q * n)
+        )
+        labels = np.repeat(np.arange(n), q)
+        episodes = [_episode(np.zeros((n, 1)), np.arange(n), np.zeros((n * q, 1)), labels, 1, q)] * count
+        params = _identity_params("proto_euclidean", 1)
+        fixed = ad.tensor(np.reshape(logits, (count, n * q, n)))
+        with mock.patch.object(learners, "_episode_logits", return_value=fixed):
+            omegas = training.score_difficulties(params, episodes)
+        assert len(omegas) == count
+        assert all(omega >= 0.0 for omega in omegas)
 
 
 class TestAccuracy:
@@ -449,6 +436,26 @@ class TestAccuracy:
             [[9.0, 0.5], [-9.5, 0.2]], [1, 0], k=1, q=1,
         )
         assert learners.episode_accuracy(params, [ep]).tolist() == [0.0]
+
+
+class TestWithTensors:
+    @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
+    def test_inverts_trainable_tensors(self, algorithm):
+        params = learners.init_params(algorithm, 4, 3, hidden_sizes=(5,), embedding_dim=4, seed=9)
+        fresh = [ad.tensor(t.data + 1.0) for t in params.trainable_tensors()]
+        rebuilt = params.with_tensors(fresh)
+        assert all(a is b for a, b in zip(rebuilt.trainable_tensors(), fresh, strict=True))
+        assert (rebuilt.algorithm, rebuilt.adaptation_rate, rebuilt.adaptation_steps) == (
+            params.algorithm, params.adaptation_rate, params.adaptation_steps
+        )
+
+    @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
+    def test_wrong_count_rejected(self, algorithm):
+        params = learners.init_params(algorithm, 4, 3, hidden_sizes=(5,), embedding_dim=4, seed=9)
+        tensors = params.trainable_tensors()
+        for wrong in (tensors[:-1], [*tensors, tensors[0]]):
+            with pytest.raises(learners.LearnerError, match=f"has {len(tensors)} tensors, got {len(wrong)}"):
+                params.with_tensors(wrong)
 
 
 class TestCheckpoints:
@@ -474,6 +481,33 @@ class TestCheckpoints:
         csv.write_text("\n".join(lines) + "\n")
         kind = "non-numeric" if bad == "0.1x" else "non-finite"
         with pytest.raises(learners.LearnerError, match=f"line 9: {kind} value {bad}$"):
+            learners.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize(
+        "algorithm, field, value",
+        [("maml", "way", None), ("proto_euclidean", "way", 3), ("proto_euclidean", "has_cosine_scale", True),
+         ("proto_cosine", "has_cosine_scale", False)],
+    )
+    def test_manifest_that_does_not_fit_its_algorithm_rejected(self, tmp_path, algorithm, field, value):
+        params = learners.init_params(algorithm, 4, 3, hidden_sizes=(5,), embedding_dim=4, seed=9)
+        learners.save_checkpoint(params, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(learners.LearnerError, match="do not fit algorithm"):
+            learners.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("change", ["drop", "append"])
+    def test_value_count_must_match_the_manifest(self, tmp_path, change):
+        params = learners.init_params("proto_cosine", 4, 3, hidden_sizes=(5,), embedding_dim=4, seed=9)
+        learners.save_checkpoint(params, tmp_path / "ckpt")
+        csv = tmp_path / "ckpt.csv"
+        lines = csv.read_text().splitlines()
+        lines = lines[:-1] if change == "drop" else [*lines, "0.5"]
+        csv.write_text("\n".join(lines) + "\n")
+        # 4*5 + 5 + 5*4 + 4 encoder values and the cosine scale.
+        with pytest.raises(learners.LearnerError, match=f"has {len(lines) - 1} values, its manifest needs 50"):
             learners.load_checkpoint(tmp_path / "ckpt")
 
     def test_written_bytes(self, tmp_path):

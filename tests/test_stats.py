@@ -141,11 +141,16 @@ class TestDensityAndQQ:
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_exact_quantile_sample_lies_on_identity(self):
+        # The reference normal is the sample's own fit (mean, ddof-1 std), so
+        # the points lie on the identity once the theoretical column is
+        # standardised by that fit.
         n = 1000
         sample = np.array([stats.norm_ppf((i - 0.5) / n) for i in range(1, n + 1)])
-        _, qq = stats.export_density_and_qq(sample, bins=10, loc=0.0, scale=1.0)
-        for theo, samp in qq:
-            assert samp == pytest.approx(theo, abs=1e-9)
+        _, qq = stats.export_density_and_qq(sample, bins=10)
+        loc, scale = float(sample.mean()), float(sample.std(ddof=1))
+        for i, (theo, samp) in enumerate(qq, start=1):
+            assert theo == loc + scale * stats.norm_ppf((i - 0.5) / n)
+            assert samp == pytest.approx((theo - loc) / scale, abs=1e-9)
 
     def test_qq_columns_sorted_ascending(self):
         omegas = streams.stream(11, streams.STATS).exponential(size=500)

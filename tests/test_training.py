@@ -1,5 +1,6 @@
 """Tests for the episodic training loop, Adam, and evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -101,12 +102,36 @@ def _tape_nodes(output):
 
 
 def _reference_difficulties(params, episodes):
-    """Difficulties scored one episode at a time."""
+    """Difficulties scored one episode at a time, each the negated mean of
+    its per-query log-likelihoods."""
     with ad.no_grad():
-        return [
-            learners.episode_difficulty(learners.episode_log_likelihoods(params, [ep]))
-            for ep in episodes
-        ]
+        return [-learners.episode_log_likelihoods(params, [ep]).data.mean() for ep in episodes]
+
+
+class TestScoreDifficulties:
+    @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
+    def test_equals_the_mean_query_nll_bit_for_bit(self, algorithm):
+        train_ds, _, _ = _datasets()
+        params = learners.init_params(
+            algorithm, 6, 3, hidden_sizes=(16,), embedding_dim=8, seed=5, adaptation_steps=2
+        )
+        rng = streams.stream(6, streams.TRAIN_EPISODES)
+        # Two full chunks and a short one.
+        episodes = data.sample_episodes(train_ds, 3, 2, 5, rng, 2 * training.EPISODE_CHUNK + 1)
+        lls = learners.episode_log_likelihoods(params, episodes).data
+        np.testing.assert_array_equal(training.score_difficulties(params, episodes), -lls.mean(axis=1))
+
+    def test_non_finite_difficulty_names_the_episode(self):
+        train_ds, _, _ = _datasets()
+        params = learners.init_params("proto_euclidean", 6, 3, seed=5)
+        episodes = data.sample_episodes(train_ds, 3, 1, 5, streams.stream(6, streams.TRAIN_EPISODES), 7)
+        # The first episode of the second chunk.
+        index = training.EPISODE_CHUNK
+        episodes[index] = dataclasses.replace(
+            episodes[index], query_x=np.full_like(episodes[index].query_x, np.nan)
+        )
+        with pytest.raises(learners.LearnerError, match=f"non-finite difficulty for episode {index}$"):
+            training.score_difficulties(params, episodes)
 
 
 class TestBatchedMatchesPerEpisode:
