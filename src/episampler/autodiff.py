@@ -30,12 +30,15 @@ row), ``sqdist`` (pairwise squared Euclidean distance, 2-D or 3-D), and
 a backward pass reads (masks, one-hot labels) is built inside the vjp, so a
 forward under :func:`no_grad` never pays for it.
 
-A :func:`grad` call costs the part of the tape between its output and its
-requested inputs: each tape record carries its creation order, the walk
-stops at records older than the oldest requested input, and only vjps on a
-path to a requested input run. The ``exp`` and ``log`` vjps hold their own
-output through a weak reference, so a tape has no reference cycles and is
-freed by refcount as soon as its last tensor is dropped.
+A :func:`grad` call is one reverse sweep of the tape in creation order:
+each record draws its place after its inputs exist, so it comes after
+them, and a tensor sums its consumers' contributions from the latest to
+the earliest. A call costs the part of the tape between its output and its
+requested inputs: the walk stops at records older than the oldest
+requested input, and only vjps on a path to a requested input run. The
+``exp`` and ``log`` vjps hold their own output through a weak reference,
+so a tape has no reference cycles and is freed by refcount as soon as its
+last tensor is dropped.
 
 Each graph is single-threaded; independent graphs may live on different
 threads. Pass only arrays (a tensor's ``data``) between threads.
@@ -46,7 +49,7 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -71,7 +74,7 @@ class DomainError(AutodiffError):
 
 
 class GraphError(AutodiffError):
-    """Raised for malformed graphs or invalid backward requests."""
+    """Raised for invalid backward requests."""
 
 
 _state = threading.local()
@@ -453,78 +456,25 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     return _make("softmax_cross_entropy", loss, (logits,), (vlogits,))
 
 
+def _seq(t: Tensor) -> int:
+    """``t``'s place in creation order: its record's, or 0 for a leaf."""
+    return t.node.seq if t.node is not None else 0
+
+
 def _topo_order(output: Tensor, floor: int) -> list[Tensor]:
     """Tensors reachable from ``output`` through grad-requiring inputs
-    recorded no earlier than ``floor``, in an order where every tensor
-    precedes the tensors it consumes."""
-    order: list[Tensor] = []
-    visited: set[int] = set()
-    on_stack: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(output, False)]
+    recorded no earlier than ``floor``, sorted into creation order."""
+    reached = {id(output): output}
+    stack = [output]
     while stack:
-        t, processed = stack.pop()
-        tid = id(t)
-        if processed:
-            on_stack.discard(tid)
-            order.append(t)
+        node = stack.pop().node
+        if node is None:
             continue
-        if tid in visited:
-            if tid in on_stack:
-                raise GraphError("cycle detected in computation graph")
-            continue
-        visited.add(tid)
-        on_stack.add(tid)
-        stack.append((t, True))
-        if t.node is not None:
-            for inp in t.node.inputs:
-                if not inp.requires_grad or (inp.node.seq if inp.node is not None else 0) < floor:
-                    continue
-                if id(inp) not in visited:
-                    stack.append((inp, False))
-                elif id(inp) in on_stack:
-                    raise GraphError("cycle detected in computation graph")
-    return order
-
-
-def _backward_map(
-    output: Tensor, inputs: list[Tensor], create_graph: bool
-) -> dict[int, tuple[Tensor, Tensor]]:
-    if output.shape != ():
-        raise GraphError(f"backward requires a scalar output, got shape {output.shape}")
-    # A tensor on a path from the output to an input consumes that input, so
-    # it was recorded after it: nothing older than the oldest input is walked.
-    floor = min((t.node.seq if t.node is not None else 0 for t in inputs), default=0)
-    order = _topo_order(output, floor)
-    # Mark every tensor that leads to a requested input; only vjps into
-    # marked tensors run.
-    wanted = {id(t) for t in inputs}
-    for t in order:
-        if t.node is not None and any(id(inp) in wanted for inp in t.node.inputs):
-            wanted.add(id(t))
-    grads: dict[int, tuple[Tensor, Tensor]] = {id(output): (output, Tensor(1.0))}
-
-    def run():
-        for t in reversed(order):
-            entry = grads.get(id(t))
-            if entry is None or t.node is None:
-                continue
-            g = entry[1]
-            for inp, vjp in zip(t.node.inputs, t.node.vjps):
-                if not inp.requires_grad or id(inp) not in wanted:
-                    continue
-                contrib = vjp(g)
-                prev = grads.get(id(inp))
-                if prev is None:
-                    grads[id(inp)] = (inp, contrib)
-                else:
-                    grads[id(inp)] = (inp, add(prev[1], contrib))
-
-    if create_graph:
-        run()
-    else:
-        with no_grad():
-            run()
-    return grads
+        for inp in node.inputs:
+            if inp.requires_grad and id(inp) not in reached and _seq(inp) >= floor:
+                reached[id(inp)] = inp
+                stack.append(inp)
+    return sorted(reached.values(), key=_seq)
 
 
 def grad(
@@ -540,17 +490,40 @@ def grad(
     A call walks only the tape recorded since the oldest requested input
     and runs only the vjps on paths from ``output`` to a requested input,
     so an inner-loop gradient with respect to the latest fast weights does
-    not grow with the number of earlier steps.
+    not grow with the number of earlier steps. The sweep runs in reverse
+    creation order, so a tensor's gradient sums its consumers'
+    contributions from the latest consumer to the earliest.
     """
     inputs = list(inputs)
-    grads = _backward_map(output, inputs, create_graph)
+    if output.shape != ():
+        raise GraphError(f"backward requires a scalar output, got shape {output.shape}")
+    # A tensor on a path from the output to an input consumes that input, so
+    # it was recorded after it: nothing older than the oldest input is walked.
+    order = _topo_order(output, min(map(_seq, inputs), default=0))
+    # Mark every tensor that leads to a requested input; only vjps into
+    # marked tensors run.
+    wanted = {id(t) for t in inputs}
+    for t in order:
+        if t.node is not None and any(id(inp) in wanted for inp in t.node.inputs):
+            wanted.add(id(t))
+    # Keyed by id: ``order`` holds every keyed tensor, so no id is reused.
+    grads = {id(output): Tensor(1.0)}
+    with nullcontext() if create_graph else no_grad():
+        for t in reversed(order):
+            g = grads.get(id(t))
+            if g is None or t.node is None:
+                continue
+            for inp, vjp in zip(t.node.inputs, t.node.vjps):
+                if inp.requires_grad and id(inp) in wanted:
+                    contrib = vjp(g)
+                    prev = grads.get(id(inp))
+                    grads[id(inp)] = contrib if prev is None else add(prev, contrib)
     result = []
     for t in inputs:
-        entry = grads.get(id(t))
-        if entry is None:
+        g = grads.get(id(t))
+        if g is None:
             if not allow_unused:
                 raise GraphError("input tensor does not contribute to the output")
-            result.append(Tensor(np.zeros(t.shape)))
-        else:
-            result.append(entry[1])
+            g = Tensor(np.zeros(t.shape))
+        result.append(g)
     return result

@@ -314,10 +314,7 @@ def cmd_compare_schemes(args) -> Path:
         rows.append(
             (scheme, payload["test_accuracy_mean"], payload["test_accuracy_ci95"], payload["best_iteration"])
         )
-    lines = ["scheme,test_accuracy_mean,test_accuracy_ci95,best_iteration"]
-    for scheme, mean, ci, best in rows:
-        lines.append(f"{scheme},{mean!r},{ci!r},{best}")
-    files.write_text(out / "comparison.csv", "\n".join(lines) + "\n")
+    _write_csv(out / "comparison.csv", "scheme,test_accuracy_mean,test_accuracy_ci95,best_iteration", rows)
     if failure is not None:
         raise failure
     print(f"comparison written to {out / 'comparison.csv'}")

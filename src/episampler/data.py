@@ -23,10 +23,12 @@ uniforms from ``rng.random``, ``max_count`` being the largest class size:
   masked to ``+inf``, and the first ``k + q`` entries of the row's stable
   argsort are the class's sample indices.
 
-Philox is counter-based, so ``rng.random((B, L))`` holds the same values as
-``B`` successive ``rng.random(L)`` calls: ``sample_episodes`` with
-``count=B`` returns the same episodes as ``B`` ``sample_episode`` calls,
-and batching or chunking the draws never changes a stream.
+Every draw has a batch axis: ``sample_episodes`` takes the blocks of its
+``B`` episodes with one ``rng.random((B, L))`` call, and ``sample_episode``
+is its ``B = 1`` case. Philox is counter-based, so that call yields the
+same values as ``B`` successive ``rng.random(L)`` calls: ``sample_episodes``
+with ``count=B`` returns the same episodes as ``B`` ``sample_episode``
+calls, and batching or chunking the draws never changes a stream.
 
 On disk a dataset is a directory with ``manifest.json`` and ``data.csv``
 (header ``class_id,f0,...,f{d-1}``, one sample per row, floats written as
@@ -237,10 +239,13 @@ def _labels(n: int, per_class: int) -> np.ndarray:
     return labels
 
 
-def _draw(dataset: BaseDataset, n: int, k: int, q: int, rng: np.random.Generator, lead: tuple):
-    """Draw ``lead`` episodes from one uniform block each (see the module
-    docstring); returns ``(classes, support_samples, query_samples,
-    support_x, query_x)`` with leading shape ``lead``."""
+def sample_episodes(
+    dataset: BaseDataset, n: int, k: int, q: int, rng: np.random.Generator, count: int
+) -> list[Episode]:
+    """``count`` episodes, each from its own block of ``rng`` (see the
+    module docstring)."""
+    if count <= 0:
+        raise DatasetError(f"count must be positive, got {count}")
     if n <= 0 or k <= 0 or q <= 0:
         raise DatasetError("n, k and q must be positive")
     num_classes = dataset.num_classes
@@ -248,8 +253,8 @@ def _draw(dataset: BaseDataset, n: int, k: int, q: int, rng: np.random.Generator
         raise DatasetError(f"need {n} classes but dataset has only {num_classes}")
     tables = dataset._draw_tables
     max_count, m = tables.max_count, k + q
-    u = rng.random(lead + (num_classes + n * max_count,))
-    chosen = np.argpartition(u[..., :num_classes], n - 1, axis=-1)[..., :n]
+    u = rng.random((count, num_classes + n * max_count))
+    chosen = np.argpartition(u[:, :num_classes], n - 1, axis=-1)[:, :n]
     pos = tables.by_rank[np.sort(tables.rank[chosen], axis=-1)]
     counts = tables.counts[pos]
     if tables.min_count < m:
@@ -260,47 +265,32 @@ def _draw(dataset: BaseDataset, n: int, k: int, q: int, rng: np.random.Generator
                 f"class {dataset.class_ids[pos[first]]} has {counts[first]} samples "
                 f"but the episode needs {m}"
             )
-    keys = u[..., num_classes:].reshape(lead + (n, max_count))
+    keys = u[:, num_classes:].reshape((count, n, max_count))
     if tables.min_count < max_count:
         keys = np.where(np.arange(max_count) >= counts[..., None], np.inf, keys)
     samples = np.argsort(keys, axis=-1, kind="stable")[..., :m]
     rows = dataset.offsets[pos][..., None] + samples
-    support = samples[..., :k].reshape(lead + (n * k,))
-    query = samples[..., k:].reshape(lead + (n * q,))
+    support = samples[..., :k].reshape((count, n * k))
+    query = samples[..., k:].reshape((count, n * q))
     # ndarray.take copies the same rows as fancy indexing, at a fraction
     # of its per-call cost on these small index arrays.
-    support_x = dataset.x.take(rows[..., :k].reshape(lead + (n * k,)), axis=0)
-    query_x = dataset.x.take(rows[..., k:].reshape(lead + (n * q,)), axis=0)
-    return tables.ids[pos].tolist(), support, query, support_x, query_x
-
-
-def sample_episodes(
-    dataset: BaseDataset, n: int, k: int, q: int, rng: np.random.Generator, count: int
-) -> list[Episode]:
-    """``count`` episodes, each from its own block of ``rng``; the same
-    episodes as ``count`` successive ``sample_episode`` calls."""
-    if count <= 0:
-        raise DatasetError(f"count must be positive, got {count}")
-    classes, support, query, support_x, query_x = _draw(dataset, n, k, q, rng, (count,))
+    support_x = dataset.x.take(rows[..., :k].reshape((count, n * k)), axis=0)
+    query_x = dataset.x.take(rows[..., k:].reshape((count, n * q)), axis=0)
     support_labels, query_labels = _labels(n, k), _labels(n, q)
     return [
         Episode(
             n, k, q, tuple(c), support_x[i], support_labels, support[i],
             query_x[i], query_labels, query[i],
         )
-        for i, c in enumerate(classes)
+        for i, c in enumerate(tables.ids[pos].tolist())
     ]
 
 
 def sample_episode(
     dataset: BaseDataset, n: int, k: int, q: int, rng: np.random.Generator
 ) -> Episode:
-    """One episode from one block of ``rng``; ``sample_episodes`` with
-    ``count=1`` without its batch axis."""
-    classes, support, query, support_x, query_x = _draw(dataset, n, k, q, rng, ())
-    return Episode(
-        n, k, q, tuple(classes), support_x, _labels(n, k), support, query_x, _labels(n, q), query
-    )
+    """One episode from one block of ``rng``."""
+    return sample_episodes(dataset, n, k, q, rng, 1)[0]
 
 
 def save_dataset(dataset: BaseDataset, path) -> None:

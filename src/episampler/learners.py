@@ -364,9 +364,39 @@ def save_checkpoint(params: LearnerParams, stem) -> None:
     files.write_text(stem.with_suffix(".csv"), "\n".join(lines) + "\n")
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
+# Each manifest field and the values it may hold.
+_MANIFEST_FIELDS = {
+    "algorithm": lambda v: v in ALGORITHMS,
+    "layer_sizes": lambda v: isinstance(v, list) and len(v) >= 2 and all(map(_positive_int, v)),
+    "way": lambda v: v is None or _positive_int(v),
+    "adaptation_rate": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0,
+    "adaptation_steps": _positive_int,
+    "has_cosine_scale": lambda v: isinstance(v, bool),
+}
+
+
+def _read_manifest(path: Path) -> dict:
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise LearnerError(f"checkpoint manifest {path} is not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise LearnerError(f"checkpoint manifest {path} is not a JSON object")
+    for key, valid in _MANIFEST_FIELDS.items():
+        if key not in manifest:
+            raise LearnerError(f"checkpoint manifest {path} has no field {key!r}")
+        if not valid(manifest[key]):
+            raise LearnerError(f"checkpoint manifest {path} field {key!r}: invalid value {manifest[key]!r}")
+    return manifest
+
+
 def load_checkpoint(stem) -> LearnerParams:
     stem = Path(stem)
-    manifest = json.loads(stem.with_suffix(".json").read_text())
+    manifest = _read_manifest(stem.with_suffix(".json"))
     csv_path = stem.with_suffix(".csv")
     with open(csv_path) as fh:
         header = fh.readline().strip()
@@ -392,8 +422,8 @@ def load_checkpoint(stem) -> LearnerParams:
     scaled = manifest["has_cosine_scale"]
     if (way is None) == (algorithm in GRADIENT_ALGORITHMS) or scaled != (algorithm == "proto_cosine"):
         raise LearnerError(
-            f"checkpoint manifest way {way} and has_cosine_scale {scaled}"
-            f" do not fit algorithm {algorithm!r}"
+            f"checkpoint manifest {stem.with_suffix('.json')} way {way} and has_cosine_scale"
+            f" {scaled} do not fit algorithm {algorithm!r}"
         )
     template = init_params(
         algorithm, sizes[0], way, hidden_sizes=sizes[1:-1], embedding_dim=sizes[-1],

@@ -70,16 +70,18 @@ class TrainerError(Exception):
 
 @dataclass
 class TrainConfig:
-    iterations: int = 20000
-    batch_size: int = 16
-    learning_rate: float = 1e-3
-    validation_interval: int = 1000
-    validation_episodes: int = 1000
-    test_episodes: int = 1000
-    way: int = 5
-    shot: int = 1
-    query: int = 15
-    seed: int = 0
+    """Training settings; ``cli.DEFAULT_CONFIG["train"]`` holds their defaults."""
+
+    iterations: int
+    batch_size: int
+    learning_rate: float
+    validation_interval: int
+    validation_episodes: int
+    test_episodes: int
+    way: int
+    shot: int
+    query: int
+    seed: int
 
     def __post_init__(self):
         positive = {
@@ -199,7 +201,7 @@ def evaluate(
             stop = min(start + EPISODE_CHUNK, num_episodes)
             chunk = sample_episodes(dataset, n, k, q, rng, stop - start)
             accs[start:stop] = learners.episode_accuracy(params, chunk)
-    ci = 1.96 * float(accs.std(ddof=1)) / np.sqrt(num_episodes)
+    ci = float(1.96 * accs.std(ddof=1) / np.sqrt(num_episodes))
     return float(accs.mean()), ci
 
 
@@ -364,13 +366,15 @@ def read_episodes_csv(path) -> list[list[tuple[float, float]]]:
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "iteration,episode,omega,weight,nll":
-            raise TrainerError(f"unexpected episodes.csv header {header!r}")
-        for line in fh:
-            line = line.strip()
+            raise TrainerError(f"{path}: unexpected episodes.csv header {header!r}")
+        for lineno, line in enumerate(map(str.strip, fh), start=2):
             if not line:
                 continue
-            it, _, _, weight, nll = line.split(",")
-            batches.setdefault(int(it), []).append((float(weight), float(nll)))
+            try:
+                it, _, _, weight, nll = line.split(",")
+                batches.setdefault(int(it), []).append((float(weight), float(nll)))
+            except ValueError:
+                raise TrainerError(f"{path} line {lineno}: malformed row {line!r}") from None
     return [batches[k] for k in sorted(batches)]
 
 

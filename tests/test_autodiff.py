@@ -123,6 +123,18 @@ class TestBackward:
         (g,) = ad.grad(y, [x])
         np.testing.assert_allclose(g.data, [3.0, 5.0])
 
+    @pytest.mark.parametrize("create_graph", [False, True])
+    def test_contributions_summed_from_latest_consumer(self, create_graph):
+        # 1 + 2**-53 rounds to 1, so the sum's bits show its order: the
+        # sweep adds C's and B's contributions first, then A's.
+        x = ad.tensor(3.0, requires_grad=True)
+        a = ad.smul(1.0, x)
+        b = ad.smul(2.0**-53, x)
+        c = ad.smul(2.0**-53, x)
+        y = ad.add(ad.add(a, b), c)
+        (g,) = ad.grad(y, [x], create_graph=create_graph)
+        assert g.item() == 1.0 + 2.0**-52
+
 
 class TestGradCheck:
     def test_sum_of_squares(self):

@@ -320,6 +320,9 @@ class TestCompareSchemes:
         assert len(lines) == 3
         assert lines[1].startswith("baseline,")
         assert lines[2].startswith("uniform,")
+        for line in lines[1:]:
+            _, mean, ci, best = line.split(",")
+            assert 0.0 <= float(mean) <= 1.0 and float(ci) >= 0.0 and float(best) >= 0
 
     def test_duplicate_scheme_rows_identical(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "cmp"

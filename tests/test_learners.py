@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -496,6 +497,29 @@ class TestCheckpoints:
         manifest[field] = value
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(learners.LearnerError, match="do not fit algorithm"):
+            learners.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda m: m.pop("way"), "has no field 'way'"),
+            (lambda m: m.update(layer_sizes=None), "field 'layer_sizes': invalid value None"),
+            (lambda m: m.update(adaptation_steps="5"), "field 'adaptation_steps': invalid value '5'"),
+            (None, "is not JSON"),
+        ],
+        ids=["missing-way", "null-layer-sizes", "string-steps", "not-json"],
+    )
+    def test_malformed_manifest_names_file_and_field(self, tmp_path, edit, match):
+        params = learners.init_params("maml", 4, 3, hidden_sizes=(5,), embedding_dim=4, seed=9)
+        learners.save_checkpoint(params, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt.json"
+        if edit is None:
+            manifest_path.write_text(manifest_path.read_text()[:-2])
+        else:
+            manifest = json.loads(manifest_path.read_text())
+            edit(manifest)
+            manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(learners.LearnerError, match=f"{re.escape(str(manifest_path))} .*{re.escape(match)}"):
             learners.load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize("change", ["drop", "append"])

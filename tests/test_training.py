@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -245,6 +246,7 @@ class TestEvaluate:
         a = training.evaluate(params, test_ds, 3, 1, 5, 20, streams.stream(3, 7))
         b = training.evaluate(params, test_ds, 3, 1, 5, 20, streams.stream(3, 7))
         assert a == b
+        assert [type(v) for v in a] == [float, float]
 
     def test_minimum_episode_count(self):
         _, _, test_ds = _datasets()
@@ -414,6 +416,13 @@ class TestTrainLoop:
         assert all(len(b) == 4 for b in batches)
         first = result.history[0].episodes[0]
         assert batches[0][0] == (first.weight, first.nll)
+
+    @pytest.mark.parametrize("row", ["1,0,0.5,1.0", "1,0,0.5,heavy,0.7"])
+    def test_malformed_episodes_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "episodes.csv"
+        path.write_text(f"iteration,episode,omega,weight,nll\n1,0,0.5,1.0,0.7\n\n{row}\n")
+        with pytest.raises(training.TrainerError, match=f"{re.escape(str(path))} line 4: malformed row"):
+            training.read_episodes_csv(path)
 
 
 class TestChanceLevel:
