@@ -237,7 +237,7 @@ def _run_training(config: dict, out: Path) -> dict:
         learners.save_checkpoint(snapshot, ckpt_dir / f"iter_{iteration:06d}")
     learners.save_checkpoint(result.params, ckpt_dir / "best")
     if result.aborted:
-        raise training.TrainerError(result.diagnostic or "training aborted")
+        raise training.TrainerError(result.diagnostic)
 
     test_rng = streams.stream(config["seed"], streams.TEST_EPISODES)
     mean, ci = training.evaluate(

@@ -401,7 +401,7 @@ def load_checkpoint(stem) -> LearnerParams:
     with open(csv_path) as fh:
         header = fh.readline().strip()
         if header != "value":
-            raise LearnerError(f"unexpected checkpoint CSV header {header!r}")
+            raise LearnerError(f"checkpoint CSV {csv_path}: unexpected header {header!r}")
         try:
             values = np.array([float(line) for line in fh if line.strip()], dtype=np.float64)
         except ValueError:
@@ -415,9 +415,11 @@ def load_checkpoint(stem) -> LearnerParams:
                 try:
                     value = float(text) if text else 0.0
                 except ValueError:
-                    raise LearnerError(f"checkpoint CSV line {lineno}: non-numeric value {text}") from None
+                    raise LearnerError(
+                        f"checkpoint CSV {csv_path} line {lineno}: non-numeric value {text}"
+                    ) from None
                 if not np.isfinite(value):
-                    raise LearnerError(f"checkpoint CSV line {lineno}: non-finite value {value}")
+                    raise LearnerError(f"checkpoint CSV {csv_path} line {lineno}: non-finite value {value}")
     algorithm, way, sizes = manifest["algorithm"], manifest["way"], manifest["layer_sizes"]
     scaled = manifest["has_cosine_scale"]
     if (way is None) == (algorithm in GRADIENT_ALGORITHMS) or scaled != (algorithm == "proto_cosine"):
@@ -432,7 +434,9 @@ def load_checkpoint(stem) -> LearnerParams:
     slots = template.trainable_tensors()
     counts = [t.size for t in slots]
     if values.size != sum(counts):
-        raise LearnerError(f"checkpoint CSV has {values.size} values, its manifest needs {sum(counts)}")
+        raise LearnerError(
+            f"checkpoint CSV {csv_path} has {values.size} values, its manifest needs {sum(counts)}"
+        )
     chunks = np.split(values, np.cumsum(counts)[:-1])
     return template.with_tensors(
         ad.tensor(chunk.reshape(t.shape), requires_grad=True) for chunk, t in zip(chunks, slots)

@@ -85,6 +85,15 @@ def _check_variance(where: str, var: float) -> None:
         raise SamplerError(f"{where}: variance {var} is not finite or 2*pi*var overflows")
 
 
+def _fit_normal(where: str, values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and ddof-1 variance (0.0 for one value), floored and checked."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(values.mean())
+        var = max(float(values.var(ddof=1)) if values.size > 1 else 0.0, VARIANCE_FLOOR)
+    _check_variance(where, var)
+    return mu, var
+
+
 def normal_pdf(x: float, mu: float, var: float) -> float:
     if var <= 0.0:
         raise SamplerError(f"normal_pdf: variance must be positive, got {var}")
@@ -180,10 +189,7 @@ def update_online(model: DifficultyModel, omega: float) -> DifficultyModel:
         if model.warmup_remaining > 1:
             model.warmup_remaining -= 1
             return model
-        buf = np.asarray(model.warmup_buffer, dtype=np.float64)
-        var = max(float(buf.var(ddof=1)) if buf.size > 1 else 0.0, VARIANCE_FLOOR)
-        _check_variance("update_online", var)
-        model.mu, model.var = float(buf.mean()), var
+        model.mu, model.var = _fit_normal("update_online", np.asarray(model.warmup_buffer))
         model.warmup_remaining = 0
         model.warmup_buffer = []
         return model
@@ -200,16 +206,12 @@ def update_online(model: DifficultyModel, omega: float) -> DifficultyModel:
 
 
 def estimate_offline(difficulties, lam: float = 0.9) -> DifficultyModel:
-    """Difficulty model from a pre-scored pool: sample mean and unbiased
-    sample variance, ready immediately (no warm-up)."""
+    """Difficulty model from a pre-scored pool, ready immediately (no warm-up):
+    its sample mean and unbiased variance, fitted and checked by ``_fit_normal``."""
     values = np.asarray(list(difficulties), dtype=np.float64)
     if values.size < 2:
         raise SamplerError("estimate_offline: need at least 2 difficulty values")
     if not np.all(np.isfinite(values)):
         raise SamplerError("estimate_offline: non-finite difficulty values")
-    return DifficultyModel(
-        mu=float(values.mean()),
-        var=max(float(values.var(ddof=1)), VARIANCE_FLOOR),
-        lam=lam,
-        warmup_remaining=0,
-    )
+    mu, var = _fit_normal("estimate_offline", values)
+    return DifficultyModel(mu=mu, var=var, lam=lam, warmup_remaining=0)

@@ -3,15 +3,16 @@ histogram and Q-Q exports, extreme-episode tracking, and weighted-loss
 dispersion.
 
 The Shapiro-Wilk statistic and p-value follow Royston's 1995 algorithm
-(the one behind mainstream statistical packages); normal quantiles use a
-rational inverse-CDF approximation polished by one Halley step of the
-exact erfc-based CDF, accurate to well below 1e-9 over (0, 1).
+(the one behind mainstream statistical packages). Normal quantiles come from
+``statistics.NormalDist.inv_cdf``; ``norm_cdf`` stays erfc-based, not
+``NormalDist.cdf``, so the sampler's curriculum mass, which reads it, keeps its bits.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -25,85 +26,25 @@ class StatsError(Exception):
     pass
 
 
-# Rational approximation coefficients for the standard normal quantile
-# (central region uses A/B, tails use C/D).
-_PPF_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_PPF_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_PPF_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_PPF_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
+_STANDARD_NORMAL = NormalDist()
 
 
 def norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def _ppf_lower_half(p: float) -> float:
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    if p < 0.02425:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    else:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    # One Halley step against the exact CDF.
-    e = norm_cdf(x) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
-
-
 def norm_ppf(p: float) -> float:
     """Standard normal quantile for p in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise StatsError(f"norm_ppf: p must be in (0, 1), got {p}")
-    if p <= 0.5:
-        return _ppf_lower_half(p)
-    return -_ppf_lower_half(1.0 - p)
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def average_ranks(values) -> np.ndarray:
     """1-based ranks with ties assigned their average rank."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(np.asarray(values, float), return_inverse=True, return_counts=True)
+    # A tie group of `count` values ending at rank `end` spans ranks end - count + 1 .. end.
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(xs, ys) -> float:

@@ -39,6 +39,7 @@ learner format.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,8 +132,11 @@ class TrainResult:
     best_iteration: int
     history: list[TrainRecord]
     checkpoints: list[tuple[int, learners.LearnerParams, float]] = field(default_factory=list)
-    aborted: bool = False
     diagnostic: str | None = None
+
+    @property
+    def aborted(self) -> bool:
+        return self.diagnostic is not None
 
 
 @dataclass
@@ -253,6 +257,7 @@ def train(
     best_accuracy: float | None = None
     tensors = params.trainable_tensors()
     adam = AdamState.for_params(tensors)
+    diagnostic = None
 
     for iteration in range(1, config.iterations + 1):
         try:
@@ -315,14 +320,7 @@ def train(
         except (TrainerError, learners.LearnerError, sampling.SamplerError) as exc:
             diagnostic = f"iteration {iteration}: {type(exc).__name__}: {exc}"
             logger.error(diagnostic)
-            return TrainResult(
-                params=best_params,
-                best_iteration=best_iteration,
-                history=history,
-                checkpoints=checkpoints,
-                aborted=True,
-                diagnostic=diagnostic,
-            )
+            break
         history.append(record)
 
     return TrainResult(
@@ -330,6 +328,7 @@ def train(
         best_iteration=best_iteration,
         history=history,
         checkpoints=checkpoints,
+        diagnostic=diagnostic,
     )
 
 
@@ -372,9 +371,12 @@ def read_episodes_csv(path) -> list[list[tuple[float, float]]]:
                 continue
             try:
                 it, _, _, weight, nll = line.split(",")
-                batches.setdefault(int(it), []).append((float(weight), float(nll)))
+                it, weight, nll = int(it), float(weight), float(nll)
             except ValueError:
                 raise TrainerError(f"{path} line {lineno}: malformed row {line!r}") from None
+            if not (math.isfinite(weight) and math.isfinite(nll) and weight >= 0.0):
+                raise TrainerError(f"{path} line {lineno}: malformed row {line!r}, non-finite or weight < 0")
+            batches.setdefault(it, []).append((weight, nll))
     return [batches[k] for k in sorted(batches)]
 
 

@@ -481,7 +481,17 @@ class TestCheckpoints:
         lines.insert(3, "")
         csv.write_text("\n".join(lines) + "\n")
         kind = "non-numeric" if bad == "0.1x" else "non-finite"
-        with pytest.raises(learners.LearnerError, match=f"line 9: {kind} value {bad}$"):
+        match = f"^checkpoint CSV {re.escape(str(csv))} line 9: {kind} value {bad}$"
+        with pytest.raises(learners.LearnerError, match=match):
+            learners.load_checkpoint(tmp_path / "ckpt")
+
+    def test_bad_header_names_file(self, tmp_path):
+        params = learners.init_params("maml", 4, 3, hidden_sizes=(5,), embedding_dim=4, seed=9)
+        learners.save_checkpoint(params, tmp_path / "ckpt")
+        csv = tmp_path / "ckpt.csv"
+        csv.write_text("weight" + csv.read_text()[len("value"):])
+        match = f"^checkpoint CSV {re.escape(str(csv))}: unexpected header 'weight'$"
+        with pytest.raises(learners.LearnerError, match=match):
             learners.load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize(
@@ -531,7 +541,8 @@ class TestCheckpoints:
         lines = lines[:-1] if change == "drop" else [*lines, "0.5"]
         csv.write_text("\n".join(lines) + "\n")
         # 4*5 + 5 + 5*4 + 4 encoder values and the cosine scale.
-        with pytest.raises(learners.LearnerError, match=f"has {len(lines) - 1} values, its manifest needs 50"):
+        match = f"^checkpoint CSV {re.escape(str(csv))} has {len(lines) - 1} values, its manifest needs 50$"
+        with pytest.raises(learners.LearnerError, match=match):
             learners.load_checkpoint(tmp_path / "ckpt")
 
     def test_written_bytes(self, tmp_path):

@@ -287,6 +287,18 @@ class TestOfflineEstimate:
         with pytest.raises(sampling.SamplerError):
             sampling.estimate_offline([1.0])
 
+    @pytest.mark.parametrize("values", [[5e153, -5e153], [1e300, -1e300], [1.7e308, 1.7e308]])
+    def test_variance_whose_density_overflows_rejected_at_the_fit(self, values):
+        # [5e153, -5e153] has the finite variance 5e307, but 2*pi*var
+        # overflows, so normal_pdf could never weigh an episode.
+        with pytest.raises(sampling.SamplerError, match="estimate_offline: variance"):
+            sampling.estimate_offline(values)
+        model = DifficultyModel(warmup_remaining=2)
+        sampling.update_online(model, values[0])
+        with pytest.raises(sampling.SamplerError, match="update_online: variance"):
+            sampling.update_online(model, values[1])
+        assert not model.ready
+
     def test_monte_carlo_recovery(self):
         rng = streams.stream(123, streams.STATS)
         draws = rng.normal(3.0, 2.0, size=1000)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from episampler import stats, streams
 from reference_tables import PPF_ORACLE, SHAPIRO_ORACLE, SPEARMAN_ORACLE, make_vector
@@ -28,6 +30,23 @@ class TestNormPpf:
         for p in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(stats.StatsError):
                 stats.norm_ppf(p)
+
+
+class TestAverageRanks:
+    @given(
+        st.lists(
+            st.sampled_from([-1.5, -0.0, 0.0, 1.0, 2.0]) | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(derandomize=True, deadline=None)
+    def test_matches_definition_on_tie_heavy_vectors(self, values):
+        v = np.array(values)
+        expected = [1.0 + np.sum(v < x) + (np.sum(v == x) - 1) / 2.0 for x in v]
+        ranks = stats.average_ranks(values)
+        assert ranks.dtype == np.float64
+        assert ranks.tolist() == expected
 
 
 class TestSpearman:

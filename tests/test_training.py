@@ -417,7 +417,10 @@ class TestTrainLoop:
         first = result.history[0].episodes[0]
         assert batches[0][0] == (first.weight, first.nll)
 
-    @pytest.mark.parametrize("row", ["1,0,0.5,1.0", "1,0,0.5,heavy,0.7"])
+    @pytest.mark.parametrize(
+        "row",
+        ["1,0,0.5,1.0", "1,0,0.5,heavy,0.7", "1,0,0.5,nan,0.7", "1,0,0.5,1.0,inf", "1,0,0.5,-1.0,0.7"],
+    )
     def test_malformed_episodes_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "episodes.csv"
         path.write_text(f"iteration,episode,omega,weight,nll\n1,0,0.5,1.0,0.7\n\n{row}\n")
