@@ -46,6 +46,7 @@ threads. Pass only arrays (a tensor's ``data``) between threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import weakref
@@ -64,9 +65,6 @@ class AutodiffError(Exception):
 class ShapeMismatchError(AutodiffError):
     def __init__(self, op: str, shape_a, shape_b):
         super().__init__(f"{op}: incompatible shapes {tuple(shape_a)} and {tuple(shape_b)}")
-        self.op = op
-        self.shape_a = tuple(shape_a)
-        self.shape_b = tuple(shape_b)
 
 
 class DomainError(AutodiffError):
@@ -89,25 +87,19 @@ def is_grad_enabled() -> bool:
 
 
 @contextmanager
-def no_grad():
-    """Disable graph recording within the block."""
+def _recording(enabled: bool):
+    """Graph recording on or off within the block: :func:`no_grad` turns it
+    off, :func:`enable_grad` on (undoing an enclosing ``no_grad``)."""
     prev = is_grad_enabled()
-    _state.enabled = False
+    _state.enabled = enabled
     try:
         yield
     finally:
         _state.enabled = prev
 
 
-@contextmanager
-def enable_grad():
-    """Force graph recording within the block (undoes an enclosing no_grad)."""
-    prev = is_grad_enabled()
-    _state.enabled = True
-    try:
-        yield
-    finally:
-        _state.enabled = prev
+no_grad = functools.partial(_recording, False)
+enable_grad = functools.partial(_recording, True)
 
 
 # Creation order of tape records, shared by all threads (``next`` on it is

@@ -86,21 +86,13 @@ def _merge_config(base: dict, user: dict, prefix: str = "") -> dict:
 
 
 def load_config(path: str | None, overrides) -> dict:
-    user = {}
-    if path is not None:
-        try:
-            user = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    user = {} if path is None else files.read_manifest(path, {}, ConfigError)
     config = _merge_config(DEFAULT_CONFIG, user)
     for key, raw in overrides:
+        *parents, leaf = key.split(".")
         node = config
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"unknown config key {key!r}")
-            node = node[part]
-        leaf = parts[-1]
+        for part in parents:
+            node = node.get(part) if isinstance(node, dict) else None
         if not isinstance(node, dict) or leaf not in node:
             raise ConfigError(f"unknown config key {key!r}")
         try:

@@ -32,7 +32,10 @@ calls, and batching or chunking the draws never changes a stream.
 
 On disk a dataset is a directory with ``manifest.json`` and ``data.csv``
 (header ``class_id,f0,...,f{d-1}``, one sample per row, floats written as
-shortest round-trip decimals so the round trip is bit-exact). An episode
+shortest round-trip decimals so the round trip is bit-exact).
+``load_dataset`` reads both through ``files``, so a bad entry is reported
+with its file and its line or field. A ``class_id`` is read as a float and
+must equal one of the manifest's ids, so ``1.0`` is class 1. An episode
 file is JSON with ``n``, ``k``, ``q`` and, per episode, ``classes`` plus
 ``support`` and ``query`` lists of ``[class id, sample index]`` pairs,
 each derived as ``[classes[label], sample index]``. It records which
@@ -57,16 +60,7 @@ class DatasetError(Exception):
 
 
 class DatasetParseError(DatasetError):
-    """Malformed on-disk dataset; carries the file location."""
-
-    def __init__(self, message: str, line: int | None = None, field: str | None = None):
-        loc = []
-        if line is not None:
-            loc.append(f"line {line}")
-        if field is not None:
-            loc.append(f"field {field!r}")
-        suffix = f" ({', '.join(loc)})" if loc else ""
-        super().__init__(message + suffix)
+    """Malformed on-disk dataset; the message names the file at fault."""
 
 
 SPLITS = ("train", "val", "test", "all")
@@ -293,6 +287,10 @@ def sample_episode(
     return sample_episodes(dataset, n, k, q, rng, 1)[0]
 
 
+def _csv_header(feature_dim: int) -> str:
+    return "class_id," + ",".join(f"f{i}" for i in range(feature_dim))
+
+
 def save_dataset(dataset: BaseDataset, path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -304,87 +302,57 @@ def save_dataset(dataset: BaseDataset, path) -> None:
         "generator": dataset.generator,
     }
     files.write_json(path / "manifest.json", manifest)
-    header = "class_id," + ",".join(f"f{i}" for i in range(dataset.feature_dim))
-    lines = [header]
+    lines = [_csv_header(dataset.feature_dim)]
     row_ids = np.repeat(dataset.class_ids, np.diff(dataset.offsets)).tolist()
     for cid, row in zip(row_ids, dataset.x):
         lines.append(f"{cid}," + ",".join(map(repr, row.tolist())))
     files.write_text(path / "data.csv", "\n".join(lines) + "\n")
 
 
-def _manifest_ints(values: list, key: str, minimum: int) -> list[int]:
-    if not isinstance(values, list) or any(type(v) is not int or v < minimum for v in values):
-        raise DatasetParseError(f"manifest entries must be integers >= {minimum}", field=key)
-    return values
+def _int_list(value, minimum: int) -> bool:
+    return isinstance(value, list) and all(type(v) is int and v >= minimum for v in value)
+
+
+# Each required manifest field and the values it may hold.
+_MANIFEST_FIELDS = {
+    "feature_dim": lambda v: type(v) is int and v >= 1,
+    "split": lambda v: v in SPLITS,
+    "class_ids": lambda v: _int_list(v, 0) and 0 < len(v) == len(set(v)) and max(v) < 2**53,
+    "per_class_counts": lambda v: _int_list(v, 1),
+}
 
 
 def load_dataset(path) -> BaseDataset:
+    """The dataset ``save_dataset`` wrote to ``path``. Rows are grouped by
+    class in manifest order and keep their file order within a class."""
     path = Path(path)
-    manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise DatasetParseError(f"missing manifest.json under {path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetParseError(f"manifest.json is not valid JSON: {exc}") from exc
-    for key in ("feature_dim", "split", "class_ids", "per_class_counts"):
-        if key not in manifest:
-            raise DatasetParseError("manifest.json missing key", field=key)
-    if manifest["split"] not in SPLITS:
-        raise DatasetParseError(f"manifest split must be one of {SPLITS}", field="split")
+    manifest_path, csv_path = path / "manifest.json", path / "data.csv"
+    for required in (manifest_path, csv_path):
+        if not required.exists():
+            raise DatasetParseError(f"missing {required.name} under {path}")
+    manifest = files.read_manifest(manifest_path, _MANIFEST_FIELDS, DatasetParseError)
     generator = manifest.get("generator", {})
     if not isinstance(generator, dict):
-        raise DatasetParseError("manifest generator must be a JSON object", field="generator")
-    (feature_dim,) = _manifest_ints([manifest["feature_dim"]], "feature_dim", 1)
-    class_ids = _manifest_ints(manifest["class_ids"], "class_ids", 0)
-    counts = _manifest_ints(manifest["per_class_counts"], "per_class_counts", 1)
-    rows: dict[int, list[np.ndarray]] = {cid: [] for cid in class_ids}
-    if not rows or len(rows) != len(class_ids):
-        raise DatasetParseError("manifest must list at least one class, each once", field="class_ids")
-    if len(class_ids) != len(counts):
+        raise DatasetParseError(f"{manifest_path} field 'generator': invalid value {generator!r}")
+    class_ids, counts = manifest["class_ids"], manifest["per_class_counts"]
+    table, lines = files.read_table(csv_path, _csv_header(manifest["feature_dim"]), DatasetParseError)
+    # Ids are below 2**53, so a class_id float equals an id only if it is that integer.
+    position = {cid: i for i, cid in enumerate(class_ids)}
+    pos = [position.get(cid, -1) for cid in table[:, 0].tolist()]
+    if -1 in pos:
+        row = pos.index(-1)
         raise DatasetParseError(
-            "manifest class_ids and per_class_counts lengths differ", field="per_class_counts"
+            f"{csv_path} line {lines[row]} field 'class_id': {table[row, 0].item()!r}"
+            f" is not a class of {manifest_path}"
         )
-    csv_path = path / "data.csv"
-    if not csv_path.exists():
-        raise DatasetParseError(f"missing data.csv under {path}")
-    with open(csv_path) as fh:
-        header = fh.readline().rstrip("\n")
-        expected = "class_id," + ",".join(f"f{i}" for i in range(feature_dim))
-        if header != expected:
-            raise DatasetParseError("unexpected CSV header", line=1, field="header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != feature_dim + 1:
-                raise DatasetParseError(
-                    f"expected {feature_dim + 1} columns, got {len(parts)}", line=lineno
-                )
-            try:
-                cid = int(parts[0])
-            except ValueError:
-                raise DatasetParseError("class_id is not an integer", line=lineno, field="class_id")
-            if cid not in rows:
-                raise DatasetParseError(f"class id {cid} not in manifest", line=lineno, field="class_id")
-            try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError:
-                raise DatasetParseError("non-numeric feature value", line=lineno)
-            if not np.all(np.isfinite(vec)):
-                bad = int(np.argmin(np.isfinite(vec)))
-                raise DatasetParseError("non-finite feature value", line=lineno, field=f"f{bad}")
-            rows[cid].append(vec)
-    for cid, count in zip(class_ids, counts):
-        got = len(rows[cid])
-        if got != count:
-            raise DatasetParseError(
-                f"class {cid}: manifest promises {count} samples, CSV has {got}",
-                field="per_class_counts",
-            )
+    found = np.bincount(np.array(pos, dtype=int), minlength=len(class_ids)).tolist()
+    if found != counts:
+        raise DatasetParseError(
+            f"{csv_path} has {found} rows of classes {class_ids}, {manifest_path} field 'per_class_counts'"
+            f" promises {counts}"
+        )
     return BaseDataset(
-        np.array([vec for cid in class_ids for vec in rows[cid]]),
+        table[np.argsort(pos, kind="stable"), 1:],
         tuple(class_ids),
         np.cumsum([0] + counts),
         manifest["split"],

@@ -34,7 +34,7 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
 
 
 def adam_update(p, g, m, v, t, lr, beta1, beta2, eps):
-    """One bias-corrected Adam step on flat arrays; returns (p, m, v)."""
+    """One bias-corrected Adam step, elementwise on same-shape arrays; returns (p, m, v)."""
     m2 = beta1 * m + (1.0 - beta1) * g
     v2 = beta2 * v + (1.0 - beta2) * g * g
     mhat = m2 / (1.0 - beta1**t)

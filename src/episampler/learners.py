@@ -40,14 +40,15 @@ holding the flattened parameters in canonical order: per encoder layer the
 weight matrix row-major then the bias, then head weight and bias (maml and
 anil), then the cosine scale (proto_cosine). ``trainable_tensors`` lists
 the tensors in that order and ``LearnerParams.with_tensors`` is its inverse.
-Loading builds the manifest's learner with ``init_params`` as a template and
-fills it with the values, split to the template's shapes.
+Loading reads both files through ``files``, so a bad manifest field or CSV
+line is reported with its file. It builds the manifest's learner with
+``init_params`` as a template and fills it with the values, split to the
+template's shapes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -379,47 +380,11 @@ _MANIFEST_FIELDS = {
 }
 
 
-def _read_manifest(path: Path) -> dict:
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise LearnerError(f"checkpoint manifest {path} is not JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise LearnerError(f"checkpoint manifest {path} is not a JSON object")
-    for key, valid in _MANIFEST_FIELDS.items():
-        if key not in manifest:
-            raise LearnerError(f"checkpoint manifest {path} has no field {key!r}")
-        if not valid(manifest[key]):
-            raise LearnerError(f"checkpoint manifest {path} field {key!r}: invalid value {manifest[key]!r}")
-    return manifest
-
-
 def load_checkpoint(stem) -> LearnerParams:
     stem = Path(stem)
-    manifest = _read_manifest(stem.with_suffix(".json"))
+    manifest = files.read_manifest(stem.with_suffix(".json"), _MANIFEST_FIELDS, LearnerError)
     csv_path = stem.with_suffix(".csv")
-    with open(csv_path) as fh:
-        header = fh.readline().strip()
-        if header != "value":
-            raise LearnerError(f"checkpoint CSV {csv_path}: unexpected header {header!r}")
-        try:
-            values = np.array([float(line) for line in fh if line.strip()], dtype=np.float64)
-        except ValueError:
-            values = None
-    if values is None or not np.isfinite(values).all():
-        # Line numbers are looked up only on failure, so a load holds no
-        # more than the values.
-        with open(csv_path) as fh:
-            fh.readline()
-            for lineno, text in enumerate(map(str.strip, fh), start=2):
-                try:
-                    value = float(text) if text else 0.0
-                except ValueError:
-                    raise LearnerError(
-                        f"checkpoint CSV {csv_path} line {lineno}: non-numeric value {text}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise LearnerError(f"checkpoint CSV {csv_path} line {lineno}: non-finite value {value}")
+    values = files.read_table(csv_path, "value", LearnerError)[0].reshape(-1)
     algorithm, way, sizes = manifest["algorithm"], manifest["way"], manifest["layer_sizes"]
     scaled = manifest["has_cosine_scale"]
     if (way is None) == (algorithm in GRADIENT_ALGORITHMS) or scaled != (algorithm == "proto_cosine"):

@@ -39,7 +39,6 @@ learner format.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,29 +147,25 @@ class AdamState:
     @classmethod
     def for_params(cls, tensors) -> "AdamState":
         return cls(
-            m=[np.zeros(t.size) for t in tensors],
-            v=[np.zeros(t.size) for t in tensors],
+            m=[np.zeros(t.shape) for t in tensors],
+            v=[np.zeros(t.shape) for t in tensors],
         )
 
 
 def adam_step(tensors, grads, state: AdamState, lr: float) -> None:
-    """Standard bias-corrected Adam update, in place on the leaf tensors."""
+    """Standard bias-corrected Adam update, in place on the leaf tensors;
+    ``grads`` are the tensors ``autodiff.grad`` returns for them."""
     if len(tensors) != len(state.m):
         raise TrainerError("adam state does not match parameter list")
     state.t += 1
     for i, (t, g) in enumerate(zip(tensors, grads)):
-        g_flat = np.ascontiguousarray(g.data.reshape(-1) if isinstance(g, ad.Tensor) else np.reshape(g, -1))
-        if g_flat.shape != (t.size,):
-            raise TrainerError(f"gradient shape {g_flat.shape} does not match parameter {t.shape}")
-        if not np.all(np.isfinite(g_flat)):
+        if g.shape != t.shape:
+            raise TrainerError(f"gradient shape {g.shape} does not match parameter {t.shape}")
+        if not np.all(np.isfinite(g.data)):
             raise TrainerError("non-finite gradient")
-        p2, m2, v2 = kernels.adam_update(
-            np.ascontiguousarray(t.data.reshape(-1)), g_flat, state.m[i], state.v[i],
-            state.t, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
+        t.data, state.m[i], state.v[i] = kernels.adam_update(
+            t.data, g.data, state.m[i], state.v[i], state.t, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
         )
-        t.data = p2.reshape(t.shape)
-        state.m[i] = m2
-        state.v[i] = v2
 
 
 def weighted_batch_loss(nll: ad.Tensor, weights) -> tuple[ad.Tensor, float]:
@@ -349,8 +344,11 @@ def write_history_csv(history, path) -> None:
     files.write_text(path, "\n".join(lines) + "\n")
 
 
+_EPISODES_HEADER = "iteration,episode,omega,weight,nll"
+
+
 def write_episodes_csv(history, path) -> None:
-    lines = ["iteration,episode,omega,weight,nll"]
+    lines = [_EPISODES_HEADER]
     for rec in history:
         for idx, ep in enumerate(rec.episodes):
             lines.append(
@@ -361,22 +359,17 @@ def write_episodes_csv(history, path) -> None:
 
 def read_episodes_csv(path) -> list[list[tuple[float, float]]]:
     """Per-iteration (weight, nll) batches from an episodes.csv file."""
-    batches: dict[int, list[tuple[float, float]]] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "iteration,episode,omega,weight,nll":
-            raise TrainerError(f"{path}: unexpected episodes.csv header {header!r}")
-        for lineno, line in enumerate(map(str.strip, fh), start=2):
-            if not line:
-                continue
-            try:
-                it, _, _, weight, nll = line.split(",")
-                it, weight, nll = int(it), float(weight), float(nll)
-            except ValueError:
-                raise TrainerError(f"{path} line {lineno}: malformed row {line!r}") from None
-            if not (math.isfinite(weight) and math.isfinite(nll) and weight >= 0.0):
-                raise TrainerError(f"{path} line {lineno}: malformed row {line!r}, non-finite or weight < 0")
-            batches.setdefault(it, []).append((weight, nll))
+    table, lines = files.read_table(path, _EPISODES_HEADER, TrainerError)
+    bad = np.flatnonzero((table[:, 0] != np.floor(table[:, 0])) | (table[:, 3] < 0.0))
+    if bad.size:
+        it, _, _, weight, _ = table[bad[0]].tolist()
+        raise TrainerError(
+            f"{path} line {lines[bad[0]]}: malformed row, iteration {it!r} is not an integer"
+            f" or weight {weight!r} < 0"
+        )
+    batches: dict[float, list[tuple[float, float]]] = {}
+    for it, _, _, weight, nll in table.tolist():
+        batches.setdefault(it, []).append((weight, nll))
     return [batches[k] for k in sorted(batches)]
 
 

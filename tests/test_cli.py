@@ -271,6 +271,23 @@ class TestTrain:
         capsys.readouterr()
         assert loaded == ["train", "val", "test"]
 
+    def test_bad_dataset_split_names_its_file_and_line(self, tiny_config, tmp_path, capsys):
+        ds_dir = tmp_path / "ds"
+        assert _run(["gen-data", "--config", tiny_config, "--out", ds_dir]) == 0
+        csv = ds_dir / "val" / "data.csv"
+        lines = csv.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
+        csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = _run([
+            "train", "--config", tiny_config, "--out", tmp_path / "run",
+            "--dataset.path", ds_dir,
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == "DatasetParseError"
+        assert err["error"] == f"{csv} line 3 field 'f4': non-finite value 'nan'"
+
     def test_offline_mode_via_proposal_checkpoint(self, tiny_config, tmp_path, capsys):
         base = tmp_path / "base"
         assert _run(["train", "--config", tiny_config, "--out", base]) == 0

@@ -3,6 +3,7 @@
 import collections
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,17 @@ class TestRaggedClasses:
             data.sample_episodes(ds, 2, 2, 2, rng, 40)
 
 
+# Each class_id field in a row of class 1 and the start of the error it
+# raises; None where the field equals 1 and the row stays in class 1.
+CLASS_ID_FIELDS = {
+    "1.0": None,
+    "1e0": None,
+    "1.5": "1.5 is not a class of",
+    "2": "2.0 is not a class of",
+    "x": "non-numeric value 'x'",
+}
+
+
 class TestDiskRoundTrip:
     def test_round_trip_is_value_identical(self, tmp_path):
         ds = _small_dataset(seed=5)
@@ -338,8 +350,25 @@ class TestDiskRoundTrip:
         parts[2] = cell
         lines[2] = ",".join(parts)
         csv.write_text("\n".join(lines) + "\n")
-        with pytest.raises(data.DatasetParseError, match="non-finite.*line 3, field 'f1'"):
+        match = f"^{re.escape(str(csv))} line 3 field 'f1': non-finite value '{cell}'$"
+        with pytest.raises(data.DatasetParseError, match=match):
             data.load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("cell", CLASS_ID_FIELDS)
+    def test_class_id_field_reads_as_the_class_it_equals(self, tmp_path, cell):
+        ds = _small_dataset(classes=2, samples=2)
+        data.save_dataset(ds, tmp_path / "ds")
+        csv = tmp_path / "ds" / "data.csv"
+        lines = csv.read_text().splitlines()
+        lines[4] = cell + lines[4][len("1"):]  # the second row of class 1
+        csv.write_text("\n".join(lines) + "\n")
+        problem = CLASS_ID_FIELDS[cell]
+        if problem is None:
+            np.testing.assert_array_equal(data.load_dataset(tmp_path / "ds").x, ds.x)
+        else:
+            message = f"{csv} line 5 field 'class_id': {problem}"
+            with pytest.raises(data.DatasetParseError, match=re.escape(message)):
+                data.load_dataset(tmp_path / "ds")
 
     def test_manifest_count_mismatch_is_validation_error(self, tmp_path):
         ds = _small_dataset(classes=2, samples=2)
@@ -360,6 +389,7 @@ class TestDiskRoundTrip:
             ({"class_ids": [0, 1], "per_class_counts": [2, 0]}, "per_class_counts"),
             ({"class_ids": [], "per_class_counts": []}, "class_ids"),
             ({"class_ids": [0, 0], "per_class_counts": [2, 2]}, "class_ids"),
+            ({"class_ids": [2**53]}, "class_ids"),
             ({"generator": "x"}, "generator"),
             ({"generator": 5}, "generator"),
             ({"generator": [["seed", 1]]}, "generator"),
@@ -368,7 +398,7 @@ class TestDiskRoundTrip:
             ({"split": ["train"]}, "split"),
         ],
         ids=[
-            "feature_dim", "class_id", "count", "zero_count", "no_classes", "duplicate_id",
+            "feature_dim", "class_id", "count", "zero_count", "no_classes", "duplicate_id", "id_above_2**53",
             "generator_string", "generator_int", "generator_pairs",
             "split_unknown", "split_int", "split_list",
         ],

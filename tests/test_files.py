@@ -1,8 +1,14 @@
-"""Tests for the atomic artifact writer and the writers that use it."""
+"""Tests for the atomic artifact writer, the writers that use it, and the
+table reader."""
 
 import math
+import re
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from episampler import cli, data, files, learners, streams, training
 
@@ -80,3 +86,83 @@ class TestWriteText:
         with pytest.raises(OSError, match="No space left"):
             WRITERS[name](tmp_path, 2)
         assert _snapshot(tmp_path) == before  # same names: no temporary file left
+
+
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+TABLES = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(0, 8), st.integers(1, 5)),
+    elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES),
+)
+
+# Each bad field text and the problem read_table names for it.
+BAD_FIELDS = {
+    "nan": "non-finite", "-inf": "non-finite", "1e999": "non-finite",
+    "x": "non-numeric", "": "non-numeric", "0x1": "non-numeric", "1.0.0": "non-numeric",
+}
+
+
+def _write_table(path, table, blank_before=()):
+    """``table`` as the package writes it (header ``c0,c1,...`` and ``repr``
+    fields), with a blank or whitespace line before each row listed in
+    ``blank_before``; returns the header and each row's file line."""
+    header = ",".join(f"c{j}" for j in range(table.shape[1]))
+    lines, numbers = [header], []
+    for i, row in enumerate(table.tolist()):
+        if i in blank_before:
+            lines.append(" " * (i % 2))
+        lines.append(",".join(map(repr, row)))
+        numbers.append(len(lines))
+    files.write_text(path, "\n".join(lines) + "\n")
+    return header, numbers
+
+
+class TestReadTable:
+    @settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=TABLES)
+    def test_written_table_reads_back_bit_exact(self, tmp_path, table):
+        header, numbers = _write_table(tmp_path / "t.csv", table)
+        got, lines = files.read_table(tmp_path / "t.csv", header, ValueError)
+        assert got.dtype == np.float64 and got.shape == table.shape
+        assert got.tobytes() == table.tobytes()
+        assert lines == numbers
+
+    @settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        table=TABLES.filter(lambda t: t.size > 0),
+        place=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+        bad=st.sampled_from([*BAD_FIELDS, "extra"]),
+        blank_before=st.sets(st.integers(0, 8)),
+    )
+    def test_bad_field_is_reported_at_its_line_and_field(self, tmp_path, table, place, bad, blank_before):
+        # An empty field alone on its line is a blank line.
+        assume(bad != "" or table.shape[1] > 1)
+        row, col = int(place[0] * table.shape[0]), int(place[1] * table.shape[1])
+        path = tmp_path / "t.csv"
+        header, numbers = _write_table(path, table, blank_before)
+        lines = path.read_text().split("\n")
+        fields = lines[numbers[row] - 1].split(",")
+        if bad == "extra":
+            fields.append("1.0")
+            problem = f": {len(fields)} fields, expected {len(fields) - 1}"
+        else:
+            fields[col] = bad
+            problem = f" field 'c{col}': {BAD_FIELDS[bad]} value {bad!r}"
+        lines[numbers[row] - 1] = ",".join(fields)
+        path.write_text("\n".join(lines))
+        message = f"{path} line {numbers[row]}{problem}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            files.read_table(path, header, ValueError)
+
+    def test_short_and_long_row_do_not_cancel(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1.0,2.0\n3.0\n4.0,5.0,6.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 3: 1 fields, expected 2")):
+            files.read_table(path, "a,b", ValueError)
+
+    def test_header_must_match(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1.0,2.0\n")
+        with pytest.raises(KeyError, match=re.escape(f"{path} line 1: header 'a,b', expected 'a,c'")):
+            files.read_table(path, "a,c", KeyError)

@@ -481,7 +481,7 @@ class TestCheckpoints:
         lines.insert(3, "")
         csv.write_text("\n".join(lines) + "\n")
         kind = "non-numeric" if bad == "0.1x" else "non-finite"
-        match = f"^checkpoint CSV {re.escape(str(csv))} line 9: {kind} value {bad}$"
+        match = f"^{re.escape(str(csv))} line 9 field 'value': {kind} value '{bad}'$"
         with pytest.raises(learners.LearnerError, match=match):
             learners.load_checkpoint(tmp_path / "ckpt")
 
@@ -490,7 +490,7 @@ class TestCheckpoints:
         learners.save_checkpoint(params, tmp_path / "ckpt")
         csv = tmp_path / "ckpt.csv"
         csv.write_text("weight" + csv.read_text()[len("value"):])
-        match = f"^checkpoint CSV {re.escape(str(csv))}: unexpected header 'weight'$"
+        match = f"^{re.escape(str(csv))} line 1: header 'weight', expected 'value'$"
         with pytest.raises(learners.LearnerError, match=match):
             learners.load_checkpoint(tmp_path / "ckpt")
 

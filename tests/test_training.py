@@ -39,7 +39,7 @@ class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         t = ad.tensor([1.0, -2.0], requires_grad=True)
         state = AdamState.for_params([t])
-        training.adam_step([t], [np.zeros(2)], state, lr=0.1)
+        training.adam_step([t], [ad.tensor(np.zeros(2))], state, lr=0.1)
         np.testing.assert_array_equal(t.data, [1.0, -2.0])
 
     def test_single_step_hand_value(self):
@@ -47,13 +47,13 @@ class TestAdam:
         # moments give a step of lr/(1 + eps), i.e. x -> -0.1.
         t = ad.tensor(0.0, requires_grad=True)
         state = AdamState.for_params([t])
-        training.adam_step([t], [np.ones(1)], state, lr=0.1)
+        training.adam_step([t], [ad.tensor(1.0)], state, lr=0.1)
         assert t.data.item() == pytest.approx(-0.1, abs=1e-7)
 
     def test_constant_gradient_step_approaches_lr_sign(self):
         t = ad.tensor(0.0, requires_grad=True)
         state = AdamState.for_params([t])
-        g = np.array([-3.7])
+        g = ad.tensor(-3.7)
         prev = t.data.item()
         for _ in range(500):
             training.adam_step([t], [g], state, lr=0.01)
@@ -68,7 +68,14 @@ class TestAdam:
         t = ad.tensor(0.0, requires_grad=True)
         state = AdamState.for_params([t])
         with pytest.raises(training.TrainerError):
-            training.adam_step([t], [np.array([np.nan])], state, lr=0.1)
+            training.adam_step([t], [ad.tensor(np.nan)], state, lr=0.1)
+
+    def test_gradient_shape_must_match_the_parameter(self):
+        t = ad.tensor([[1.0, 2.0]], requires_grad=True)
+        state = AdamState.for_params([t])
+        message = "gradient shape (2,) does not match parameter (1, 2)"
+        with pytest.raises(training.TrainerError, match=re.escape(message)):
+            training.adam_step([t], [ad.tensor([0.0, 0.0])], state, lr=0.1)
 
 
 class TestBatchLoss:
@@ -255,6 +262,17 @@ class TestEvaluate:
             training.evaluate(params, test_ds, 3, 1, 5, 1, streams.stream(0, 7))
 
 
+# Each malformed episodes.csv row and the end of its error message.
+MALFORMED_EPISODE_ROWS = {
+    "1,0,0.5,1.0": ": 4 fields, expected 5",
+    "1,0,0.5,heavy,0.7": " field 'weight': non-numeric value 'heavy'",
+    "1,0,0.5,nan,0.7": " field 'weight': non-finite value 'nan'",
+    "1,0,0.5,1.0,inf": " field 'nll': non-finite value 'inf'",
+    "1,0,0.5,-1.0,0.7": ": malformed row, iteration 1.0 is not an integer or weight -1.0 < 0",
+    "1.5,0,0.5,1.0,0.7": ": malformed row, iteration 1.5 is not an integer or weight 1.0 < 0",
+}
+
+
 class TestTrainLoop:
     def test_zero_iterations_returns_initial_params(self):
         train_ds, val_ds, _ = _datasets()
@@ -417,14 +435,12 @@ class TestTrainLoop:
         first = result.history[0].episodes[0]
         assert batches[0][0] == (first.weight, first.nll)
 
-    @pytest.mark.parametrize(
-        "row",
-        ["1,0,0.5,1.0", "1,0,0.5,heavy,0.7", "1,0,0.5,nan,0.7", "1,0,0.5,1.0,inf", "1,0,0.5,-1.0,0.7"],
-    )
+    @pytest.mark.parametrize("row", MALFORMED_EPISODE_ROWS)
     def test_malformed_episodes_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "episodes.csv"
         path.write_text(f"iteration,episode,omega,weight,nll\n1,0,0.5,1.0,0.7\n\n{row}\n")
-        with pytest.raises(training.TrainerError, match=f"{re.escape(str(path))} line 4: malformed row"):
+        message = f"{path} line 4{MALFORMED_EPISODE_ROWS[row]}"
+        with pytest.raises(training.TrainerError, match=f"^{re.escape(message)}$"):
             training.read_episodes_csv(path)
 
 
