@@ -46,7 +46,6 @@ threads. Pass only arrays (a tensor's ``data``) between threads.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import threading
 import weakref
@@ -88,8 +87,7 @@ def is_grad_enabled() -> bool:
 
 @contextmanager
 def _recording(enabled: bool):
-    """Graph recording on or off within the block: :func:`no_grad` turns it
-    off, :func:`enable_grad` on (undoing an enclosing ``no_grad``)."""
+    """Graph recording on or off within the block."""
     prev = is_grad_enabled()
     _state.enabled = enabled
     try:
@@ -98,8 +96,14 @@ def _recording(enabled: bool):
         _state.enabled = prev
 
 
-no_grad = functools.partial(_recording, False)
-enable_grad = functools.partial(_recording, True)
+def no_grad():
+    """Disable graph recording within the block."""
+    return _recording(False)
+
+
+def enable_grad():
+    """Force graph recording within the block (undoes an enclosing no_grad)."""
+    return _recording(True)
 
 
 # Creation order of tape records, shared by all threads (``next`` on it is

@@ -69,12 +69,11 @@ def read_table(path, header: str, error: type[Exception]) -> tuple[np.ndarray, l
     names = header.split(",")
     numbers = [number for number, line in enumerate(lines, start=2) if line.strip()]
     rows = [lines[number - 2] for number in numbers]
-    # With one column a row is one field, and a comma in it fails the parse.
-    # With more, each row is counted first (a short row and a long one could
-    # add up to the right total), then all rows are split at once.
-    if len(names) == 1 or all(row.count(",") == len(names) - 1 for row in rows):
+    # Each row is counted first (a short row and a long one could add up to
+    # the right total), then all rows are split at once.
+    if all(row.count(",") == len(names) - 1 for row in rows):
         try:
-            fields = ",".join(rows).split(",") if len(names) > 1 and rows else rows
+            fields = ",".join(rows).split(",") if rows else []
             table = np.array(fields, dtype=np.float64).reshape(len(rows), len(names))
             if np.isfinite(table).all():
                 return table, numbers

@@ -360,15 +360,12 @@ def write_episodes_csv(history, path) -> None:
 def read_episodes_csv(path) -> list[list[tuple[float, float]]]:
     """Per-iteration (weight, nll) batches from an episodes.csv file."""
     table, lines = files.read_table(path, _EPISODES_HEADER, TrainerError)
-    bad = np.flatnonzero((table[:, 0] != np.floor(table[:, 0])) | (table[:, 3] < 0.0))
-    if bad.size:
-        it, _, _, weight, _ = table[bad[0]].tolist()
-        raise TrainerError(
-            f"{path} line {lines[bad[0]]}: malformed row, iteration {it!r} is not an integer"
-            f" or weight {weight!r} < 0"
-        )
     batches: dict[float, list[tuple[float, float]]] = {}
-    for it, _, _, weight, nll in table.tolist():
+    for line, (it, _, _, weight, nll) in zip(lines, table.tolist()):
+        if it != int(it):
+            raise TrainerError(f"{path} line {line} field 'iteration': non-integer value {it!r}")
+        if weight < 0.0:
+            raise TrainerError(f"{path} line {line} field 'weight': negative value {weight!r}")
         batches.setdefault(it, []).append((weight, nll))
     return [batches[k] for k in sorted(batches)]
 

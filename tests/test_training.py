@@ -268,8 +268,8 @@ MALFORMED_EPISODE_ROWS = {
     "1,0,0.5,heavy,0.7": " field 'weight': non-numeric value 'heavy'",
     "1,0,0.5,nan,0.7": " field 'weight': non-finite value 'nan'",
     "1,0,0.5,1.0,inf": " field 'nll': non-finite value 'inf'",
-    "1,0,0.5,-1.0,0.7": ": malformed row, iteration 1.0 is not an integer or weight -1.0 < 0",
-    "1.5,0,0.5,1.0,0.7": ": malformed row, iteration 1.5 is not an integer or weight 1.0 < 0",
+    "1,0,0.5,-1.0,0.7": " field 'weight': negative value -1.0",
+    "1.5,0,0.5,1.0,0.7": " field 'iteration': non-integer value 1.5",
 }
 
 
