@@ -327,9 +327,6 @@ def load_dataset(path) -> BaseDataset:
     class in manifest order and keep their file order within a class."""
     path = Path(path)
     manifest_path, csv_path = path / "manifest.json", path / "data.csv"
-    for required in (manifest_path, csv_path):
-        if not required.exists():
-            raise DatasetParseError(f"missing {required.name} under {path}")
     manifest = files.read_manifest(manifest_path, _MANIFEST_FIELDS, DatasetParseError)
     generator = manifest.get("generator", {})
     if not isinstance(generator, dict):

@@ -9,7 +9,8 @@ or killed process, not against a power loss.
 
 Artifacts read back are JSON manifests (``read_manifest``) and CSV tables
 of numbers (``read_table``). Each reader takes the caller's exception
-class, and its errors name the file and the line or field at fault.
+class, and its errors name the file and the line or field at fault; a file
+that is missing or cannot be read raises that class too.
 """
 
 from __future__ import annotations
@@ -41,11 +42,20 @@ def write_json(path, payload) -> None:
     write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _read_text(path, error: type[Exception]) -> str:
+    """The text of ``path``; a file that cannot be read, a missing one
+    included, raises ``error`` naming it."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+
+
 def read_manifest(path, fields: dict, error: type[Exception]) -> dict:
     """The JSON object in ``path``. Each key of ``fields`` must be present
     and hold a value its predicate accepts; otherwise raises ``error``."""
     try:
-        manifest = json.loads(Path(path).read_text())
+        manifest = json.loads(_read_text(path, error))
     except json.JSONDecodeError as exc:
         raise error(f"{path} is not JSON: {exc}") from None
     if not isinstance(manifest, dict):
@@ -63,7 +73,7 @@ def read_table(path, header: str, error: type[Exception]) -> tuple[np.ndarray, l
     columns)`` float64 array, and the file line of each row. Blank lines are
     skipped. A different header, a wrong field count or a non-numeric or
     non-finite field raises ``error`` naming the file, line and field."""
-    first, *lines = Path(path).read_text().split("\n")
+    first, *lines = _read_text(path, error).split("\n")
     if first != header:
         raise error(f"{path} line 1: header {first!r}, expected {header!r}")
     names = header.split(",")

@@ -34,6 +34,14 @@ the row maximum alone puts 1 into ``z`` and ``picked <= 0``.
   only the head is tiled. Its graph too is second order only when the
   caller records.
 
+A ProtoNet or ANIL encoder is the same for every episode, so under frozen
+parameters a row's embedding depends on the row alone. ``embedded`` turns
+such a learner and a dataset into the learner without its encoder and the
+dataset with every row encoded once; episodes drawn from that dataset give
+that learner the logits the full learner gives on the same episodes drawn
+from the raw rows. MAML adapts its encoder per episode and has no embedded
+form. An encoder-less learner has no layer sizes and cannot be saved.
+
 Checkpoint format: ``<stem>.json`` manifest (algorithm, layer sizes,
 adaptation hyper-parameters) plus ``<stem>.csv`` with one ``value`` column
 holding the flattened parameters in canonical order: per encoder layer the
@@ -57,7 +65,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import files, streams
-from .data import Episode
+from .data import BaseDataset, Episode
 
 ALGORITHMS = ("proto_euclidean", "proto_cosine", "maml", "anil")
 GRADIENT_ALGORITHMS = ("maml", "anil")
@@ -122,6 +130,8 @@ class LearnerParams:
 
     @property
     def layer_sizes(self) -> list[int]:
+        if not self.encoder:
+            raise LearnerError(f"{self.algorithm} learner has no encoder: it reads embedded rows")
         sizes = [self.encoder[0][0].shape[0]]
         sizes.extend(w.shape[1] for w, _ in self.encoder)
         return sizes
@@ -301,6 +311,22 @@ def _gradient_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.T
             weights = [ad.sub(w, ad.smul(alpha, g)) for w, g in zip(weights, grads)]
     # The query pass records only if the caller does.
     return forward(weights, query)
+
+
+def embedded(params: LearnerParams, dataset: BaseDataset) -> tuple[LearnerParams, BaseDataset]:
+    """The learner and split to draw episodes from when no episode adapts
+    the encoder: ``params`` without its encoder, and ``dataset`` with each
+    row replaced by its embedding, computed once under ``no_grad``.
+
+    The episode draw reads only class ids and counts, so a stream yields
+    the same episodes from either split, embedded rows in place of feature
+    rows. MAML adapts its encoder per episode; it gets both back unchanged.
+    """
+    if params.algorithm == "maml":
+        return params, dataset
+    with ad.no_grad():
+        x = _encode(params.encoder, ad.tensor(dataset.x)).data
+    return dataclasses.replace(params, encoder=[]), dataclasses.replace(dataset, x=x)
 
 
 def _episode_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:

@@ -14,6 +14,14 @@ Each training batch is drawn with one ``sample_episodes`` call, and
 ``evaluate`` draws and runs its episodes ``EPISODE_CHUNK`` at a time; a
 batch of episodes is the same stream as one-at-a-time draws, so neither
 the batch size nor the chunk size changes which episodes a stream yields.
+No ProtoNet or ANIL episode adapts the encoder, so for those learners
+``evaluate`` encodes its split once, through ``learners.embedded``, and
+draws its chunks from the embedded rows. The draw reads only class ids and
+counts, so the stream yields the same episodes, and the encoder works row
+by row, so their logits keep their bits. The exception is a one-row stack,
+which numpy multiplies by another routine and may round differently; only
+a 1-way episode has one, and its accuracy is 1 whatever its logits. MAML
+adapts its encoder per episode, so it encodes each chunk's rows.
 ``score_difficulties`` runs given episodes through ``learners.episode_nll``
 ``EPISODE_CHUNK`` at a time, so a scored difficulty is the same float as
 the training loss of that episode under those parameters, and it rejects a
@@ -52,10 +60,13 @@ from .sampling import DifficultyModel, SamplingScheme
 logger = logging.getLogger(__name__)
 
 # Episodes per batched forward in evaluate and score_difficulties. Larger
-# chunks cut per-op overhead but hold larger activations: on perfbench's
-# 5-shot scoring workload, 4 raised peak RSS by about 1% over one episode
-# at a time and 8 by about 2.5%, while their throughputs stayed within
-# run-to-run noise of each other.
+# chunks cut per-op overhead but hold more rows at once. A chunk that runs
+# the encoder (every chunk of score_difficulties, and of evaluate for MAML)
+# holds its activations: measured when evaluate chunks encoded rows for every
+# learner, on perfbench's 5-shot scoring workload, 4 raised peak RSS by about
+# 1% over one episode at a time and 8 by about 2.5%, while their throughputs
+# stayed within run-to-run noise of each other. A ProtoNet or ANIL evaluate
+# chunk holds only embedded rows, gathered from a split encoded once.
 EPISODE_CHUNK = 4
 
 # Adam's moment decay rates and denominator guard.
@@ -196,6 +207,7 @@ def evaluate(
         raise TrainerError("evaluate: need at least 2 episodes")
     accs = np.empty(num_episodes)
     with ad.no_grad():
+        params, dataset = learners.embedded(params, dataset)
         for start in range(0, num_episodes, EPISODE_CHUNK):
             stop = min(start + EPISODE_CHUNK, num_episodes)
             chunk = sample_episodes(dataset, n, k, q, rng, stop - start)

@@ -322,6 +322,21 @@ class TestEvaluate:
         assert 0.0 <= payload["accuracy_mean"] <= 1.0
         assert payload["episodes"] == 10
 
+    def test_missing_checkpoint_names_its_file(self, tiny_config, tmp_path, capsys):
+        ds_dir = tmp_path / "ds"
+        assert _run(["gen-data", "--config", tiny_config, "--out", ds_dir]) == 0
+        capsys.readouterr()
+        stem = tmp_path / "run" / "checkpoints" / "best"
+        code = _run([
+            "evaluate", "--checkpoint", stem, "--data", ds_dir, "--split", "test",
+            "--episodes", "10", "--way", "3", "--shot", "1", "--query", "4",
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {
+            "type": "LearnerError", "error": f"cannot read {stem}.json: No such file or directory"
+        }
+
 
 class TestCompareSchemes:
     def test_two_schemes_two_rows(self, tiny_config, tmp_path, capsys):
@@ -434,6 +449,23 @@ class TestAnalyze:
         disp = (out / "dispersion.csv").read_text().splitlines()
         assert disp[0] == "run_id,mean_batch_std"
         assert len(disp) == 2
+
+    def test_dispersion_without_episodes_csv_names_its_file(self, trained, tmp_path, capsys):
+        run_dir, ds_dir = trained
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code = _run([
+            "analyze", "--checkpoint", run_dir / "checkpoints" / "best",
+            "--data", ds_dir, "--out", tmp_path / "analysis", "--episodes", "10",
+            "--way", "3", "--shot", "1", "--query", "4",
+            "--dispersion", run_dir, empty,
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {
+            "type": "TrainerError",
+            "error": f"cannot read {empty / 'episodes.csv'}: No such file or directory",
+        }
 
     def test_no_protocol_selected_errors(self, trained, tmp_path, capsys):
         run_dir, ds_dir = trained

@@ -166,3 +166,32 @@ class TestReadTable:
         path.write_text("a,b\n1.0,2.0\n")
         with pytest.raises(KeyError, match=re.escape(f"{path} line 1: header 'a,b', expected 'a,c'")):
             files.read_table(path, "a,c", KeyError)
+
+
+class TestMissingFile:
+    """Each artifact reader raises its caller's error class for a missing
+    file and names the file."""
+
+    @pytest.mark.parametrize(
+        "name, error, load",
+        [
+            ("manifest.json", data.DatasetParseError, data.load_dataset),
+            ("data.csv", data.DatasetParseError, data.load_dataset),
+            ("best.json", learners.LearnerError, lambda d: learners.load_checkpoint(d / "best")),
+            ("best.csv", learners.LearnerError, lambda d: learners.load_checkpoint(d / "best")),
+            ("episodes.csv", training.TrainerError, lambda d: training.read_episodes_csv(d / "episodes.csv")),
+            (
+                "config.json",
+                cli.ConfigError,
+                lambda d: cli.load_config(str(d / "config.json"), [("dataset.path", str(d))]),
+            ),
+        ],
+    )
+    def test_each_artifact_names_its_missing_file(self, tmp_path, name, error, load):
+        for write in WRITERS.values():
+            write(tmp_path, 1)
+        load(tmp_path)  # every artifact is there and reads back
+        (tmp_path / name).unlink()
+        message = f"cannot read {tmp_path / name}: No such file or directory"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load(tmp_path)

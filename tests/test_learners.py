@@ -439,6 +439,60 @@ class TestAccuracy:
         assert learners.episode_accuracy(params, [ep]).tolist() == [0.0]
 
 
+class TestEmbedded:
+    """Episodes drawn from ``embedded``'s split against the same episodes
+    drawn from the raw split. The encoder works row by row and every stack
+    here has at least two rows, so the logits keep their bits."""
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("shot", [1, 5])
+    @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
+    def test_logits_equal_the_raw_split(self, algorithm, shot, batch):
+        ds = data.generate_synthetic(8, shot + 6, 5, 3.0, 1.0, seed=72)
+        params = learners.init_params(
+            algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=16, adaptation_steps=3
+        )
+        raw = data.sample_episodes(ds, 3, shot, 4, streams.stream(72, streams.TEST_EPISODES), batch)
+        frozen, embedded_ds = learners.embedded(params, ds)
+        episodes = data.sample_episodes(
+            embedded_ds, 3, shot, 4, streams.stream(72, streams.TEST_EPISODES), batch
+        )
+        for ep, ref in zip(episodes, raw, strict=True):
+            assert ep.classes == ref.classes
+            np.testing.assert_array_equal(ep.support_samples, ref.support_samples)
+            np.testing.assert_array_equal(ep.query_samples, ref.query_samples)
+        with ad.no_grad():
+            np.testing.assert_array_equal(
+                learners._episode_logits(frozen, episodes).data,
+                learners._episode_logits(params, raw).data,
+            )
+
+    @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
+    def test_only_maml_keeps_its_encoder(self, algorithm):
+        ds = data.generate_synthetic(4, 3, 5, 3.0, 1.0, seed=0)
+        params = learners.init_params(algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=16)
+        frozen, embedded_ds = learners.embedded(params, ds)
+        if algorithm == "maml":
+            assert frozen is params and embedded_ds is ds
+            return
+        assert frozen.encoder == [] and embedded_ds.x.shape == (12, 8)
+        assert (embedded_ds.class_ids, embedded_ds.split) == (ds.class_ids, ds.split)
+        np.testing.assert_array_equal(embedded_ds.offsets, ds.offsets)
+        assert frozen.trainable_tensors() == params.trainable_tensors()[2 * len(params.encoder) :]
+
+    @pytest.mark.parametrize("algorithm", ["proto_euclidean", "proto_cosine", "anil"])
+    def test_encoderless_learner_has_no_layer_sizes_or_checkpoint(self, tmp_path, algorithm):
+        ds = data.generate_synthetic(4, 3, 5, 3.0, 1.0, seed=0)
+        params = learners.init_params(algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=16)
+        frozen, _ = learners.embedded(params, ds)
+        match = f"^{algorithm} learner has no encoder: it reads embedded rows$"
+        with pytest.raises(learners.LearnerError, match=match):
+            frozen.layer_sizes
+        with pytest.raises(learners.LearnerError, match=match):
+            learners.save_checkpoint(frozen, tmp_path / "ckpt")
+        assert not (tmp_path / "ckpt.json").exists()
+
+
 class TestWithTensors:
     @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
     def test_inverts_trainable_tensors(self, algorithm):

@@ -324,6 +324,37 @@ class TestImportanceSamplingSelfConsistency:
         expected_m2 = (2 * sampling.TRUNCATION_SIGMAS * sigma) ** 2 / 12.0
         assert abs(m2 - expected_m2) / expected_m2 < 0.02
 
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(
+        mu=st.floats(0.0, 50.0),
+        var=st.floats(1e-4, 1e4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_uniform_target_expectations_property(self, mu, var, seed):
+        # Self-normalised weights over draws from the model's own normal
+        # estimate expectations under U[mu +- c sigma]: E[omega] = mu and
+        # P(omega <= mu) = 1/2. The estimate's asymptotic variance is
+        # E_p[w^2 (f - E f)^2] / N (E_p[w] = 1: the normal covers the
+        # support), the integral of target * w * (f - E f)^2 over the
+        # support; in z = (omega - mu) / sigma, target * w is
+        # sqrt(2 pi) exp(z^2 / 2) / (2c)^2. The tolerance is 5 deviations.
+        size = 10_000
+        c = sampling.TRUNCATION_SIGMAS
+        sigma = math.sqrt(var)
+        z = np.linspace(-c, c, 10_001)
+        target_times_weight = math.sqrt(2.0 * math.pi) * np.exp(z * z / 2.0) / (2.0 * c) ** 2
+        model = _ready_model(mu=mu, var=var)
+        scheme = SamplingScheme("uniform")
+        xs = streams.stream(seed, streams.STATS).normal(mu, sigma, size=size)
+        ws = np.array([sampling.importance_weight(x, scheme, model, 0.0) for x in xs])
+        for f, expected, spread in (
+            (xs, mu, (sigma * z) ** 2),
+            ((xs <= mu).astype(float), 0.5, np.full_like(z, 0.25)),
+        ):
+            estimate = float((ws * f).sum() / ws.sum())
+            variance = float(np.trapezoid(target_times_weight * spread, z))
+            assert abs(estimate - expected) <= 5.0 * math.sqrt(variance / size)
+
     def test_curriculum_weighted_median_sweeps_upward(self):
         mu, sigma = 0.5, 1.2
         model = _ready_model(mu=mu, var=sigma**2)

@@ -97,6 +97,22 @@ class TestBatchLoss:
             assert scaled.item() == pytest.approx(c * base.item(), rel=1e-12)
 
 
+# Every learner at one and at five shots; the test ids stay one per chunk
+# size, so each evaluation test runs the cases in turn.
+EVALUATION_CASES = [(algorithm, shot) for algorithm in learners.ALGORITHMS for shot in (1, 5)]
+
+
+def _evaluations(test_ds):
+    """Per evaluation case, the result of evaluating 9 episodes and the
+    next value of the episode stream after them."""
+    out = {}
+    for algorithm, shot in EVALUATION_CASES:
+        params = learners.init_params(algorithm, 6, 3, seed=2)
+        rng = streams.stream(3, streams.TEST_EPISODES)
+        out[algorithm, shot] = (training.evaluate(params, test_ds, 3, shot, 5, 9, rng), rng.random())
+    return out
+
+
 def _tape_nodes(output):
     """Tape nodes reachable from ``output`` through ``Tensor.node``."""
     seen, stack = set(), [output]
@@ -204,32 +220,31 @@ class TestBatchedMatchesPerEpisode:
 
     def test_chunked_evaluation_keeps_the_stream_and_the_accuracies(self):
         _, _, test_ds = _datasets()
-        params = learners.init_params("proto_cosine", 6, 3, seed=2)
         count = 2 * training.EPISODE_CHUNK + 1  # the last chunk is a single episode
-        rng = streams.stream(3, streams.TEST_EPISODES)
-        result = training.evaluate(params, test_ds, 3, 2, 5, count, rng)
+        for algorithm, shot in EVALUATION_CASES:
+            params = learners.init_params(algorithm, 6, 3, seed=2)
+            rng = streams.stream(3, streams.TEST_EPISODES)
+            result = training.evaluate(params, test_ds, 3, shot, 5, count, rng)
 
-        ref_rng = streams.stream(3, streams.TEST_EPISODES)
-        episodes = [data.sample_episode(test_ds, 3, 2, 5, ref_rng) for _ in range(count)]
-        assert rng.random() == ref_rng.random()
-        with ad.no_grad():
-            accs = np.array([learners.episode_accuracy(params, [ep])[0] for ep in episodes])
-        assert result == (float(accs.mean()), 1.96 * float(accs.std(ddof=1)) / np.sqrt(count))
-        ref_omegas = _reference_difficulties(params, episodes)
-        np.testing.assert_allclose(
-            training.score_difficulties(params, episodes), ref_omegas, rtol=1e-10, atol=0
-        )
+            ref_rng = streams.stream(3, streams.TEST_EPISODES)
+            episodes = [data.sample_episode(test_ds, 3, shot, 5, ref_rng) for _ in range(count)]
+            assert rng.random() == ref_rng.random(), (algorithm, shot)
+            with ad.no_grad():
+                accs = np.array([learners.episode_accuracy(params, [ep])[0] for ep in episodes])
+            expected = (float(accs.mean()), 1.96 * float(accs.std(ddof=1)) / np.sqrt(count))
+            assert result == expected, (algorithm, shot)
+            ref_omegas = _reference_difficulties(params, episodes)
+            np.testing.assert_allclose(
+                training.score_difficulties(params, episodes), ref_omegas, rtol=1e-10, atol=0,
+                err_msg=f"{algorithm} {shot}-shot",
+            )
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 16])
     def test_any_chunk_size_gives_the_same_evaluation(self, monkeypatch, chunk):
         _, _, test_ds = _datasets()
-        params = learners.init_params("proto_cosine", 6, 3, seed=2)
-        ref_rng = streams.stream(3, streams.TEST_EPISODES)
-        expected = training.evaluate(params, test_ds, 3, 2, 5, 9, ref_rng)
+        expected = _evaluations(test_ds)
         monkeypatch.setattr(training, "EPISODE_CHUNK", chunk)
-        rng = streams.stream(3, streams.TEST_EPISODES)
-        assert training.evaluate(params, test_ds, 3, 2, 5, 9, rng) == expected
-        assert rng.random() == ref_rng.random()
+        assert _evaluations(test_ds) == expected
 
 
 class TestEvaluate:
