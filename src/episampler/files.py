@@ -68,27 +68,48 @@ def read_manifest(path, fields: dict, error: type[Exception]) -> dict:
     return manifest
 
 
+def _parse_lines(text: str, width: int) -> np.ndarray | None:
+    """The lines of ``text`` as one ``(lines, width)`` float64 array, from
+    one parse of all fields; None unless every line holds ``width`` finite
+    numbers and ends in a newline.
+
+    With each newline made a field of its own, the fields run line by line,
+    each line's numbers then "\n". Dropping every ``width + 1``-th field
+    leaves only numbers exactly when every line holds ``width`` of them; a
+    line of another width leaves a "\n", which no parse reads as a number.
+    That checks every line's field count at once (a short line and a long
+    one could add up to the right total).
+    """
+    fields = text.replace("\n", ",\n,").split(",")
+    if fields.pop() != "" or len(fields) != text.count("\n") * (width + 1):
+        return None
+    del fields[width :: width + 1]
+    try:
+        table = np.array(fields, dtype=np.float64).reshape(-1, width)
+    except ValueError:
+        return None
+    return table if np.isfinite(table).all() else None
+
+
 def read_table(path, header: str, error: type[Exception]) -> tuple[np.ndarray, list[int]]:
     """The rows below the ``header`` line of a CSV file as a ``(rows,
     columns)`` float64 array, and the file line of each row. Blank lines are
     skipped. A different header, a wrong field count or a non-numeric or
     non-finite field raises ``error`` naming the file, line and field."""
-    first, *lines = _read_text(path, error).split("\n")
+    first, _, body = _read_text(path, error).partition("\n")
     if first != header:
         raise error(f"{path} line 1: header {first!r}, expected {header!r}")
     names = header.split(",")
+    table = _parse_lines(body, len(names))
+    if table is not None:
+        return table, list(range(2, len(table) + 2))
+    # Only a file with a blank line, no final newline or a bad field gets here.
+    lines = body.split("\n")
     numbers = [number for number, line in enumerate(lines, start=2) if line.strip()]
     rows = [lines[number - 2] for number in numbers]
-    # Each row is counted first (a short row and a long one could add up to
-    # the right total), then all rows are split at once.
-    if all(row.count(",") == len(names) - 1 for row in rows):
-        try:
-            fields = ",".join(rows).split(",") if rows else []
-            table = np.array(fields, dtype=np.float64).reshape(len(rows), len(names))
-            if np.isfinite(table).all():
-                return table, numbers
-        except ValueError:
-            pass
+    table = _parse_lines("\n".join(rows + [""]), len(names))
+    if table is not None:
+        return table, numbers
     for number, row in zip(numbers, rows):
         fields = row.split(",")
         if len(fields) != len(names):

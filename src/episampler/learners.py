@@ -35,12 +35,15 @@ the row maximum alone puts 1 into ``z`` and ``picked <= 0``.
   caller records.
 
 A ProtoNet or ANIL encoder is the same for every episode, so under frozen
-parameters a row's embedding depends on the row alone. ``embedded`` turns
-such a learner and a dataset into the learner without its encoder and the
-dataset with every row encoded once; episodes drawn from that dataset give
-that learner the logits the full learner gives on the same episodes drawn
-from the raw rows. MAML adapts its encoder per episode and has no embedded
-form. An encoder-less learner has no layer sizes and cannot be saved.
+parameters a row's embedding depends on the row alone. ``encode_once`` turns
+such a learner and a stack of rows into the learner without its encoder and
+the rows' embeddings; fed embedded rows, that learner gives the logits the
+full learner gives on the raw rows. It is the one way rows are encoded
+ahead of the episodes: ``embedded`` applies it to every row of a split
+(``training.evaluate`` draws from the result), and
+``training.score_difficulties`` to the distinct rows of given episodes.
+MAML adapts its encoder per episode and has no embedded form. An
+encoder-less learner has no layer sizes and cannot be saved.
 
 Checkpoint format: ``<stem>.json`` manifest (algorithm, layer sizes,
 adaptation hyper-parameters) plus ``<stem>.csv`` with one ``value`` column
@@ -313,10 +316,33 @@ def _gradient_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.T
     return forward(weights, query)
 
 
+def encode_once(
+    params: LearnerParams, x: np.ndarray, rows_per_stack: int | None = None
+) -> tuple[LearnerParams, np.ndarray]:
+    """``params`` without its encoder, and the rows of ``x`` through that
+    encoder under ``no_grad``.
+
+    Only for a learner whose encoder no episode adapts (not MAML): fed the
+    embedded rows, the encoder-less learner gives the logits the full
+    learner gives on the raw rows. The rows go through in stacks of
+    ``rows_per_stack`` (all at once by default), which bounds the
+    activations held at a time. A row's embedding has the same bits in any
+    stack of two rows or more, but numpy multiplies a one-row stack by
+    another routine, so a lone last row joins the stack before it.
+    """
+    bounds = list(range(0, len(x), max(rows_per_stack or len(x), 2))) + [len(x)]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    out = np.empty((len(x), params.encoder[-1][0].shape[1]))
+    with ad.no_grad():
+        for start, stop in zip(bounds, bounds[1:]):
+            out[start:stop] = _encode(params.encoder, ad.tensor(x[start:stop])).data
+    return dataclasses.replace(params, encoder=[]), out
+
+
 def embedded(params: LearnerParams, dataset: BaseDataset) -> tuple[LearnerParams, BaseDataset]:
     """The learner and split to draw episodes from when no episode adapts
-    the encoder: ``params`` without its encoder, and ``dataset`` with each
-    row replaced by its embedding, computed once under ``no_grad``.
+    the encoder: ``encode_once`` of ``params`` and every row of ``dataset``.
 
     The episode draw reads only class ids and counts, so a stream yields
     the same episodes from either split, embedded rows in place of feature
@@ -324,9 +350,8 @@ def embedded(params: LearnerParams, dataset: BaseDataset) -> tuple[LearnerParams
     """
     if params.algorithm == "maml":
         return params, dataset
-    with ad.no_grad():
-        x = _encode(params.encoder, ad.tensor(dataset.x)).data
-    return dataclasses.replace(params, encoder=[]), dataclasses.replace(dataset, x=x)
+    params, x = encode_once(params, dataset.x)
+    return params, dataclasses.replace(dataset, x=x)
 
 
 def _episode_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:

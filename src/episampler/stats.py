@@ -10,6 +10,7 @@ The Shapiro-Wilk statistic and p-value follow Royston's 1995 algorithm
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from statistics import NormalDist
@@ -67,17 +68,10 @@ def spearman(xs, ys) -> float:
     return float((rx @ ry) / math.sqrt(vx * vy))
 
 
-def shapiro_wilk(sample) -> tuple[float, float]:
-    """Shapiro-Wilk W and its p-value under the normality null.
-
-    Valid for 3 <= n <= 5000; a constant sample is rejected as degenerate.
-    """
-    x = np.sort(np.asarray(sample, dtype=np.float64))
-    n = x.size
-    if n < 3 or n > 5000:
-        raise StatsError(f"shapiro_wilk: sample size {n} outside [3, 5000]")
-    if x[0] == x[-1]:
-        raise StatsError("shapiro_wilk: constant sample")
+@functools.lru_cache
+def _shapiro_weights(n: int) -> np.ndarray:
+    """Royston's weights ``a`` for samples of size ``n``, read-only; they
+    and the Blom quantiles ``m`` they come from depend on ``n`` alone."""
     m = np.array([norm_ppf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)])
     ss = float(m @ m)
     u = 1.0 / math.sqrt(n)
@@ -108,6 +102,22 @@ def shapiro_wilk(sample) -> tuple[float, float]:
         phi = (ss - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * a_n**2)
         a[1:-1] = m[1:-1] / math.sqrt(phi)
         a[-1], a[0] = a_n, -a_n
+    a.setflags(write=False)
+    return a
+
+
+def shapiro_wilk(sample) -> tuple[float, float]:
+    """Shapiro-Wilk W and its p-value under the normality null.
+
+    Valid for 3 <= n <= 5000; a constant sample is rejected as degenerate.
+    """
+    x = np.sort(np.asarray(sample, dtype=np.float64))
+    n = x.size
+    if n < 3 or n > 5000:
+        raise StatsError(f"shapiro_wilk: sample size {n} outside [3, 5000]")
+    if x[0] == x[-1]:
+        raise StatsError("shapiro_wilk: constant sample")
+    a = _shapiro_weights(n)
     centered = x - x.mean()
     w = min(float((a @ x) ** 2 / (centered @ centered)), 1.0)
     if n == 3:

@@ -14,18 +14,27 @@ Each training batch is drawn with one ``sample_episodes`` call, and
 ``evaluate`` draws and runs its episodes ``EPISODE_CHUNK`` at a time; a
 batch of episodes is the same stream as one-at-a-time draws, so neither
 the batch size nor the chunk size changes which episodes a stream yields.
-No ProtoNet or ANIL episode adapts the encoder, so for those learners
-``evaluate`` encodes its split once, through ``learners.embedded``, and
-draws its chunks from the embedded rows. The draw reads only class ids and
-counts, so the stream yields the same episodes, and the encoder works row
-by row, so their logits keep their bits. The exception is a one-row stack,
-which numpy multiplies by another routine and may round differently; only
-a 1-way episode has one, and its accuracy is 1 whatever its logits. MAML
-adapts its encoder per episode, so it encodes each chunk's rows.
 ``score_difficulties`` runs given episodes through ``learners.episode_nll``
 ``EPISODE_CHUNK`` at a time, so a scored difficulty is the same float as
 the training loss of that episode under those parameters, and it rejects a
 non-finite one.
+
+No ProtoNet or ANIL episode adapts the encoder, so for those learners both
+encode each row once, through ``learners.encode_once``, and feed each
+chunk its embedded rows. ``evaluate`` encodes its whole split
+(``learners.embedded``) and draws its chunks from the embedded rows; the
+draw reads only class ids and counts, so the stream yields the same
+episodes. ``score_difficulties`` gets its episodes already drawn: it finds
+their distinct rows by ``(class id, sample index)``, encodes those, and
+gathers each chunk's embedded rows just before that chunk's forward. If
+one key covers two rows that differ in any bit (episodes from two
+datasets, say), each row counts as its own and every chunk encodes its own
+rows; so it does when the rows repeat too little to pay for the search, as
+in a training batch. The encoder works row by row, so the logits keep
+their bits. The exception is a one-row stack, which numpy multiplies by
+another routine and may round differently; only a 1-way episode has one,
+and its accuracy is 1 and its difficulty 0 whatever its logits. MAML
+adapts its encoder per episode, so it encodes each chunk's rows.
 Both run under ``autodiff.no_grad``, so a MAML or ANIL learner adapts first
 order there, without the second-order graph training needs; its
 difficulties and accuracies are the same floats either way. Offline mode
@@ -47,26 +56,30 @@ learner format.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import files, kernels, learners, sampling, streams
 # sample_episode stays bound here: benchmark tracing wraps this module's name.
-from .data import BaseDataset, sample_episode, sample_episodes  # noqa: F401
+from .data import BaseDataset, Episode, sample_episode, sample_episodes  # noqa: F401
 from .sampling import DifficultyModel, SamplingScheme
 
 logger = logging.getLogger(__name__)
 
 # Episodes per batched forward in evaluate and score_difficulties. Larger
 # chunks cut per-op overhead but hold more rows at once. A chunk that runs
-# the encoder (every chunk of score_difficulties, and of evaluate for MAML)
-# holds its activations: measured when evaluate chunks encoded rows for every
-# learner, on perfbench's 5-shot scoring workload, 4 raised peak RSS by about
-# 1% over one episode at a time and 8 by about 2.5%, while their throughputs
-# stayed within run-to-run noise of each other. A ProtoNet or ANIL evaluate
-# chunk holds only embedded rows, gathered from a split encoded once.
+# the encoder (MAML's, and a scoring chunk of rows that repeat too little or
+# whose keys cover two different rows) holds its activations: measured when
+# every chunk encoded its rows, on perfbench's 5-shot scoring workload, 4
+# raised peak RSS by about 1% over one episode at a time and 8 by about 2.5%,
+# while their throughputs stayed within run-to-run noise of each other.
+# Any other ProtoNet or ANIL chunk holds only embedded rows, gathered from
+# rows encoded once; the check that finds a scoring pool's distinct rows
+# also reads one chunk at a time. The size is part of the results: a
+# batch's sums run in another order, so proto_cosine difficulties change
+# their last bits at other sizes.
 EPISODE_CHUNK = 4
 
 # Adam's moment decay rates and denominator guard.
@@ -216,6 +229,76 @@ def evaluate(
     return float(accs.mean()), ci
 
 
+def _row_keys(episodes: list[Episode]) -> np.ndarray:
+    """Each row's key, ``(classes[label], sample)``, numbered from 0 in key
+    order; rows run episode by episode, support before query."""
+    sizes = [len(ep.support_labels) + len(ep.query_labels) for ep in episodes]
+    widths = [len(ep.classes) for ep in episodes]
+    _, position = np.unique([c for ep in episodes for c in ep.classes], return_inverse=True)
+    labels = np.concatenate([a for ep in episodes for a in (ep.support_labels, ep.query_labels)])
+    row_class = position[np.repeat(np.cumsum(widths) - widths, sizes) + labels]
+    samples = np.concatenate([a for ep in episodes for a in (ep.support_samples, ep.query_samples)])
+    samples -= samples.min()
+    return np.unique(row_class * (int(samples.max()) + 1) + samples, return_inverse=True)[1]
+
+
+def _distinct_rows(episodes: list[Episode]):
+    """The distinct rows of ``episodes`` as one ``(rows, d)`` array, the
+    position in it of every row of the episodes (episode by episode, support
+    before query), and where each episode's rows start in that order. None
+    when one key covers two different rows, or when the episodes hold fewer
+    than twice as many rows as keys.
+
+    A row's key is its ``(class id, sample index)``, ``(classes[label],
+    sample)``. One row stands for all rows of its key only if they agree in
+    every bit, NaN payloads and signed zeros included; episodes from two
+    datasets, or with a patched row, can break that. The rows are read
+    ``EPISODE_CHUNK`` episodes at a time, never all at once.
+
+    Reading the rows and gathering embeddings cost about a third of what
+    encoding the same rows does, so encoding once pays only where rows
+    repeat. A 300-episode 5-way 5-shot pool from perfbench's 3200-row split
+    holds 9.4 rows per key. A 16-episode batch from it holds 1.3, and
+    scoring it from its distinct rows took about 0.6 ms longer than the
+    per-chunk path's 2.1-2.5 ms (ProtoNet, one BLAS thread, 2-core Xeon).
+    """
+    index = _row_keys(episodes)
+    if 2 * (int(index.max()) + 1) > len(index):
+        return None
+    offsets = np.cumsum([0] + [len(ep.support_labels) + len(ep.query_labels) for ep in episodes])
+    offsets = offsets.tolist()
+    # Each row as one opaque value: gathers and stores move whole rows.
+    dim = np.shape(episodes[0].support_x)[-1]
+    row = np.dtype((np.void, 8 * dim))
+    distinct = np.empty(int(index.max()) + 1, dtype=row)
+    seen = np.zeros(len(distinct), dtype=bool)
+    for start in range(0, len(episodes), EPISODE_CHUNK):
+        chunk = episodes[start : start + EPISODE_CHUNK]
+        at = index[offsets[start] : offsets[start + len(chunk)]]
+        rows = np.concatenate([a for ep in chunk for a in (ep.support_x, ep.query_x)], dtype=np.float64)
+        if rows.shape != (len(at), dim):
+            return None
+        rows = rows.view(row).reshape(-1)
+        new = ~seen[at]
+        distinct[at[new]] = rows[new]
+        seen[at] = True
+        if distinct[at].tobytes() != rows.tobytes():
+            return None
+    return distinct.view(np.float64).reshape(-1, dim), index, offsets
+
+
+def _with_rows(episodes: list[Episode], rows: np.ndarray) -> list[Episode]:
+    """``episodes`` with their support and query rows read in order from
+    ``rows``, episode by episode, support before query."""
+    out, at = [], 0
+    for ep in episodes:
+        mid = at + len(ep.support_labels)
+        end = mid + len(ep.query_labels)
+        out.append(replace(ep, support_x=rows[at:mid], query_x=rows[mid:end]))
+        at = end
+    return out
+
+
 def score_difficulties(params: learners.LearnerParams, episodes) -> list[float]:
     """Difficulty of each episode under the given (frozen) parameters: its
     entry of ``learners.episode_nll``. Raises ``LearnerError`` naming the
@@ -223,9 +306,20 @@ def score_difficulties(params: learners.LearnerParams, episodes) -> list[float]:
     finite."""
     episodes = list(episodes)
     out: list[float] = []
+    distinct = None if params.algorithm == "maml" or not episodes else _distinct_rows(episodes)
     with ad.no_grad():
+        if distinct is not None:
+            rows, index, offsets = distinct
+            # The per-chunk path encodes a chunk's rows in two stacks, support
+            # and query; stacks of half a chunk's rows match its rows per stack.
+            size = max(b - a for a, b in zip(offsets, offsets[1:]))
+            params, embeddings = learners.encode_once(params, rows, size * EPISODE_CHUNK // 2)
         for start in range(0, len(episodes), EPISODE_CHUNK):
-            means = learners.episode_nll(params, episodes[start : start + EPISODE_CHUNK]).data
+            chunk = episodes[start : start + EPISODE_CHUNK]
+            if distinct is not None:
+                at = index[offsets[start] : offsets[start + len(chunk)]]
+                chunk = _with_rows(chunk, embeddings.take(at, axis=0))
+            means = learners.episode_nll(params, chunk).data
             bad = np.flatnonzero(~np.isfinite(means))
             if bad.size:
                 raise learners.LearnerError(f"non-finite difficulty for episode {start + bad[0]}")

@@ -120,10 +120,13 @@ def _write_table(path, table, blank_before=()):
 
 class TestReadTable:
     @settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(table=TABLES)
-    def test_written_table_reads_back_bit_exact(self, tmp_path, table):
-        header, numbers = _write_table(tmp_path / "t.csv", table)
-        got, lines = files.read_table(tmp_path / "t.csv", header, ValueError)
+    @given(table=TABLES, blank_before=st.sets(st.integers(0, 8)), final_newline=st.booleans())
+    def test_written_table_reads_back_bit_exact(self, tmp_path, table, blank_before, final_newline):
+        path = tmp_path / "t.csv"
+        header, numbers = _write_table(path, table, blank_before)
+        if not final_newline:
+            path.write_text(path.read_text()[:-1])
+        got, lines = files.read_table(path, header, ValueError)
         assert got.dtype == np.float64 and got.shape == table.shape
         assert got.tobytes() == table.tobytes()
         assert lines == numbers
@@ -160,6 +163,23 @@ class TestReadTable:
         path.write_text("a,b\n1.0,2.0\n3.0\n4.0,5.0,6.0\n")
         with pytest.raises(ValueError, match=re.escape(f"{path} line 3: 1 fields, expected 2")):
             files.read_table(path, "a,b", ValueError)
+
+    @pytest.mark.parametrize(
+        "text, line, count",
+        [
+            # Two one-field lines hold as many fields as one three-field line.
+            ("a,b,c\n1.0\n2.0\n", 2, 1),
+            # One line holds as many fields as two lines and a newline.
+            ("a,b\n1.0,2.0,3.0,4.0,5.0\n", 2, 5),
+        ],
+    )
+    def test_misplaced_fields_are_reported_at_their_line(self, tmp_path, text, line, count):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        header = text.split("\n")[0]
+        message = f"{path} line {line}: {count} fields, expected {len(header.split(','))}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            files.read_table(path, header, ValueError)
 
     def test_header_must_match(self, tmp_path):
         path = tmp_path / "t.csv"

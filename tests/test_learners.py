@@ -467,6 +467,25 @@ class TestEmbedded:
                 learners._episode_logits(params, raw).data,
             )
 
+    @pytest.mark.parametrize("rows_per_stack", [None, 2, 3, 4, 8, 9, 20])
+    def test_stacks_keep_the_bits_and_leave_no_row_alone(self, monkeypatch, rows_per_stack):
+        x = streams.stream(73, streams.INIT).standard_normal((9, 5))
+        params = learners.init_params("proto_cosine", 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=17)
+        _, whole = learners.encode_once(params, x)
+        stacks = []
+        encode = learners._encode
+
+        def counting_encode(encoder, rows):
+            stacks.append(rows.shape[0])
+            return encode(encoder, rows)
+
+        monkeypatch.setattr(learners, "_encode", counting_encode)
+        frozen, out = learners.encode_once(params, x, rows_per_stack)
+        np.testing.assert_array_equal(out, whole)
+        assert sum(stacks) == 9 and min(stacks) >= 2
+        assert max(stacks) <= (rows_per_stack or 9) + 1
+        assert frozen.encoder == [] and frozen.cosine_scale is params.cosine_scale
+
     @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
     def test_only_maml_keeps_its_encoder(self, algorithm):
         ds = data.generate_synthetic(4, 3, 5, 3.0, 1.0, seed=0)

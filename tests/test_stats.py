@@ -101,6 +101,15 @@ class TestShapiroWilk:
             assert w == pytest.approx(w_ref, abs=1e-3)
             assert p == pytest.approx(p_ref, abs=1e-3)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 11, 12, 50])
+    def test_cached_weights_keep_the_bits(self, monkeypatch, n):
+        x = make_vector(n, n, "normal")
+        weights = stats._shapiro_weights(n)
+        assert stats._shapiro_weights(n) is weights and not weights.flags.writeable
+        cached = stats.shapiro_wilk(x)
+        monkeypatch.setattr(stats, "_shapiro_weights", stats._shapiro_weights.__wrapped__)
+        assert stats.shapiro_wilk(x) == cached
+
     def test_uniform_data_rejected_often(self):
         # Uniform data departs from normality: with n=50 the test should
         # reject at 5% in well over 20% of repetitions.

@@ -132,7 +132,142 @@ def _reference_difficulties(params, episodes):
         return [-learners.episode_log_likelihoods(params, [ep]).data.mean() for ep in episodes]
 
 
+def _per_chunk_difficulties(params, episodes):
+    """Difficulties scored chunk by chunk with every chunk's rows run
+    through the full learner, the path that encodes no row in advance."""
+    chunk = training.EPISODE_CHUNK
+    with ad.no_grad():
+        return np.concatenate([
+            learners.episode_nll(params, episodes[start : start + chunk]).data
+            for start in range(0, len(episodes), chunk)
+        ])
+
+
+def _keys(episodes):
+    """The distinct ``(class id, sample index)`` keys of the episodes' rows."""
+    return {
+        (ep.classes[label], sample)
+        for ep in episodes
+        for labels, samples in ((ep.support_labels, ep.support_samples), (ep.query_labels, ep.query_samples))
+        for label, sample in zip(labels.tolist(), samples.tolist())
+    }
+
+
+def _repeating_pool(shot, n=3, seed=7, dataset=None):
+    """Episodes from a small dataset, so that samples repeat across
+    episodes, followed by a repeat of the first episode."""
+    ds = dataset or data.generate_synthetic(6, shot + 6, 5, 3.0, 1.0, seed=seed)
+    rng = streams.stream(seed, streams.ANALYSIS)
+    episodes = data.sample_episodes(ds, n, shot, 4, rng, 2 * training.EPISODE_CHUNK + 1)
+    return episodes + [episodes[0]]
+
+
+def _encoder_stacks(monkeypatch, params, episodes):
+    """Rows per encoder stack while ``params`` score ``episodes``."""
+    stacks = []
+    encode = learners._encode
+
+    def counting_encode(encoder, x):
+        if encoder:
+            stacks.append(x.shape[0])
+        return encode(encoder, x)
+
+    monkeypatch.setattr(learners, "_encode", counting_encode)
+    training.score_difficulties(params, episodes)
+    monkeypatch.undo()
+    return stacks
+
+
 class TestScoreDifficulties:
+    """ProtoNet and ANIL pools are scored from their distinct rows, each
+    encoded once; every difficulty keeps the bits of the per-chunk path."""
+
+    @pytest.mark.parametrize("shot", [1, 5])
+    @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
+    def test_distinct_rows_keep_the_per_chunk_bits(self, algorithm, shot):
+        pool = _repeating_pool(shot)
+        assert training._distinct_rows(pool) is not None
+        params = learners.init_params(
+            algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=11, adaptation_steps=2
+        )
+        np.testing.assert_array_equal(
+            training.score_difficulties(params, pool), _per_chunk_difficulties(params, pool)
+        )
+
+    @pytest.mark.parametrize("shot", [1, 5])
+    @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
+    def test_one_way_episodes(self, algorithm, shot):
+        pool = _repeating_pool(shot, n=1, dataset=data.generate_synthetic(2, shot + 4, 5, 3.0, 1.0, seed=7))
+        assert training._distinct_rows(pool) is not None
+        params = learners.init_params(
+            algorithm, 5, 1, hidden_sizes=(16,), embedding_dim=8, seed=12, adaptation_steps=2
+        )
+        np.testing.assert_array_equal(
+            training.score_difficulties(params, pool), _per_chunk_difficulties(params, pool)
+        )
+
+    @pytest.mark.parametrize("interleaved", [True, False])
+    @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
+    def test_keys_shared_by_two_datasets_fall_back_to_every_row(self, algorithm, interleaved):
+        # Same class ids and sample indices, different rows; one after the
+        # other, no chunk holds episodes of both.
+        first = _repeating_pool(5, seed=8)[: 2 * training.EPISODE_CHUNK]
+        second = _repeating_pool(5, seed=9)[: 2 * training.EPISODE_CHUNK]
+        pool = [ep for pair in zip(first, second) for ep in pair] if interleaved else first + second
+        assert training._distinct_rows(first) is not None
+        assert training._distinct_rows(pool) is None
+        params = learners.init_params(
+            algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=13, adaptation_steps=2
+        )
+        np.testing.assert_array_equal(
+            training.score_difficulties(params, pool), _per_chunk_difficulties(params, pool)
+        )
+
+    @pytest.mark.parametrize("algorithm", ["proto_euclidean", "proto_cosine", "anil"])
+    def test_encoder_runs_once_on_the_distinct_rows(self, monkeypatch, algorithm):
+        pool = _repeating_pool(5)
+        params = learners.init_params(algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=14)
+        stacks = _encoder_stacks(monkeypatch, params, pool)
+        # Each distinct row once, in stacks of half a chunk's 4 * 27 rows.
+        assert sum(stacks) == len(_keys(pool)) and len(stacks) > 1
+        assert all(2 <= rows <= training.EPISODE_CHUNK * 27 // 2 + 1 for rows in stacks)
+
+    def test_rows_that_barely_repeat_are_encoded_chunk_by_chunk(self, monkeypatch):
+        # 270 rows over 240 samples: fewer than two rows per key.
+        pool = _repeating_pool(5, dataset=data.generate_synthetic(6, 40, 5, 3.0, 1.0, seed=7))
+        assert 2 * len(_keys(pool)) > 27 * len(pool)
+        assert training._distinct_rows(pool) is None
+        params = learners.init_params("proto_cosine", 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=14)
+        # A support and a query stack per chunk.
+        assert _encoder_stacks(monkeypatch, params, pool) == [60, 48, 60, 48, 30, 24]
+        np.testing.assert_array_equal(
+            training.score_difficulties(params, pool), _per_chunk_difficulties(params, pool)
+        )
+
+    @pytest.mark.parametrize("algorithm", ["proto_euclidean", "proto_cosine"])
+    def test_nan_row_names_the_callers_episode(self, algorithm):
+        ds = data.generate_synthetic(6, 14, 5, 3.0, 1.0, seed=7)
+        pool = _repeating_pool(5, dataset=ds)
+        # A query sample first met after the first chunk, made NaN in the
+        # dataset, so that every episode holding it reads the same NaN row.
+        chunk = training.EPISODE_CHUNK
+        first, cid, sample = next(
+            (index, ep.classes[label], s)
+            for index, ep in enumerate(pool)
+            if index >= chunk
+            for label, s in zip(ep.query_labels.tolist(), ep.query_samples.tolist())
+            if (ep.classes[label], s) not in _keys(pool[:index])
+        )
+        x = ds.x.copy()
+        x[ds.offsets[ds.class_ids.index(cid)] + sample] = np.nan
+        pool = _repeating_pool(5, dataset=dataclasses.replace(ds, x=x))
+        assert training._distinct_rows(pool) is not None
+        params = learners.init_params(algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=15)
+        with pytest.raises(learners.LearnerError, match=f"non-finite difficulty for episode {first}$"):
+            training.score_difficulties(params, pool)
+        reference = _per_chunk_difficulties(params, pool)
+        assert np.isnan(reference[first]) and np.isfinite(reference[:first]).all()
+
     @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
     def test_equals_the_mean_query_nll_bit_for_bit(self, algorithm):
         train_ds, _, _ = _datasets()
