@@ -286,9 +286,12 @@ def cmd_compare_schemes(args) -> Path:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if len(schemes) < 2:
         raise ConfigError("compare-schemes needs at least 2 schemes")
-    for scheme in schemes:
+    for i, scheme in enumerate(schemes):
         if scheme not in sampling.SCHEME_KINDS:
             raise ConfigError(f"unknown scheme {scheme!r}")
+        # Each scheme trains into its own directory and comparison.csv row.
+        if scheme in schemes[:i]:
+            raise ConfigError(f"scheme {scheme!r} listed twice")
     out = _prepare_out(args.out, "comparison", args.force)
     rows = []
     failure: Exception | None = None
@@ -438,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp = sub.add_parser("compare-schemes", help="train once per scheme and tabulate accuracies")
     cmp.add_argument("--config", required=True)
-    cmp.add_argument("--schemes", required=True, help="comma-separated scheme kinds")
+    cmp.add_argument("--schemes", required=True, help="comma-separated scheme kinds, each listed once")
     cmp.add_argument("--out", default=None)
     cmp.add_argument("--force", action="store_true")
     cmp.set_defaults(func=cmd_compare_schemes)

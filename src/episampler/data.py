@@ -7,10 +7,11 @@ without replacement (first k to the support set, rest to the query set).
 
 In memory a dataset is one read-only ``(N, d)`` float64 array holding every
 class's rows back to back, a class id per block and the block offsets.
-An episode's support and query rows are gathered from it with one index
-each, into an ``Episode`` whose rows are grouped by class in label order,
-support and query alike. Its label arrays are shared by every episode of
-the same shape and are read-only.
+An ``Episode`` keeps that array itself, never a copy, and the index of
+each of its support and query rows in it, grouped by class in label
+order, support and query alike; ``support_x`` and ``query_x`` gather the
+rows on read. Its label arrays are shared by every episode of the same
+shape and are read-only.
 
 Each episode consumes one block of ``L = num_classes + n * max_count``
 uniforms from ``rng.random``, ``max_count`` being the largest class size:
@@ -125,20 +126,36 @@ class BaseDataset:
 class Episode:
     """One n-way k-shot task with disjoint support and query samples.
 
-    Each sample appears once, as its feature row, its local label (the
-    position of its class in ``classes``) and its index within its class.
+    Each sample appears once, as its local label (the position of its class
+    in ``classes``), its index within its class and its row: an index into
+    ``x``, the array the episode was drawn from. ``support_x`` and
+    ``query_x`` gather those rows on read, so rows and indices cannot
+    disagree.
     """
 
     n: int
     k: int
     q: int
     classes: tuple[int, ...]  # sorted class ids
-    support_x: np.ndarray  # (n*k, d)
+    x: np.ndarray = field(repr=False)  # (N, d) rows the episode indexes
     support_labels: np.ndarray  # (n*k,), local labels in [0, n)
     support_samples: np.ndarray  # (n*k,), sample index within the class
-    query_x: np.ndarray  # (n*q, d)
+    support_rows: np.ndarray  # (n*k,), row of x
     query_labels: np.ndarray  # (n*q,)
     query_samples: np.ndarray  # (n*q,)
+    query_rows: np.ndarray  # (n*q,)
+
+    @property
+    def support_x(self) -> np.ndarray:
+        """(n*k, d) support rows."""
+        # ndarray.take copies the same rows as fancy indexing, at a fraction
+        # of its per-call cost on these small index arrays.
+        return self.x.take(self.support_rows, axis=0)
+
+    @property
+    def query_x(self) -> np.ndarray:
+        """(n*q, d) query rows."""
+        return self.x.take(self.query_rows, axis=0)
 
 
 def generate_synthetic(
@@ -266,15 +283,13 @@ def sample_episodes(
     rows = dataset.offsets[pos][..., None] + samples
     support = samples[..., :k].reshape((count, n * k))
     query = samples[..., k:].reshape((count, n * q))
-    # ndarray.take copies the same rows as fancy indexing, at a fraction
-    # of its per-call cost on these small index arrays.
-    support_x = dataset.x.take(rows[..., :k].reshape((count, n * k)), axis=0)
-    query_x = dataset.x.take(rows[..., k:].reshape((count, n * q)), axis=0)
+    support_rows = rows[..., :k].reshape((count, n * k))
+    query_rows = rows[..., k:].reshape((count, n * q))
     support_labels, query_labels = _labels(n, k), _labels(n, q)
     return [
         Episode(
-            n, k, q, tuple(c), support_x[i], support_labels, support[i],
-            query_x[i], query_labels, query[i],
+            n, k, q, tuple(c), dataset.x, support_labels, support[i], support_rows[i],
+            query_labels, query[i], query_rows[i],
         )
         for i, c in enumerate(tables.ids[pos].tolist())
     ]

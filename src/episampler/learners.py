@@ -39,11 +39,12 @@ parameters a row's embedding depends on the row alone. ``encode_once`` turns
 such a learner and a stack of rows into the learner without its encoder and
 the rows' embeddings; fed embedded rows, that learner gives the logits the
 full learner gives on the raw rows. It is the one way rows are encoded
-ahead of the episodes: ``embedded`` applies it to every row of a split
-(``training.evaluate`` draws from the result), and
-``training.score_difficulties`` to the distinct rows of given episodes.
-MAML adapts its encoder per episode and has no embedded form. An
-encoder-less learner has no layer sizes and cannot be saved.
+ahead of the episodes, and it has two callers: ``embedded``, on every row
+of a split (``training.evaluate`` draws from the result), and
+``training.score_difficulties``, on the distinct rows that given episodes
+index, which it then points those episodes at. MAML adapts its encoder per
+episode and has no embedded form. An encoder-less learner has no layer
+sizes and cannot be saved.
 
 Checkpoint format: ``<stem>.json`` manifest (algorithm, layer sizes,
 adaptation hyper-parameters) plus ``<stem>.csv`` with one ``value`` column
@@ -76,6 +77,13 @@ PROTO_ALGORITHMS = ("proto_euclidean", "proto_cosine")
 
 DEFAULT_ADAPTATION_RATE = {"maml": 0.01, "anil": 0.1}
 DEFAULT_COSINE_SCALE = 10.0
+
+# Rows per encoder stack in encode_once, which bounds the activations held
+# at a time. Past about 244 rows of the 64-wide layers OpenBLAS 0.3.31
+# leaves its small-matrix path and a row costs about 30% more (the
+# CHANGES.md line on stacks over 244 rows); the stack size does not change
+# a row's bits.
+ENCODE_STACK_ROWS = 200
 
 
 class LearnerError(Exception):
@@ -316,27 +324,25 @@ def _gradient_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.T
     return forward(weights, query)
 
 
-def encode_once(
-    params: LearnerParams, x: np.ndarray, rows_per_stack: int | None = None
-) -> tuple[LearnerParams, np.ndarray]:
+def encode_once(params: LearnerParams, x: np.ndarray) -> tuple[LearnerParams, np.ndarray]:
     """``params`` without its encoder, and the rows of ``x`` through that
-    encoder under ``no_grad``.
+    encoder under ``no_grad``, as a read-only array.
 
     Only for a learner whose encoder no episode adapts (not MAML): fed the
     embedded rows, the encoder-less learner gives the logits the full
     learner gives on the raw rows. The rows go through in stacks of
-    ``rows_per_stack`` (all at once by default), which bounds the
-    activations held at a time. A row's embedding has the same bits in any
-    stack of two rows or more, but numpy multiplies a one-row stack by
-    another routine, so a lone last row joins the stack before it.
+    ``ENCODE_STACK_ROWS``. A row's embedding has the same bits in any stack
+    of two rows or more, but numpy multiplies a one-row stack by another
+    routine, so a lone last row joins the stack before it.
     """
-    bounds = list(range(0, len(x), max(rows_per_stack or len(x), 2))) + [len(x)]
+    bounds = list(range(0, len(x), ENCODE_STACK_ROWS)) + [len(x)]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     out = np.empty((len(x), params.encoder[-1][0].shape[1]))
     with ad.no_grad():
         for start, stop in zip(bounds, bounds[1:]):
             out[start:stop] = _encode(params.encoder, ad.tensor(x[start:stop])).data
+    out.setflags(write=False)
     return dataclasses.replace(params, encoder=[]), out
 
 

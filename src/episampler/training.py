@@ -24,17 +24,17 @@ encode each row once, through ``learners.encode_once``, and feed each
 chunk its embedded rows. ``evaluate`` encodes its whole split
 (``learners.embedded``) and draws its chunks from the embedded rows; the
 draw reads only class ids and counts, so the stream yields the same
-episodes. ``score_difficulties`` gets its episodes already drawn: it finds
-their distinct rows by ``(class id, sample index)``, encodes those, and
-gathers each chunk's embedded rows just before that chunk's forward. If
-one key covers two rows that differ in any bit (episodes from two
-datasets, say), each row counts as its own and every chunk encodes its own
-rows; so it does when the rows repeat too little to pay for the search, as
-in a training batch. The encoder works row by row, so the logits keep
-their bits. The exception is a one-row stack, which numpy multiplies by
-another routine and may round differently; only a 1-way episode has one,
-and its accuracy is 1 and its difficulty 0 whatever its logits. MAML
-adapts its encoder per episode, so it encodes each chunk's rows.
+episodes. ``score_difficulties`` gets its episodes already drawn, each
+holding the indices of its rows in the array it was drawn from: it
+encodes the distinct rows those indices name and points every episode at
+the embeddings. Episodes that index more than one array, or whose rows
+repeat too little to pay for it (a training batch, say), keep their rows
+and every chunk encodes its own. The encoder works row by row, so the
+logits keep their bits. The exception is a one-row stack, which numpy
+multiplies by another routine and may round differently; only a 1-way
+episode has one, and its accuracy is 1 and its difficulty 0 whatever its
+logits. MAML adapts its encoder per episode, so it encodes each chunk's
+rows.
 Both run under ``autodiff.no_grad``, so a MAML or ANIL learner adapts first
 order there, without the second-order graph training needs; its
 difficulties and accuracies are the same floats either way. Offline mode
@@ -56,7 +56,7 @@ learner format.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,16 +70,14 @@ logger = logging.getLogger(__name__)
 
 # Episodes per batched forward in evaluate and score_difficulties. Larger
 # chunks cut per-op overhead but hold more rows at once. A chunk that runs
-# the encoder (MAML's, and a scoring chunk of rows that repeat too little or
-# whose keys cover two different rows) holds its activations: measured when
-# every chunk encoded its rows, on perfbench's 5-shot scoring workload, 4
-# raised peak RSS by about 1% over one episode at a time and 8 by about 2.5%,
-# while their throughputs stayed within run-to-run noise of each other.
-# Any other ProtoNet or ANIL chunk holds only embedded rows, gathered from
-# rows encoded once; the check that finds a scoring pool's distinct rows
-# also reads one chunk at a time. The size is part of the results: a
-# batch's sums run in another order, so proto_cosine difficulties change
-# their last bits at other sizes.
+# the encoder (MAML's, and a scoring chunk of rows that repeat too little)
+# holds its activations: measured when every chunk encoded its rows, on
+# perfbench's 5-shot scoring workload, 4 raised peak RSS by about 1% over
+# one episode at a time and 8 by about 2.5%, while their throughputs stayed
+# within run-to-run noise of each other. Any other ProtoNet or ANIL chunk
+# holds only embedded rows, gathered from rows encoded once. The size is
+# part of the results: a batch's sums run in another order, so
+# proto_cosine difficulties change their last bits at other sizes.
 EPISODE_CHUNK = 4
 
 # Adam's moment decay rates and denominator guard.
@@ -112,8 +110,6 @@ class TrainConfig:
             "batch_size": self.batch_size,
             "learning_rate": self.learning_rate,
             "validation_interval": self.validation_interval,
-            "validation_episodes": self.validation_episodes,
-            "test_episodes": self.test_episodes,
             "way": self.way,
             "shot": self.shot,
             "query": self.query,
@@ -121,6 +117,11 @@ class TrainConfig:
         for name, value in positive.items():
             if value <= 0:
                 raise TrainerError(f"{name} must be positive, got {value}")
+        # evaluate needs two episodes for a confidence interval.
+        episodes = {"validation_episodes": self.validation_episodes, "test_episodes": self.test_episodes}
+        for name, value in episodes.items():
+            if value < 2:
+                raise TrainerError(f"{name} must be at least 2, got {value}")
         if self.iterations < 0:
             raise TrainerError("iterations must be non-negative")
         if self.iterations % self.validation_interval != 0:
@@ -229,74 +230,35 @@ def evaluate(
     return float(accs.mean()), ci
 
 
-def _row_keys(episodes: list[Episode]) -> np.ndarray:
-    """Each row's key, ``(classes[label], sample)``, numbered from 0 in key
-    order; rows run episode by episode, support before query."""
-    sizes = [len(ep.support_labels) + len(ep.query_labels) for ep in episodes]
-    widths = [len(ep.classes) for ep in episodes]
-    _, position = np.unique([c for ep in episodes for c in ep.classes], return_inverse=True)
-    labels = np.concatenate([a for ep in episodes for a in (ep.support_labels, ep.query_labels)])
-    row_class = position[np.repeat(np.cumsum(widths) - widths, sizes) + labels]
-    samples = np.concatenate([a for ep in episodes for a in (ep.support_samples, ep.query_samples)])
-    samples -= samples.min()
-    return np.unique(row_class * (int(samples.max()) + 1) + samples, return_inverse=True)[1]
+def _encoded_once(params: learners.LearnerParams, episodes: list[Episode]):
+    """``params`` without its encoder and ``episodes`` pointed at the
+    embeddings of the distinct rows they index, or both unchanged when the
+    episodes index more than one array or hold fewer than twice as many
+    rows as they index.
 
-
-def _distinct_rows(episodes: list[Episode]):
-    """The distinct rows of ``episodes`` as one ``(rows, d)`` array, the
-    position in it of every row of the episodes (episode by episode, support
-    before query), and where each episode's rows start in that order. None
-    when one key covers two different rows, or when the episodes hold fewer
-    than twice as many rows as keys.
-
-    A row's key is its ``(class id, sample index)``, ``(classes[label],
-    sample)``. One row stands for all rows of its key only if they agree in
-    every bit, NaN payloads and signed zeros included; episodes from two
-    datasets, or with a patched row, can break that. The rows are read
-    ``EPISODE_CHUNK`` episodes at a time, never all at once.
-
-    Reading the rows and gathering embeddings cost about a third of what
-    encoding the same rows does, so encoding once pays only where rows
-    repeat. A 300-episode 5-way 5-shot pool from perfbench's 3200-row split
-    holds 9.4 rows per key. A 16-episode batch from it holds 1.3, and
-    scoring it from its distinct rows took about 0.6 ms longer than the
-    per-chunk path's 2.1-2.5 ms (ProtoNet, one BLAS thread, 2-core Xeon).
+    A 300-episode 5-way 5-shot pool from perfbench's 3200-row split holds
+    9.4 rows per distinct row; proto_cosine scored it in 36 ms from encoded
+    rows against 59 ms chunk by chunk (one BLAS thread, 2-core Xeon). A
+    16-episode batch from that split holds 1.2-1.3, and either path scored
+    it in 2.6-2.9 ms (proto_euclidean).
     """
-    index = _row_keys(episodes)
-    if 2 * (int(index.max()) + 1) > len(index):
-        return None
-    offsets = np.cumsum([0] + [len(ep.support_labels) + len(ep.query_labels) for ep in episodes])
-    offsets = offsets.tolist()
-    # Each row as one opaque value: gathers and stores move whole rows.
-    dim = np.shape(episodes[0].support_x)[-1]
-    row = np.dtype((np.void, 8 * dim))
-    distinct = np.empty(int(index.max()) + 1, dtype=row)
-    seen = np.zeros(len(distinct), dtype=bool)
-    for start in range(0, len(episodes), EPISODE_CHUNK):
-        chunk = episodes[start : start + EPISODE_CHUNK]
-        at = index[offsets[start] : offsets[start + len(chunk)]]
-        rows = np.concatenate([a for ep in chunk for a in (ep.support_x, ep.query_x)], dtype=np.float64)
-        if rows.shape != (len(at), dim):
-            return None
-        rows = rows.view(row).reshape(-1)
-        new = ~seen[at]
-        distinct[at[new]] = rows[new]
-        seen[at] = True
-        if distinct[at].tobytes() != rows.tobytes():
-            return None
-    return distinct.view(np.float64).reshape(-1, dim), index, offsets
-
-
-def _with_rows(episodes: list[Episode], rows: np.ndarray) -> list[Episode]:
-    """``episodes`` with their support and query rows read in order from
-    ``rows``, episode by episode, support before query."""
-    out, at = [], 0
-    for ep in episodes:
-        mid = at + len(ep.support_labels)
-        end = mid + len(ep.query_labels)
-        out.append(replace(ep, support_x=rows[at:mid], query_x=rows[mid:end]))
-        at = end
-    return out
+    x = episodes[0].x
+    if any(ep.x is not x for ep in episodes):
+        return params, episodes
+    parts = [rows for ep in episodes for rows in (ep.support_rows, ep.query_rows)]
+    distinct, index = np.unique(np.concatenate(parts), return_inverse=True)
+    if 2 * len(distinct) > len(index):
+        return params, episodes
+    params, embeddings = learners.encode_once(params, x.take(distinct, axis=0))
+    bounds = np.cumsum([0] + [len(rows) for rows in parts]).tolist()
+    rows = [index[a:b] for a, b in zip(bounds, bounds[1:])]
+    return params, [
+        Episode(
+            ep.n, ep.k, ep.q, ep.classes, embeddings, ep.support_labels, ep.support_samples,
+            support, ep.query_labels, ep.query_samples, query,
+        )
+        for ep, support, query in zip(episodes, rows[::2], rows[1::2])
+    ]
 
 
 def score_difficulties(params: learners.LearnerParams, episodes) -> list[float]:
@@ -306,20 +268,11 @@ def score_difficulties(params: learners.LearnerParams, episodes) -> list[float]:
     finite."""
     episodes = list(episodes)
     out: list[float] = []
-    distinct = None if params.algorithm == "maml" or not episodes else _distinct_rows(episodes)
     with ad.no_grad():
-        if distinct is not None:
-            rows, index, offsets = distinct
-            # The per-chunk path encodes a chunk's rows in two stacks, support
-            # and query; stacks of half a chunk's rows match its rows per stack.
-            size = max(b - a for a, b in zip(offsets, offsets[1:]))
-            params, embeddings = learners.encode_once(params, rows, size * EPISODE_CHUNK // 2)
+        if params.algorithm != "maml" and episodes:
+            params, episodes = _encoded_once(params, episodes)
         for start in range(0, len(episodes), EPISODE_CHUNK):
-            chunk = episodes[start : start + EPISODE_CHUNK]
-            if distinct is not None:
-                at = index[offsets[start] : offsets[start + len(chunk)]]
-                chunk = _with_rows(chunk, embeddings.take(at, axis=0))
-            means = learners.episode_nll(params, chunk).data
+            means = learners.episode_nll(params, episodes[start : start + EPISODE_CHUNK]).data
             bad = np.flatnonzero(~np.isfinite(means))
             if bad.size:
                 raise learners.LearnerError(f"non-finite difficulty for episode {start + bad[0]}")

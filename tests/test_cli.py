@@ -127,6 +127,14 @@ class TestTrain:
         assert (out / "checkpoints" / "iter_000010.json").exists()
         assert (out / "checkpoints" / "iter_000020.csv").exists()
 
+    @pytest.mark.parametrize("name", ["validation_episodes", "test_episodes"])
+    def test_one_evaluation_episode_rejected_before_training(self, tiny_config, tmp_path, capsys, name):
+        out = tmp_path / "run"
+        assert _run(["train", "--config", tiny_config, "--out", out, f"--train.{name}", "1"]) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"type": "TrainerError", "error": f"{name} must be at least 2, got 1"}
+        assert not (out / "history.csv").exists() and not (out / "checkpoints").exists()
+
     def test_seed_changes_history_not_schema(self, tiny_config, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert _run(["train", "--config", tiny_config, "--out", a]) == 0
@@ -210,9 +218,9 @@ class TestTrain:
             def corrupt_batch(*args):
                 episodes = sample_episodes(*args)
                 if nth(3):
-                    episodes[0] = dataclasses.replace(
-                        episodes[0], support_x=np.full_like(episodes[0].support_x, 1e308)
-                    )
+                    x = episodes[0].x.copy()
+                    x[episodes[0].support_rows] = 1e308
+                    episodes[0] = dataclasses.replace(episodes[0], x=x)
                 return episodes
 
             monkeypatch.setattr(training, "sample_episodes", corrupt_batch)
@@ -356,16 +364,16 @@ class TestCompareSchemes:
             _, mean, ci, best = line.split(",")
             assert 0.0 <= float(mean) <= 1.0 and float(ci) >= 0.0 and float(best) >= 0
 
-    def test_duplicate_scheme_rows_identical(self, tiny_config, tmp_path, capsys):
+    def test_duplicate_scheme_rejected_before_any_run(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "cmp"
         code = _run([
             "compare-schemes", "--config", tiny_config,
-            "--schemes", "baseline,baseline", "--out", out,
+            "--schemes", "uniform,baseline,uniform", "--out", out,
         ])
-        assert code == 0
-        capsys.readouterr()
-        lines = (out / "comparison.csv").read_text().splitlines()
-        assert lines[1].split(",")[1:] == lines[2].split(",")[1:]
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"type": "ConfigError", "error": "scheme 'uniform' listed twice"}
+        assert not out.exists()
 
     def test_single_scheme_rejected(self, tiny_config, tmp_path, capsys):
         code = _run([

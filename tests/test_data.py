@@ -68,7 +68,8 @@ def _reference_episode(ds, n, k, q, rng):
 
 def _assert_same_episode(a, b):
     assert (a.n, a.k, a.q, a.classes) == (b.n, b.k, b.q, b.classes)
-    for name in ("support_x", "support_labels", "support_samples", "query_x", "query_labels", "query_samples"):
+    names = ("x", "labels", "samples", "rows")
+    for name in [f"{part}_{n}" for part in ("support", "query") for n in names]:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
@@ -223,6 +224,20 @@ class TestBlockStream:
             np.testing.assert_array_equal(ep.support_x, support_x)
             np.testing.assert_array_equal(ep.query_x, query_x)
         assert rng.random() == ref.random()
+
+    def test_episodes_index_the_datasets_own_rows(self, dataset):
+        position = {cid: i for i, cid in enumerate(dataset.class_ids)}
+        for ep in data.sample_episodes(dataset, 3, 2, 2, streams.stream(8, streams.TRAIN_EPISODES), 50):
+            assert ep.x is dataset.x and ", x=" not in repr(ep)
+            start = dataset.offsets[[position[cid] for cid in ep.classes]]
+            for rows, labels, samples, x in (
+                (ep.support_rows, ep.support_labels, ep.support_samples, ep.support_x),
+                (ep.query_rows, ep.query_labels, ep.query_samples, ep.query_x),
+            ):
+                np.testing.assert_array_equal(rows, start[labels] + samples)
+                expected = dataset.x[rows]
+                assert x.dtype == expected.dtype and x.shape == expected.shape
+                assert x.tobytes() == expected.tobytes()
 
     def test_labels_are_shared_and_read_only(self, dataset):
         a, b = data.sample_episodes(dataset, 3, 2, 1, streams.stream(0, 1), 2)

@@ -21,22 +21,25 @@ import per_episode
 
 
 def _episode(support_x, support_labels, query_x, query_labels, k, q):
-    """Hand-built episode over classes 0..n-1 from local labels. Learners
-    read only the rows and labels, so every sample index is 0."""
+    """Hand-built episode over classes 0..n-1 from local labels, indexing
+    the support rows followed by the query rows. Learners read only the
+    rows and labels, so every sample index is 0."""
     support_labels = np.asarray(support_labels, dtype=np.int64)
     query_labels = np.asarray(query_labels, dtype=np.int64)
     n = int(support_labels.max()) + 1
+    x = np.concatenate([np.asarray(support_x, dtype=np.float64), np.asarray(query_x, dtype=np.float64)])
     return data.Episode(
         n=n,
         k=k,
         q=q,
         classes=tuple(range(n)),
-        support_x=np.asarray(support_x, dtype=np.float64),
+        x=x,
         support_labels=support_labels,
         support_samples=np.zeros_like(support_labels),
-        query_x=np.asarray(query_x, dtype=np.float64),
+        support_rows=np.arange(len(support_labels)),
         query_labels=query_labels,
         query_samples=np.zeros_like(query_labels),
+        query_rows=np.arange(len(support_labels), len(x)),
     )
 
 
@@ -125,7 +128,7 @@ class TestProtoLikelihoods:
         params = _identity_params("proto_euclidean", 3)
         ep = _random_episode(2, dim=3)
         shift = np.array([5.0, -3.0, 1.5])
-        shifted = dataclasses.replace(ep, support_x=ep.support_x + shift, query_x=ep.query_x + shift)
+        shifted = dataclasses.replace(ep, x=ep.x + shift)
         base = learners.episode_log_likelihoods(params, [ep])
         moved = learners.episode_log_likelihoods(params, [shifted])
         np.testing.assert_allclose(base.data, moved.data, atol=1e-9)
@@ -163,8 +166,8 @@ class TestGradientLikelihoods:
         for seed in range(7, 12):
             ep = _random_episode(seed, n=3)
             ep = dataclasses.replace(
-                ep, q=ep.k, query_x=ep.support_x, query_labels=ep.support_labels,
-                query_samples=ep.support_samples,
+                ep, q=ep.k, query_labels=ep.support_labels, query_samples=ep.support_samples,
+                query_rows=ep.support_rows,
             )
             for algorithm in ("maml", "anil"):
                 losses = [
@@ -187,7 +190,9 @@ class TestGradientLikelihoods:
     @pytest.mark.parametrize("algorithm", learners.GRADIENT_ALGORITHMS)
     def test_non_finite_inner_loss_names_the_episode(self, algorithm):
         episodes = [_random_episode(12 + i, n=3) for i in range(4)]
-        episodes[2] = dataclasses.replace(episodes[2], support_x=np.full_like(episodes[2].support_x, 1e308))
+        x = episodes[2].x.copy()
+        x[episodes[2].support_rows] = 1e308
+        episodes[2] = dataclasses.replace(episodes[2], x=x)
         params = learners.init_params(algorithm, 5, 3, seed=4)
         # Recording (second-order inner loop) and not (first-order).
         for mode in (contextlib.nullcontext, ad.no_grad):
@@ -467,11 +472,13 @@ class TestEmbedded:
                 learners._episode_logits(params, raw).data,
             )
 
+    # None keeps ENCODE_STACK_ROWS, which takes the 9 rows in one stack.
     @pytest.mark.parametrize("rows_per_stack", [None, 2, 3, 4, 8, 9, 20])
     def test_stacks_keep_the_bits_and_leave_no_row_alone(self, monkeypatch, rows_per_stack):
         x = streams.stream(73, streams.INIT).standard_normal((9, 5))
         params = learners.init_params("proto_cosine", 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=17)
-        _, whole = learners.encode_once(params, x)
+        with ad.no_grad():
+            whole = learners._encode(params.encoder, ad.tensor(x)).data
         stacks = []
         encode = learners._encode
 
@@ -480,7 +487,9 @@ class TestEmbedded:
             return encode(encoder, rows)
 
         monkeypatch.setattr(learners, "_encode", counting_encode)
-        frozen, out = learners.encode_once(params, x, rows_per_stack)
+        if rows_per_stack is not None:
+            monkeypatch.setattr(learners, "ENCODE_STACK_ROWS", rows_per_stack)
+        frozen, out = learners.encode_once(params, x)
         np.testing.assert_array_equal(out, whole)
         assert sum(stacks) == 9 and min(stacks) >= 2
         assert max(stacks) <= (rows_per_stack or 9) + 1

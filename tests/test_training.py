@@ -1,5 +1,6 @@
 """Tests for the episodic training loop, Adam, and evaluation."""
 
+import contextlib
 import dataclasses
 import math
 import re
@@ -143,14 +144,9 @@ def _per_chunk_difficulties(params, episodes):
         ])
 
 
-def _keys(episodes):
-    """The distinct ``(class id, sample index)`` keys of the episodes' rows."""
-    return {
-        (ep.classes[label], sample)
-        for ep in episodes
-        for labels, samples in ((ep.support_labels, ep.support_samples), (ep.query_labels, ep.query_samples))
-        for label, sample in zip(labels.tolist(), samples.tolist())
-    }
+def _rows(episodes):
+    """The distinct rows the episodes index."""
+    return {row for ep in episodes for rows in (ep.support_rows, ep.query_rows) for row in rows.tolist()}
 
 
 def _repeating_pool(shot, n=3, seed=7, dataset=None):
@@ -162,8 +158,10 @@ def _repeating_pool(shot, n=3, seed=7, dataset=None):
     return episodes + [episodes[0]]
 
 
-def _encoder_stacks(monkeypatch, params, episodes):
-    """Rows per encoder stack while ``params`` score ``episodes``."""
+@contextlib.contextmanager
+def _encoder_stacks():
+    """Collects the rows of every encoder stack run inside the block by a
+    learner that has its encoder."""
     stacks = []
     encode = learners._encode
 
@@ -172,99 +170,112 @@ def _encoder_stacks(monkeypatch, params, episodes):
             stacks.append(x.shape[0])
         return encode(encoder, x)
 
-    monkeypatch.setattr(learners, "_encode", counting_encode)
-    training.score_difficulties(params, episodes)
-    monkeypatch.undo()
-    return stacks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learners, "_encode", counting_encode)
+        yield stacks
+
+
+# A support and a query stack per chunk of four 3-way 5-shot episodes with
+# 4 queries per class.
+PER_CHUNK_STACKS = [4 * 15, 4 * 12]
 
 
 class TestScoreDifficulties:
-    """ProtoNet and ANIL pools are scored from their distinct rows, each
-    encoded once; every difficulty keeps the bits of the per-chunk path."""
+    """ProtoNet and ANIL pools are scored from the distinct rows their
+    episodes index, each encoded once; every difficulty keeps the bits of
+    the per-chunk path. The encoder stacks show which path ran."""
 
     @pytest.mark.parametrize("shot", [1, 5])
     @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
     def test_distinct_rows_keep_the_per_chunk_bits(self, algorithm, shot):
         pool = _repeating_pool(shot)
-        assert training._distinct_rows(pool) is not None
         params = learners.init_params(
             algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=11, adaptation_steps=2
         )
-        np.testing.assert_array_equal(
-            training.score_difficulties(params, pool), _per_chunk_difficulties(params, pool)
-        )
+        with _encoder_stacks() as stacks:
+            omegas = training.score_difficulties(params, pool)
+        if algorithm != "maml":
+            assert sum(stacks) == len(_rows(pool)) < 3 * (shot + 4) * len(pool)
+        np.testing.assert_array_equal(omegas, _per_chunk_difficulties(params, pool))
 
     @pytest.mark.parametrize("shot", [1, 5])
     @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
     def test_one_way_episodes(self, algorithm, shot):
         pool = _repeating_pool(shot, n=1, dataset=data.generate_synthetic(2, shot + 4, 5, 3.0, 1.0, seed=7))
-        assert training._distinct_rows(pool) is not None
         params = learners.init_params(
             algorithm, 5, 1, hidden_sizes=(16,), embedding_dim=8, seed=12, adaptation_steps=2
         )
-        np.testing.assert_array_equal(
-            training.score_difficulties(params, pool), _per_chunk_difficulties(params, pool)
-        )
+        with _encoder_stacks() as stacks:
+            omegas = training.score_difficulties(params, pool)
+        if algorithm != "maml":
+            assert sum(stacks) == len(_rows(pool)) < (shot + 4) * len(pool)
+        np.testing.assert_array_equal(omegas, _per_chunk_difficulties(params, pool))
 
     @pytest.mark.parametrize("interleaved", [True, False])
     @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
-    def test_keys_shared_by_two_datasets_fall_back_to_every_row(self, algorithm, interleaved):
-        # Same class ids and sample indices, different rows; one after the
-        # other, no chunk holds episodes of both.
+    def test_episodes_of_two_arrays_are_encoded_chunk_by_chunk(self, algorithm, interleaved):
+        # Row indices into two arrays of the same shape, whose rows differ;
+        # one after the other, no chunk holds episodes of both.
         first = _repeating_pool(5, seed=8)[: 2 * training.EPISODE_CHUNK]
         second = _repeating_pool(5, seed=9)[: 2 * training.EPISODE_CHUNK]
         pool = [ep for pair in zip(first, second) for ep in pair] if interleaved else first + second
-        assert training._distinct_rows(first) is not None
-        assert training._distinct_rows(pool) is None
         params = learners.init_params(
             algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=13, adaptation_steps=2
         )
-        np.testing.assert_array_equal(
-            training.score_difficulties(params, pool), _per_chunk_difficulties(params, pool)
-        )
+        with _encoder_stacks() as stacks:
+            training.score_difficulties(params, first)
+        if algorithm != "maml":
+            assert sum(stacks) == len(_rows(first))
+        with _encoder_stacks() as stacks:
+            omegas = training.score_difficulties(params, pool)
+        if algorithm != "maml":
+            assert stacks == PER_CHUNK_STACKS * 4
+        np.testing.assert_array_equal(omegas, _per_chunk_difficulties(params, pool))
 
     @pytest.mark.parametrize("algorithm", ["proto_euclidean", "proto_cosine", "anil"])
     def test_encoder_runs_once_on_the_distinct_rows(self, monkeypatch, algorithm):
         pool = _repeating_pool(5)
         params = learners.init_params(algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=14)
-        stacks = _encoder_stacks(monkeypatch, params, pool)
-        # Each distinct row once, in stacks of half a chunk's 4 * 27 rows.
-        assert sum(stacks) == len(_keys(pool)) and len(stacks) > 1
-        assert all(2 <= rows <= training.EPISODE_CHUNK * 27 // 2 + 1 for rows in stacks)
+        monkeypatch.setattr(learners, "ENCODE_STACK_ROWS", 16)
+        with _encoder_stacks() as stacks:
+            omegas = training.score_difficulties(params, pool)
+        # Each distinct row once, in stacks of 16 rows, the last one 2 to 17.
+        assert sum(stacks) == len(_rows(pool)) and len(stacks) > 1
+        assert stacks[:-1] == [16] * (len(stacks) - 1) and 2 <= stacks[-1] <= 17
+        np.testing.assert_array_equal(omegas, _per_chunk_difficulties(params, pool))
 
-    def test_rows_that_barely_repeat_are_encoded_chunk_by_chunk(self, monkeypatch):
-        # 270 rows over 240 samples: fewer than two rows per key.
+    def test_rows_that_barely_repeat_are_encoded_chunk_by_chunk(self):
+        # 270 rows over 240 samples: fewer than two rows per distinct row.
         pool = _repeating_pool(5, dataset=data.generate_synthetic(6, 40, 5, 3.0, 1.0, seed=7))
-        assert 2 * len(_keys(pool)) > 27 * len(pool)
-        assert training._distinct_rows(pool) is None
+        assert 2 * len(_rows(pool)) > 27 * len(pool)
         params = learners.init_params("proto_cosine", 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=14)
-        # A support and a query stack per chunk.
-        assert _encoder_stacks(monkeypatch, params, pool) == [60, 48, 60, 48, 30, 24]
-        np.testing.assert_array_equal(
-            training.score_difficulties(params, pool), _per_chunk_difficulties(params, pool)
-        )
+        with _encoder_stacks() as stacks:
+            omegas = training.score_difficulties(params, pool)
+        assert stacks == PER_CHUNK_STACKS * 2 + [2 * 15, 2 * 12]
+        np.testing.assert_array_equal(omegas, _per_chunk_difficulties(params, pool))
 
     @pytest.mark.parametrize("algorithm", ["proto_euclidean", "proto_cosine"])
     def test_nan_row_names_the_callers_episode(self, algorithm):
         ds = data.generate_synthetic(6, 14, 5, 3.0, 1.0, seed=7)
         pool = _repeating_pool(5, dataset=ds)
-        # A query sample first met after the first chunk, made NaN in the
+        # A query row first met after the first chunk, made NaN in the
         # dataset, so that every episode holding it reads the same NaN row.
         chunk = training.EPISODE_CHUNK
-        first, cid, sample = next(
-            (index, ep.classes[label], s)
+        first, row = next(
+            (index, row)
             for index, ep in enumerate(pool)
             if index >= chunk
-            for label, s in zip(ep.query_labels.tolist(), ep.query_samples.tolist())
-            if (ep.classes[label], s) not in _keys(pool[:index])
+            for row in ep.query_rows.tolist()
+            if row not in _rows(pool[:index])
         )
         x = ds.x.copy()
-        x[ds.offsets[ds.class_ids.index(cid)] + sample] = np.nan
+        x[row] = np.nan
         pool = _repeating_pool(5, dataset=dataclasses.replace(ds, x=x))
-        assert training._distinct_rows(pool) is not None
         params = learners.init_params(algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=15)
-        with pytest.raises(learners.LearnerError, match=f"non-finite difficulty for episode {first}$"):
-            training.score_difficulties(params, pool)
+        with _encoder_stacks() as stacks:
+            with pytest.raises(learners.LearnerError, match=f"non-finite difficulty for episode {first}$"):
+                training.score_difficulties(params, pool)
+        assert sum(stacks) == len(_rows(pool))
         reference = _per_chunk_difficulties(params, pool)
         assert np.isnan(reference[first]) and np.isfinite(reference[:first]).all()
 
@@ -286,9 +297,9 @@ class TestScoreDifficulties:
         episodes = data.sample_episodes(train_ds, 3, 1, 5, streams.stream(6, streams.TRAIN_EPISODES), 7)
         # The first episode of the second chunk.
         index = training.EPISODE_CHUNK
-        episodes[index] = dataclasses.replace(
-            episodes[index], query_x=np.full_like(episodes[index].query_x, np.nan)
-        )
+        x = episodes[index].x.copy()
+        x[episodes[index].query_rows] = np.nan
+        episodes[index] = dataclasses.replace(episodes[index], x=x)
         with pytest.raises(learners.LearnerError, match=f"non-finite difficulty for episode {index}$"):
             training.score_difficulties(params, episodes)
 
@@ -571,6 +582,14 @@ class TestTrainLoop:
         params = learners.init_params("maml", 6, 4, seed=0)
         with pytest.raises(training.TrainerError, match="way"):
             training.train(_config(), params, train_ds, val_ds, SamplingScheme("baseline"))
+
+    @pytest.mark.parametrize("value", [1, 0])
+    @pytest.mark.parametrize("name", ["validation_episodes", "test_episodes"])
+    def test_fewer_than_two_evaluation_episodes_rejected(self, name, value):
+        # evaluate's confidence interval needs two episodes; the config says
+        # so before any iteration runs.
+        with pytest.raises(training.TrainerError, match=f"^{name} must be at least 2, got {value}$"):
+            _config(**{name: value})
 
     def test_history_round_trip_for_dispersion(self, tmp_path):
         train_ds, val_ds, _ = _datasets()
