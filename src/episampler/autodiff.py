@@ -21,14 +21,17 @@ scalar tensor of shape ``()``, and ``add`` also broadcasts a ``(1, n)`` bias
 row over an ``(m, n)`` operand, or a ``(B, 1, n)`` one over ``(B, m, n)``),
 ``smul`` (multiplication by a Python float), ``matmul`` (2-D, or 3-D
 ``(B, ...)`` operands multiplied episode by episode, with optional
-transposition of the last two axes), ``reshape``, ``tile`` (copies of a
-tensor along a new leading axis, e.g. one set of fast weights per episode),
-``relu``, ``exp``, ``log``, ``sum``, ``mean`` (of all entries, or of each
-row), ``sqdist`` (pairwise squared Euclidean distance, 2-D or 3-D), and
-``softmax_cross_entropy`` (fused, max-stabilized). Every operand is a
-:class:`Tensor`; constants are wrapped with :func:`tensor`. State that only
-a backward pass reads (masks, one-hot labels) is built inside the vjp, so a
-forward under :func:`no_grad` never pays for it.
+transposition of the last two axes; an outer product, whose contracted
+dimension is 1, is a broadcast with the product's bits), ``reshape``,
+``tile`` (copies of a tensor along a new leading axis, e.g. one set of
+fast weights per episode), ``relu``, ``exp``, ``log``, ``sum``, ``mean``
+(of all entries, or of each row), ``sqdist`` (pairwise squared Euclidean
+distance, 2-D or 3-D, as norms minus twice one batched matrix product,
+clamped at 0, so within a norm-scaled tolerance of the difference
+formula), and ``softmax_cross_entropy`` (fused, max-stabilized). Every
+operand is a :class:`Tensor`; constants are wrapped with :func:`tensor`.
+State that only a backward pass reads (masks, one-hot labels) is built
+inside the vjp, so a forward under :func:`no_grad` never pays for it.
 
 A :func:`grad` call is one reverse sweep of the tape in creation order:
 each record draws its place after its inputs exist, so it comes after
@@ -250,7 +253,13 @@ def smul(c: float, a: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
     """Matrix product of 2-D operands, or of 3-D ``(B, ...)`` operands one
-    leading index at a time; ``ta``/``tb`` transpose the last two axes."""
+    leading index at a time; ``ta``/``tb`` transpose the last two axes.
+
+    An outer product (a contracted dimension of 1: a column times a row,
+    as in the ones-row broadcasts of the vjps) is computed by broadcasting,
+    ``av * bv + 0.0``. That is the one product ``av @ bv`` forms, and the
+    ``+ 0.0`` turns a -0.0 into +0.0 as its zero-started sum does, so the
+    result has the same bits, ±0, inf, NaN and subnormals included."""
     av, bv = a.data, b.data
     if av.ndim != bv.ndim or av.ndim not in (2, 3):
         raise ShapeMismatchError("matmul", a.shape, b.shape)
@@ -260,7 +269,7 @@ def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
         bv = bv.swapaxes(-1, -2)
     if av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-2]:
         raise ShapeMismatchError("matmul", av.shape, bv.shape)
-    out = av @ bv
+    out = av * bv + 0.0 if av.shape[-1] == 1 else av @ bv
 
     def va(g):
         if ta:
@@ -371,7 +380,15 @@ def mean(a: Tensor, rows: bool = False) -> Tensor:
 
 def sqdist(x: Tensor, y: Tensor) -> Tensor:
     """Pairwise squared Euclidean distances: (m, d) x (n, d) -> (m, n), or
-    (B, m, d) x (B, n, d) -> (B, m, n) one leading index at a time."""
+    (B, m, d) x (B, n, d) -> (B, m, n) for every leading index at once.
+
+    One ``kernels.pairwise_sqdist`` call computes
+    ``max(|x_i|^2 + |y_j|^2 - 2 x_i.y_j, 0)``, the cross term as one
+    batched matrix product. An entry is within
+    ``4 * (d + 2) * eps * (|x_i|^2 + |y_j|^2)`` of ``sum((x_i - y_j)**2)``,
+    not within a few ulps of it: close rows cancel. The vjps are those of
+    the unclamped formula: ``2 (rowsum(g) x - g y)`` for x and
+    ``2 (colsum(g) y - g^T x)`` for y."""
     if (
         x.data.ndim != y.data.ndim
         or x.data.ndim not in (2, 3)
@@ -382,12 +399,7 @@ def sqdist(x: Tensor, y: Tensor) -> Tensor:
     lead = x.shape[:-2]
     m, d = x.shape[-2:]
     n = y.shape[-2]
-    xs = np.ascontiguousarray(x.data).reshape((-1, m, d))
-    ys = np.ascontiguousarray(y.data).reshape((-1, n, d))
-    out = np.empty((xs.shape[0], m, n))
-    for i in range(xs.shape[0]):
-        out[i] = kernels.pairwise_sqdist(xs[i], ys[i])
-    out = out.reshape(lead + (m, n))
+    out = kernels.pairwise_sqdist(x.data, y.data)
 
     def vx(g):
         rows = matmul(g, _ones(lead + (n, 1)))

@@ -16,9 +16,10 @@ the row maximum alone puts 1 into ``z`` and ``picked <= 0``.
 * ``proto_euclidean`` - log-softmax over negative squared Euclidean
   distances between query embeddings and class prototypes (per-class mean
   support embeddings). The batch's supports and queries are encoded once
-  each, as two stacked matrices; prototypes use batch-global labels and
-  distances are taken episode by episode on ``(B, ...)`` tensors, so the
-  tape does not grow with the batch size.
+  each, as two stacked matrices; prototypes use batch-global labels, and
+  one ``sqdist`` op on ``(B, ...)`` tensors takes every episode's
+  distances as one batched matrix product, so the tape does not grow with
+  the batch size.
 * ``proto_cosine`` - negative cosine similarity in place of the distance,
   multiplied by a learnable scale.
 * ``maml`` - all parameters adapted by ``adaptation_steps`` gradient

@@ -27,9 +27,9 @@ draw reads only class ids and counts, so the stream yields the same
 episodes. ``score_difficulties`` gets its episodes already drawn, each
 holding the indices of its rows in the array it was drawn from: it
 encodes the distinct rows those indices name and points every episode at
-the embeddings. Episodes that index more than one array, or whose rows
-repeat too little to pay for it (a training batch, say), keep their rows
-and every chunk encodes its own. The encoder works row by row, so the
+the embeddings, however few rows repeat (an offline training batch's
+barely do). Episodes that index more than one array keep their rows and
+every chunk encodes its own. The encoder works row by row, so the
 logits keep their bits. The exception is a one-row stack, which numpy
 multiplies by another routine and may round differently; only a 1-way
 episode has one, and its accuracy is 1 and its difficulty 0 whatever its
@@ -70,14 +70,15 @@ logger = logging.getLogger(__name__)
 
 # Episodes per batched forward in evaluate and score_difficulties. Larger
 # chunks cut per-op overhead but hold more rows at once. A chunk that runs
-# the encoder (MAML's, and a scoring chunk of rows that repeat too little)
-# holds its activations: measured when every chunk encoded its rows, on
-# perfbench's 5-shot scoring workload, 4 raised peak RSS by about 1% over
-# one episode at a time and 8 by about 2.5%, while their throughputs stayed
-# within run-to-run noise of each other. Any other ProtoNet or ANIL chunk
-# holds only embedded rows, gathered from rows encoded once. The size is
-# part of the results: a batch's sums run in another order, so
-# proto_cosine difficulties change their last bits at other sizes.
+# the encoder (MAML's, and a scoring chunk of episodes that index more than
+# one array) holds its activations: measured when every chunk encoded its
+# rows, on perfbench's 5-shot scoring workload, 4 raised peak RSS by about
+# 1% over one episode at a time and 8 by about 2.5%, while their
+# throughputs stayed within run-to-run noise of each other. Any other
+# ProtoNet or ANIL chunk holds only embedded rows, gathered from rows
+# encoded once. The size is part of the results: a batch's sums run in
+# another order, so proto_cosine difficulties change their last bits at
+# other sizes.
 EPISODE_CHUNK = 4
 
 # Adam's moment decay rates and denominator guard.
@@ -233,22 +234,19 @@ def evaluate(
 def _encoded_once(params: learners.LearnerParams, episodes: list[Episode]):
     """``params`` without its encoder and ``episodes`` pointed at the
     embeddings of the distinct rows they index, or both unchanged when the
-    episodes index more than one array or hold fewer than twice as many
-    rows as they index.
+    episodes index more than one array.
 
     A 300-episode 5-way 5-shot pool from perfbench's 3200-row split holds
     9.4 rows per distinct row; proto_cosine scored it in 36 ms from encoded
     rows against 59 ms chunk by chunk (one BLAS thread, 2-core Xeon). A
     16-episode batch from that split holds 1.2-1.3, and either path scored
-    it in 2.6-2.9 ms (proto_euclidean).
+    it in 2.6-2.9 ms (proto_euclidean), so no batch is too small for it.
     """
     x = episodes[0].x
     if any(ep.x is not x for ep in episodes):
         return params, episodes
     parts = [rows for ep in episodes for rows in (ep.support_rows, ep.query_rows)]
     distinct, index = np.unique(np.concatenate(parts), return_inverse=True)
-    if 2 * len(distinct) > len(index):
-        return params, episodes
     params, embeddings = learners.encode_once(params, x.take(distinct, axis=0))
     bounds = np.cumsum([0] + [len(rows) for rows in parts]).tolist()
     rows = [index[a:b] for a, b in zip(bounds, bounds[1:])]

@@ -68,6 +68,30 @@ class TestForwardOps:
         with pytest.raises(ad.ShapeMismatchError):
             ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("tb", [False, True])
+    @pytest.mark.parametrize("ta", [False, True])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_outer_product_has_the_bytes_of_np_matmul(self, lead, ta, tb):
+        # A contracted dimension of 1 takes the broadcast path; every pair
+        # of these values meets once, so 0 * inf, inf * -0.0, NaN, overflow
+        # and products that round into the subnormals all occur.
+        values = np.array([
+            0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308,
+            1e-160, -3e-170, 1.0, -2.5, 1e300, -1e300,
+        ])
+        rng = _rng(2)
+        col, row = (
+            np.stack([rng.permutation(values) for _ in range(math.prod(lead))]).reshape(lead + shape)
+            for shape in ((-1, 1), (1, -1))
+        )
+        a = col.swapaxes(-1, -2).copy() if ta else col
+        b = row.swapaxes(-1, -2).copy() if tb else row
+        with np.errstate(all="ignore"):
+            out = ad.matmul(ad.tensor(a), ad.tensor(b), ta=ta, tb=tb).data
+            expected = np.matmul(col, row)
+        assert out.shape == expected.shape == lead + (values.size, values.size)
+        assert out.tobytes() == expected.tobytes()
+
 
 class TestBackward:
     def test_square_gradient(self):

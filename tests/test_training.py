@@ -244,14 +244,15 @@ class TestScoreDifficulties:
         assert stacks[:-1] == [16] * (len(stacks) - 1) and 2 <= stacks[-1] <= 17
         np.testing.assert_array_equal(omegas, _per_chunk_difficulties(params, pool))
 
-    def test_rows_that_barely_repeat_are_encoded_chunk_by_chunk(self):
-        # 270 rows over 240 samples: fewer than two rows per distinct row.
+    def test_rows_that_barely_repeat_are_encoded_once(self):
+        # 270 rows over 240 samples: fewer than two rows per distinct row,
+        # as in a training batch; they too are encoded once each.
         pool = _repeating_pool(5, dataset=data.generate_synthetic(6, 40, 5, 3.0, 1.0, seed=7))
         assert 2 * len(_rows(pool)) > 27 * len(pool)
         params = learners.init_params("proto_cosine", 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=14)
         with _encoder_stacks() as stacks:
             omegas = training.score_difficulties(params, pool)
-        assert stacks == PER_CHUNK_STACKS * 2 + [2 * 15, 2 * 12]
+        assert stacks == [len(_rows(pool))]
         np.testing.assert_array_equal(omegas, _per_chunk_difficulties(params, pool))
 
     @pytest.mark.parametrize("algorithm", ["proto_euclidean", "proto_cosine"])
@@ -300,6 +301,19 @@ class TestScoreDifficulties:
         x = episodes[index].x.copy()
         x[episodes[index].query_rows] = np.nan
         episodes[index] = dataclasses.replace(episodes[index], x=x)
+        with pytest.raises(learners.LearnerError, match=f"non-finite difficulty for episode {index}$"):
+            training.score_difficulties(params, episodes)
+
+    def test_huge_row_names_the_episode_without_a_warning(self):
+        # A 1e200 query row squares to inf in its distances and the softmax
+        # meets inf - inf: NaN, not a RuntimeWarning (an error in this suite).
+        train_ds, _, _ = _datasets()
+        params = learners.init_params("proto_euclidean", 6, 3, seed=5)
+        episodes = data.sample_episodes(train_ds, 3, 1, 5, streams.stream(6, streams.TRAIN_EPISODES), 7)
+        index = training.EPISODE_CHUNK
+        x = train_ds.x.copy()
+        x[episodes[index].query_rows[0]] = 1e200
+        episodes = [dataclasses.replace(ep, x=x) for ep in episodes]
         with pytest.raises(learners.LearnerError, match=f"non-finite difficulty for episode {index}$"):
             training.score_difficulties(params, episodes)
 
@@ -435,6 +449,25 @@ MALFORMED_EPISODE_ROWS = {
 
 
 class TestTrainLoop:
+    def test_huge_row_ends_the_run_with_a_non_finite_loss(self):
+        # A 1e200 query row in the first batch: its distances are inf and
+        # its loss NaN, which ends the run, with no RuntimeWarning (an error
+        # in this suite) on the way.
+        train_ds, val_ds, _ = _datasets()
+        config = _config()
+        first = data.sample_episodes(
+            train_ds, config.way, config.shot, config.query,
+            streams.stream(config.seed, streams.TRAIN_EPISODES), config.batch_size,
+        )
+        x = train_ds.x.copy()
+        x[first[0].query_rows[0]] = 1e200
+        params = learners.init_params("proto_euclidean", 6, 3, seed=0)
+        result = training.train(
+            config, params, dataclasses.replace(train_ds, x=x), val_ds, SamplingScheme("baseline")
+        )
+        assert result.diagnostic == "iteration 1: TrainerError: non-finite loss"
+        assert result.history == []
+
     def test_zero_iterations_returns_initial_params(self):
         train_ds, val_ds, _ = _datasets()
         params = learners.init_params("proto_euclidean", 6, 3, seed=0)
