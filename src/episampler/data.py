@@ -7,11 +7,11 @@ without replacement (first k to the support set, rest to the query set).
 
 In memory a dataset is one read-only ``(N, d)`` float64 array holding every
 class's rows back to back, a class id per block and the block offsets.
-An ``Episode`` keeps that array itself, never a copy, and the index of
-each of its support and query rows in it, grouped by class in label
-order, support and query alike; ``support_x`` and ``query_x`` gather the
-rows on read. Its label arrays are shared by every episode of the same
-shape and are read-only.
+An ``EpisodeBatch`` keeps that array itself, never a copy, and per
+episode its class ids and the index of each support and query row in it,
+grouped by class in label order, as ``(B, ...)`` arrays; ``support_x`` and
+``query_x`` gather the rows on read, one ``take`` each. Its read-only label
+arrays are every episode's, shared by every batch of the same shape.
 
 Each episode consumes one block of ``L = num_classes + n * max_count``
 uniforms from ``rng.random``, ``max_count`` being the largest class size:
@@ -26,10 +26,10 @@ uniforms from ``rng.random``, ``max_count`` being the largest class size:
 
 Every draw has a batch axis: ``sample_episodes`` takes the blocks of its
 ``B`` episodes with one ``rng.random((B, L))`` call, and ``sample_episode``
-is its ``B = 1`` case. Philox is counter-based, so that call yields the
+is its ``B = 1`` batch. Philox is counter-based, so that call yields the
 same values as ``B`` successive ``rng.random(L)`` calls: ``sample_episodes``
-with ``count=B`` returns the same episodes as ``B`` ``sample_episode``
-calls, and batching or chunking the draws never changes a stream.
+with ``count=B`` returns the ``concat`` of ``B`` ``sample_episode`` calls,
+and batching or chunking the draws never changes a stream.
 
 On disk a dataset is a directory with ``manifest.json`` and ``data.csv``
 (header ``class_id,f0,...,f{d-1}``, one sample per row, floats written as
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -122,40 +122,68 @@ class BaseDataset:
         return _DrawTables(ids, counts, int(counts.min()), int(counts.max()), rank, by_rank)
 
 
-@dataclass(frozen=True, eq=False)
-class Episode:
-    """One n-way k-shot task with disjoint support and query samples.
+_PER_EPISODE = ("classes", "support_samples", "support_rows", "query_samples", "query_rows")
 
-    Each sample appears once, as its local label (the position of its class
-    in ``classes``), its index within its class and its row: an index into
-    ``x``, the array the episode was drawn from. ``support_x`` and
-    ``query_x`` gather those rows on read, so rows and indices cannot
-    disagree.
-    """
+
+@dataclass(frozen=True, eq=False)
+class EpisodeBatch:
+    """``B`` n-way k-shot tasks drawn from ``x``, episode ``i`` in row ``i``
+    of each ``(B, ...)`` array. Each sample appears once, as its local label
+    (the position of its class in the episode's ``classes``), its index
+    within its class and its row of ``x``, from which ``support_x`` and
+    ``query_x`` gather it on read."""
 
     n: int
     k: int
     q: int
-    classes: tuple[int, ...]  # sorted class ids
-    x: np.ndarray = field(repr=False)  # (N, d) rows the episode indexes
-    support_labels: np.ndarray  # (n*k,), local labels in [0, n)
-    support_samples: np.ndarray  # (n*k,), sample index within the class
-    support_rows: np.ndarray  # (n*k,), row of x
+    x: np.ndarray = field(repr=False)  # (N, d) rows the episodes index
+    classes: np.ndarray  # (B, n) class ids, each row sorted
+    support_labels: np.ndarray  # (n*k,) local labels in [0, n), every episode's
+    support_samples: np.ndarray  # (B, n*k) sample index within the class
+    support_rows: np.ndarray  # (B, n*k) row of x
     query_labels: np.ndarray  # (n*q,)
-    query_samples: np.ndarray  # (n*q,)
-    query_rows: np.ndarray  # (n*q,)
+    query_samples: np.ndarray  # (B, n*q)
+    query_rows: np.ndarray  # (B, n*q)
+
+    def __len__(self) -> int:
+        return len(self.classes)
+
+    def __getitem__(self, index) -> EpisodeBatch:
+        """The episodes at ``index``, a slice or an index array, as a batch."""
+        if not isinstance(index, slice) and np.ndim(index) == 0:
+            raise TypeError("index an EpisodeBatch by a slice or an index array")
+        return replace(self, **{name: getattr(self, name)[index] for name in _PER_EPISODE})
 
     @property
     def support_x(self) -> np.ndarray:
-        """(n*k, d) support rows."""
-        # ndarray.take copies the same rows as fancy indexing, at a fraction
-        # of its per-call cost on these small index arrays.
+        """(B, n*k, d) support rows."""
         return self.x.take(self.support_rows, axis=0)
 
     @property
     def query_x(self) -> np.ndarray:
-        """(n*q, d) query rows."""
+        """(B, n*q, d) query rows."""
         return self.x.take(self.query_rows, axis=0)
+
+
+def concat(batches) -> EpisodeBatch:
+    """An ``EpisodeBatch`` as it is, or a list of batches that share ``n``,
+    ``k``, ``q``, ``x`` and label arrays joined in order."""
+    if isinstance(batches, EpisodeBatch):
+        return batches
+    if not batches:
+        raise DatasetError("no episodes to join")
+    first = batches[0]
+    shape = (first.n, first.k, first.q)
+    for other in batches[1:]:
+        if (other.n, other.k, other.q) != shape:
+            raise DatasetError(f"episode shape {other.n, other.k, other.q} differs from {shape}")
+        if other.x is not first.x:
+            raise DatasetError("batches index different arrays")
+        if other.support_labels is not first.support_labels or other.query_labels is not first.query_labels:
+            raise DatasetError("batches have different label arrays")
+    return replace(
+        first, **{name: np.concatenate([getattr(b, name) for b in batches]) for name in _PER_EPISODE}
+    )
 
 
 def generate_synthetic(
@@ -244,7 +272,7 @@ def split_classes(dataset: BaseDataset, ratios) -> tuple[BaseDataset, BaseDatase
 @functools.lru_cache(maxsize=None)
 def _labels(n: int, per_class: int) -> np.ndarray:
     """Read-only local labels ``[0]*per_class + ... + [n-1]*per_class``,
-    shared by every episode of that shape."""
+    shared by every batch of that shape."""
     labels = np.repeat(np.arange(n), per_class)
     labels.setflags(write=False)
     return labels
@@ -252,7 +280,7 @@ def _labels(n: int, per_class: int) -> np.ndarray:
 
 def sample_episodes(
     dataset: BaseDataset, n: int, k: int, q: int, rng: np.random.Generator, count: int
-) -> list[Episode]:
+) -> EpisodeBatch:
     """``count`` episodes, each from its own block of ``rng`` (see the
     module docstring)."""
     if count <= 0:
@@ -281,25 +309,19 @@ def sample_episodes(
         keys = np.where(np.arange(max_count) >= counts[..., None], np.inf, keys)
     samples = np.argsort(keys, axis=-1, kind="stable")[..., :m]
     rows = dataset.offsets[pos][..., None] + samples
-    support = samples[..., :k].reshape((count, n * k))
-    query = samples[..., k:].reshape((count, n * q))
-    support_rows = rows[..., :k].reshape((count, n * k))
-    query_rows = rows[..., k:].reshape((count, n * q))
-    support_labels, query_labels = _labels(n, k), _labels(n, q)
-    return [
-        Episode(
-            n, k, q, tuple(c), dataset.x, support_labels, support[i], support_rows[i],
-            query_labels, query[i], query_rows[i],
-        )
-        for i, c in enumerate(tables.ids[pos].tolist())
-    ]
+    support, support_rows = (a[..., :k].reshape((count, n * k)) for a in (samples, rows))
+    query, query_rows = (a[..., k:].reshape((count, n * q)) for a in (samples, rows))
+    return EpisodeBatch(
+        n, k, q, dataset.x, tables.ids[pos], _labels(n, k), support, support_rows, _labels(n, q),
+        query, query_rows,
+    )
 
 
 def sample_episode(
     dataset: BaseDataset, n: int, k: int, q: int, rng: np.random.Generator
-) -> Episode:
-    """One episode from one block of ``rng``."""
-    return sample_episodes(dataset, n, k, q, rng, 1)[0]
+) -> EpisodeBatch:
+    """The batch of one episode from one block of ``rng``."""
+    return sample_episodes(dataset, n, k, q, rng, 1)
 
 
 def _csv_header(feature_dim: int) -> str:
@@ -372,28 +394,23 @@ def load_dataset(path) -> BaseDataset:
     )
 
 
-def _pairs(classes, labels, samples) -> list[list[int]]:
-    return [[classes[label], sample] for label, sample in zip(labels.tolist(), samples.tolist())]
+def _pairs(classes: np.ndarray, labels: np.ndarray, samples: np.ndarray) -> list:
+    return np.stack([classes[:, labels], samples], axis=-1).tolist()
 
 
 def save_episode_file(episodes, path) -> None:
-    """Record which samples the episodes used: each sample is written as its
-    ``(class id, sample index)`` pair, ``(classes[label], sample)``."""
-    episodes = list(episodes)
-    if not episodes:
-        raise DatasetError("no episodes to save")
-    first = episodes[0]
+    """Record which samples ``concat(episodes)`` used: each sample is written
+    as its ``(class id, sample index)`` pair, ``(classes[label], sample)``."""
+    batch = concat(episodes)
     payload = {
-        "n": first.n,
-        "k": first.k,
-        "q": first.q,
+        "n": batch.n, "k": batch.k, "q": batch.q,
         "episodes": [
-            {
-                "classes": list(ep.classes),
-                "support": _pairs(ep.classes, ep.support_labels, ep.support_samples),
-                "query": _pairs(ep.classes, ep.query_labels, ep.query_samples),
-            }
-            for ep in episodes
+            {"classes": classes, "support": support, "query": query}
+            for classes, support, query in zip(
+                batch.classes.tolist(),
+                _pairs(batch.classes, batch.support_labels, batch.support_samples),
+                _pairs(batch.classes, batch.query_labels, batch.query_samples),
+            )
         ],
     }
     # json.dumps takes the C encoder; json.dump to a file never does.

@@ -6,11 +6,6 @@ and the whole ``(B, ...)`` batch in it; ``adam_update`` backs
 ``training.adam_step``. Callers look each one up as a module attribute at
 call time, so the benchmark's tracer can wrap exactly these three names.
 ``BACKEND`` names the implementation and is recorded with benchmark runs.
-
-The two tape kernels run under ``np.errstate(over="ignore",
-invalid="ignore")``: an input too large to square, or holding inf or NaN,
-gives a non-finite output that the caller rejects (a non-finite loss or
-difficulty), not a ``RuntimeWarning``.
 """
 
 from __future__ import annotations
@@ -30,27 +25,24 @@ def pairwise_sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     with the rows' norms, not with the distance: with d features it stays
     within ``4 * (d + 2) * eps * (|x_i|^2 + |y_j|^2)`` of the difference
     formula ``sum((x_i - y_j)**2)``, and the clamp keeps it non-negative.
-    Rows too large to square give inf or NaN, without a warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms_x = np.einsum("...md,...md->...m", x, x)
-        norms_y = np.einsum("...nd,...nd->...n", y, y)
-        out = norms_x[..., :, None] + norms_y[..., None, :] - 2.0 * (x @ y.swapaxes(-1, -2))
-        return np.maximum(out, 0.0, out=out)
+    norms_x = np.einsum("...md,...md->...m", x, x)
+    norms_y = np.einsum("...nd,...nd->...n", y, y)
+    out = norms_x[..., :, None] + norms_y[..., None, :] - 2.0 * (x @ y.swapaxes(-1, -2))
+    return np.maximum(out, 0.0, out=out)
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     """Per-row cross-entropy (m, 1) and ``e = exp(logits - rowmax)`` (m, n),
     the unnormalized softmax: ``e / e.sum(axis=1, keepdims=True)`` gives the
     probabilities, and the ``softmax_cross_entropy`` vjp reuses ``e``.
-    A row holding inf or NaN gives a NaN loss, without a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        rowmax = logits.max(axis=1, keepdims=True)
-        shifted = logits - rowmax
-        e = np.exp(shifted)
-        z = e.sum(axis=1, keepdims=True)
-        picked = shifted[np.arange(logits.shape[0]), labels][:, None]
-        loss = np.log(z) - picked
+    A row holding inf or NaN gives a NaN loss."""
+    rowmax = logits.max(axis=1, keepdims=True)
+    shifted = logits - rowmax
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
+    picked = shifted[np.arange(logits.shape[0]), labels][:, None]
+    loss = np.log(z) - picked
     return loss, e
 
 

@@ -1,17 +1,17 @@
 """The four episodic learners over a shared MLP encoder.
 
-Every public function takes a batch: a non-empty sequence of episodes
-that share ``n``, ``k`` and ``q``, and returns one result per episode in
-batch order. All share one entry point, ``_episode_logits``: the batch's
-``(B, n*q, n)`` query logits over each episode's local labels. From it come
-``episode_nll`` (each episode's mean query negative log-likelihood, as a
-``(B,)`` graph tensor), ``episode_log_likelihoods`` (a ``(B, n*q)`` tensor
-of each query's log-likelihood of its true label) and ``episode_accuracy``
-(a ``(B,)`` array). The batch's queries share one ``softmax_cross_entropy``
-call. An entry of ``episode_nll`` is the training loss of its episode and
-also its difficulty, the paper's omega; every difficulty in the package is
-one. It is never negative: each query loss is ``log(z) - picked``, where
-the row maximum alone puts 1 into ``z`` and ``picked <= 0``.
+Every public function takes a non-empty ``data.EpisodeBatch`` and returns
+one result per episode in batch order. All share one entry point,
+``_episode_logits``: the batch's ``(B, n*q, n)`` query logits over each
+episode's local labels. From it come ``episode_nll`` (each episode's mean
+query negative log-likelihood, as a ``(B,)`` graph tensor),
+``episode_log_likelihoods`` (a ``(B, n*q)`` tensor of each query's
+log-likelihood of its true label) and ``episode_accuracy`` (a ``(B,)``
+array). The batch's queries share one ``softmax_cross_entropy`` call. An
+entry of ``episode_nll`` is the training loss of its episode and also its
+difficulty, the paper's omega; every difficulty in the package is one. It
+is never negative: each query loss is ``log(z) - picked``, where the row
+maximum alone puts 1 into ``z`` and ``picked <= 0``.
 
 * ``proto_euclidean`` - log-softmax over negative squared Euclidean
   distances between query embeddings and class prototypes (per-class mean
@@ -42,8 +42,8 @@ the rows' embeddings; fed embedded rows, that learner gives the logits the
 full learner gives on the raw rows. It is the one way rows are encoded
 ahead of the episodes, and it has two callers: ``embedded``, on every row
 of a split (``training.evaluate`` draws from the result), and
-``training.score_difficulties``, on the distinct rows that given episodes
-index, which it then points those episodes at. MAML adapts its encoder per
+``training.score_difficulties``, on the distinct rows a given batch
+indexes, which it then points the batch at. MAML adapts its encoder per
 episode and has no embedded form. An encoder-less learner has no layer
 sizes and cannot be saved.
 
@@ -62,7 +62,6 @@ template's shapes.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,7 +69,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import files, streams
-from .data import BaseDataset, Episode
+from .data import BaseDataset, EpisodeBatch
 
 ALGORITHMS = ("proto_euclidean", "proto_cosine", "maml", "anil")
 GRADIENT_ALGORITHMS = ("maml", "anil")
@@ -232,21 +231,27 @@ def compute_prototypes(embeddings: ad.Tensor, labels: np.ndarray, k: int) -> ad.
     return ad.matmul(ad.tensor(averaging), embeddings)
 
 
-def _reciprocal_row_norms(x: ad.Tensor, what: str) -> ad.Tensor:
+def _reciprocal_row_norms(x: ad.Tensor, count: int, what: str) -> ad.Tensor:
     sq = ad.mul(x, x)
     sums = ad.matmul(sq, _ones((x.shape[1], 1)))
     if np.any(sums.data <= 0.0):
         raise LearnerError(f"zero-norm {what} embedding: cosine direction undefined")
+    # An overflowed norm would give its row a cosine of 0. A NaN one comes
+    # from a NaN row and gives a NaN difficulty, which the caller rejects.
+    huge = np.flatnonzero(sums.data == np.inf)
+    if huge.size:
+        episode = huge[0] * count // x.shape[0]
+        raise LearnerError(f"{what} embedding in episode {episode} of the batch: its squared norm overflows")
     # 1/sqrt(s) = exp(-log(s)/2), differentiable on s > 0.
     return ad.exp(ad.smul(-0.5, ad.log(sums)))
 
 
-def _proto_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:
-    count, n, k = len(episodes), episodes[0].n, episodes[0].k
-    emb_s = _encode(params.encoder, ad.tensor(np.concatenate([ep.support_x for ep in episodes])))
-    emb_q = _encode(params.encoder, ad.tensor(np.concatenate([ep.query_x for ep in episodes])))
+def _proto_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
+    count, n, k, features = len(batch), batch.n, batch.k, batch.x.shape[1]
+    emb_s = _encode(params.encoder, ad.tensor(batch.support_x.reshape(-1, features)))
+    emb_q = _encode(params.encoder, ad.tensor(batch.query_x.reshape(-1, features)))
     # Batch-global labels: class j of episode i is prototype row i*n + j.
-    labels = np.concatenate([ep.support_labels + i * n for i, ep in enumerate(episodes)])
+    labels = (batch.support_labels + n * np.arange(count)[:, None]).reshape(-1)
     protos = compute_prototypes(emb_s, labels, k)
     dim = protos.shape[1]
     queries = ad.reshape(emb_q, (count, -1, dim))
@@ -254,8 +259,8 @@ def _proto_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tens
     if params.algorithm == "proto_euclidean":
         return ad.smul(-1.0, ad.sqdist(queries, centres))
     dots = ad.matmul(queries, centres, tb=True)
-    rq = ad.reshape(_reciprocal_row_norms(emb_q, "query"), (count, -1, 1))
-    rp = ad.reshape(_reciprocal_row_norms(protos, "prototype"), (count, n, 1))
+    rq = ad.reshape(_reciprocal_row_norms(emb_q, count, "query"), (count, -1, 1))
+    rp = ad.reshape(_reciprocal_row_norms(protos, count, "prototype"), (count, n, 1))
     cosines = ad.mul(dots, ad.matmul(rq, rp, tb=True))
     return ad.mul(params.cosine_scale, cosines)
 
@@ -267,7 +272,7 @@ def _encode_stacked(encoder, x: np.ndarray) -> ad.Tensor:
     return ad.reshape(_encode(encoder, ad.tensor(x.reshape(count * rows, dim))), (count, rows, -1))
 
 
-def _gradient_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:
+def _gradient_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
     """(B, n*q, n) query logits after each episode's inner loop.
 
     The weights to adapt are tiled to ``(B, ...)`` fast weights, one copy
@@ -280,12 +285,11 @@ def _gradient_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.T
     order and records nothing; the softmax vjp has the same bits in both
     modes, so the logits do too.
     """
-    count, n = len(episodes), episodes[0].n
+    count, n = len(batch), batch.n
     if params.head[0].shape[1] != n:
         raise LearnerError(f"head width {params.head[0].shape[1]} does not match episode way {n}")
-    support = np.stack([ep.support_x for ep in episodes])
-    query = np.stack([ep.query_x for ep in episodes])
-    labels = np.concatenate([ep.support_labels for ep in episodes])
+    support, query = batch.support_x, batch.query_x
+    labels = np.tile(batch.support_labels, count)
     maml = params.algorithm == "maml"
     if maml:
         support, query = ad.tensor(support), ad.tensor(query)
@@ -361,48 +365,44 @@ def embedded(params: LearnerParams, dataset: BaseDataset) -> tuple[LearnerParams
     return params, dataclasses.replace(dataset, x=x)
 
 
-def _episode_logits(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:
+def _episode_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
     """(B, n*q, n) query logits; column j scores local label j."""
-    if not episodes:
+    if not len(batch):
         raise LearnerError("empty episode batch")
-    shape = (episodes[0].n, episodes[0].k, episodes[0].q)
-    for ep in episodes:
-        if (ep.n, ep.k, ep.q) != shape:
-            raise LearnerError(f"episode shape {(ep.n, ep.k, ep.q)} differs from the batch's {shape}")
     if params.algorithm in PROTO_ALGORITHMS:
-        return _proto_logits(params, episodes)
-    return _gradient_logits(params, episodes)
+        return _proto_logits(params, batch)
+    return _gradient_logits(params, batch)
 
 
-def _query_losses(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:
+def _query_losses(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
     """(B, n*q) cross-entropy of each query against its true label."""
-    logits = _episode_logits(params, episodes)
+    logits = _episode_logits(params, batch)
     count, rows, n = logits.shape
-    labels = np.concatenate([ep.query_labels for ep in episodes])
+    labels = np.tile(batch.query_labels, count)
     losses = ad.softmax_cross_entropy(ad.reshape(logits, (count * rows, n)), labels)
     return ad.reshape(losses, (count, rows))
 
 
-def episode_log_likelihoods(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:
+def episode_log_likelihoods(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
     """Per-query log-likelihood of the true label, as a (B, n*q) tensor."""
-    return ad.smul(-1.0, _query_losses(params, episodes))
+    return ad.smul(-1.0, _query_losses(params, batch))
 
 
-def episode_nll(params: LearnerParams, episodes: Sequence[Episode]) -> ad.Tensor:
+def episode_nll(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
     """Each episode's mean query negative log-likelihood, as a (B,) graph
     tensor.
 
     An entry's value is that episode's difficulty; it is also the
     per-episode loss the trainer weights and aggregates.
     """
-    return ad.mean(_query_losses(params, episodes), rows=True)
+    return ad.mean(_query_losses(params, batch), rows=True)
 
 
-def episode_accuracy(params: LearnerParams, episodes: Sequence[Episode]) -> np.ndarray:
+def episode_accuracy(params: LearnerParams, batch: EpisodeBatch) -> np.ndarray:
     """Per episode, the fraction of query points whose argmax class matches
     the label; ties break toward the lowest class id (argmax convention)."""
-    pred = np.argmax(_episode_logits(params, episodes).data, axis=2)
-    return np.mean(pred == np.stack([ep.query_labels for ep in episodes]), axis=1)
+    pred = np.argmax(_episode_logits(params, batch).data, axis=2)
+    return np.mean(pred == batch.query_labels, axis=1)
 
 
 def save_checkpoint(params: LearnerParams, stem) -> None:

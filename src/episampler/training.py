@@ -10,37 +10,37 @@ difficulty, in iteration order, after the batch's weights were computed
 from the model snapshot; in offline mode a frozen proposal network scores
 difficulties and the model never moves.
 
-Each training batch is drawn with one ``sample_episodes`` call, and
-``evaluate`` draws and runs its episodes ``EPISODE_CHUNK`` at a time; a
-batch of episodes is the same stream as one-at-a-time draws, so neither
-the batch size nor the chunk size changes which episodes a stream yields.
-``score_difficulties`` runs given episodes through ``learners.episode_nll``
-``EPISODE_CHUNK`` at a time, so a scored difficulty is the same float as
-the training loss of that episode under those parameters, and it rejects a
-non-finite one.
+Each training batch is drawn with one ``sample_episodes`` call, and so are
+``evaluate``'s episodes, which it runs ``EPISODE_CHUNK`` at a time as
+slices; a batch is the same stream as one-at-a-time draws, so neither the
+batch nor the chunk size changes a stream. ``score_difficulties`` runs a
+given batch through ``learners.episode_nll`` ``EPISODE_CHUNK`` at a time,
+so a scored difficulty is the same float as the training loss of that
+episode under those parameters, and it rejects a non-finite one.
 
 No ProtoNet or ANIL episode adapts the encoder, so for those learners both
 encode each row once, through ``learners.encode_once``, and feed each
 chunk its embedded rows. ``evaluate`` encodes its whole split
-(``learners.embedded``) and draws its chunks from the embedded rows; the
-draw reads only class ids and counts, so the stream yields the same
-episodes. ``score_difficulties`` gets its episodes already drawn, each
-holding the indices of its rows in the array it was drawn from: it
-encodes the distinct rows those indices name and points every episode at
-the embeddings, however few rows repeat (an offline training batch's
-barely do). Episodes that index more than one array keep their rows and
-every chunk encodes its own. The encoder works row by row, so the
-logits keep their bits. The exception is a one-row stack, which numpy
-multiplies by another routine and may round differently; only a 1-way
-episode has one, and its accuracy is 1 and its difficulty 0 whatever its
-logits. MAML adapts its encoder per episode, so it encodes each chunk's
-rows.
+(``learners.embedded``) and draws from the embedded rows; the draw reads
+only class ids and counts, so the stream yields the same episodes.
+``score_difficulties`` gets its batch already drawn, holding the indices
+of its rows in the array it was drawn from: it encodes the distinct rows
+those indices name and points the batch at the embeddings, however few
+rows repeat (an offline training batch's barely do). The encoder works
+row by row, so the logits keep their bits. The exception is a
+one-row stack, which numpy multiplies by another routine and may round
+differently; only a 1-way episode has one, and its accuracy is 1 and its
+difficulty 0 whatever its logits. MAML adapts its encoder per episode, so
+it encodes each chunk's rows.
 Both run under ``autodiff.no_grad``, so a MAML or ANIL learner adapts first
 order there, without the second-order graph training needs; its
 difficulties and accuracies are the same floats either way. Offline mode
 scores each training batch with the proposal through
 ``score_difficulties``, so it takes the same path.
 
+``train``, ``evaluate`` and ``score_difficulties`` run under
+``np.errstate(over="ignore", invalid="ignore")``, so a row too large to
+square ends in their diagnostic, not a ``RuntimeWarning``.
 A run that meets a ``TrainerError`` (a non-finite loss or gradient), a
 ``LearnerError`` (a non-finite inner-loop loss) or a ``SamplerError`` (a
 degenerate difficulty model) stops at that iteration and returns what it
@@ -56,29 +56,25 @@ learner format.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import files, kernels, learners, sampling, streams
 # sample_episode stays bound here: benchmark tracing wraps this module's name.
-from .data import BaseDataset, Episode, sample_episode, sample_episodes  # noqa: F401
+from .data import BaseDataset, EpisodeBatch, concat, sample_episode, sample_episodes  # noqa: F401
 from .sampling import DifficultyModel, SamplingScheme
 
 logger = logging.getLogger(__name__)
 
 # Episodes per batched forward in evaluate and score_difficulties. Larger
-# chunks cut per-op overhead but hold more rows at once. A chunk that runs
-# the encoder (MAML's, and a scoring chunk of episodes that index more than
-# one array) holds its activations: measured when every chunk encoded its
-# rows, on perfbench's 5-shot scoring workload, 4 raised peak RSS by about
-# 1% over one episode at a time and 8 by about 2.5%, while their
-# throughputs stayed within run-to-run noise of each other. Any other
-# ProtoNet or ANIL chunk holds only embedded rows, gathered from rows
-# encoded once. The size is part of the results: a batch's sums run in
-# another order, so proto_cosine difficulties change their last bits at
-# other sizes.
+# chunks cut per-op overhead but hold more rows at once; a MAML chunk holds
+# its encoder activations. When every chunk encoded its rows, 4 raised
+# perfbench's 5-shot scoring peak RSS by about 1% over one episode at a time
+# and 8 by about 2.5%, at the same throughput. The size is part of the
+# results: a batch's sums run in another order, so proto_cosine
+# difficulties change their last bits at other sizes.
 EPISODE_CHUNK = 4
 
 # Adam's moment decay rates and denominator guard.
@@ -208,6 +204,7 @@ def _curriculum_progress(iteration: int, total: int) -> float:
     return (iteration - 1) / (total - 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(
     params: learners.LearnerParams,
     dataset: BaseDataset,
@@ -223,18 +220,17 @@ def evaluate(
     accs = np.empty(num_episodes)
     with ad.no_grad():
         params, dataset = learners.embedded(params, dataset)
+        batch = sample_episodes(dataset, n, k, q, rng, num_episodes)
         for start in range(0, num_episodes, EPISODE_CHUNK):
-            stop = min(start + EPISODE_CHUNK, num_episodes)
-            chunk = sample_episodes(dataset, n, k, q, rng, stop - start)
-            accs[start:stop] = learners.episode_accuracy(params, chunk)
+            chunk = slice(start, start + EPISODE_CHUNK)
+            accs[chunk] = learners.episode_accuracy(params, batch[chunk])
     ci = float(1.96 * accs.std(ddof=1) / np.sqrt(num_episodes))
     return float(accs.mean()), ci
 
 
-def _encoded_once(params: learners.LearnerParams, episodes: list[Episode]):
-    """``params`` without its encoder and ``episodes`` pointed at the
-    embeddings of the distinct rows they index, or both unchanged when the
-    episodes index more than one array.
+def _encoded_once(params: learners.LearnerParams, batch: EpisodeBatch):
+    """``params`` without its encoder and ``batch`` pointed at the
+    embeddings of the distinct rows it indexes.
 
     A 300-episode 5-way 5-shot pool from perfbench's 3200-row split holds
     9.4 rows per distinct row; proto_cosine scored it in 36 ms from encoded
@@ -242,35 +238,27 @@ def _encoded_once(params: learners.LearnerParams, episodes: list[Episode]):
     16-episode batch from that split holds 1.2-1.3, and either path scored
     it in 2.6-2.9 ms (proto_euclidean), so no batch is too small for it.
     """
-    x = episodes[0].x
-    if any(ep.x is not x for ep in episodes):
-        return params, episodes
-    parts = [rows for ep in episodes for rows in (ep.support_rows, ep.query_rows)]
-    distinct, index = np.unique(np.concatenate(parts), return_inverse=True)
-    params, embeddings = learners.encode_once(params, x.take(distinct, axis=0))
-    bounds = np.cumsum([0] + [len(rows) for rows in parts]).tolist()
-    rows = [index[a:b] for a, b in zip(bounds, bounds[1:])]
-    return params, [
-        Episode(
-            ep.n, ep.k, ep.q, ep.classes, embeddings, ep.support_labels, ep.support_samples,
-            support, ep.query_labels, ep.query_samples, query,
-        )
-        for ep, support, query in zip(episodes, rows[::2], rows[1::2])
-    ]
+    rows = np.concatenate([batch.support_rows, batch.query_rows], axis=1)
+    distinct, index = np.unique(rows, return_inverse=True)
+    params, embeddings = learners.encode_once(params, batch.x.take(distinct, axis=0))
+    # The inverse is flat under numpy 1.x and has the shape of rows under 2.x.
+    support, query = np.split(index.reshape(rows.shape), [batch.support_rows.shape[1]], axis=1)
+    return params, replace(batch, x=embeddings, support_rows=support, query_rows=query)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def score_difficulties(params: learners.LearnerParams, episodes) -> list[float]:
-    """Difficulty of each episode under the given (frozen) parameters: its
-    entry of ``learners.episode_nll``. Raises ``LearnerError`` naming the
-    first episode, by its index in ``episodes``, whose difficulty is not
-    finite."""
-    episodes = list(episodes)
+    """Difficulty of each episode of ``data.concat(episodes)`` under the
+    given (frozen) parameters: its entry of ``learners.episode_nll``.
+    Raises ``LearnerError`` naming the first episode, by its index in that
+    batch, whose difficulty is not finite."""
+    batch = concat(episodes)
     out: list[float] = []
     with ad.no_grad():
-        if params.algorithm != "maml" and episodes:
-            params, episodes = _encoded_once(params, episodes)
-        for start in range(0, len(episodes), EPISODE_CHUNK):
-            means = learners.episode_nll(params, episodes[start : start + EPISODE_CHUNK]).data
+        if params.algorithm != "maml":
+            params, batch = _encoded_once(params, batch)
+        for start in range(0, len(batch), EPISODE_CHUNK):
+            means = learners.episode_nll(params, batch[start : start + EPISODE_CHUNK]).data
             bad = np.flatnonzero(~np.isfinite(means))
             if bad.size:
                 raise learners.LearnerError(f"non-finite difficulty for episode {start + bad[0]}")
@@ -278,6 +266,7 @@ def score_difficulties(params: learners.LearnerParams, episodes) -> list[float]:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     config: TrainConfig,
     params: learners.LearnerParams,

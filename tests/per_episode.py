@@ -12,8 +12,8 @@ from episampler import learners
 
 
 def gradient_logits(params: learners.LearnerParams, episode) -> ad.Tensor:
-    """(n*q, n) query logits of one episode after its inner loop."""
-    sup_x = ad.tensor(episode.support_x)
+    """(n*q, n) query logits of a one-episode batch after its inner loop."""
+    sup_x = ad.tensor(episode.support_x[0])
     encoder = list(params.encoder)
     head_w, head_b = params.head
     alpha = params.adaptation_rate
@@ -35,13 +35,13 @@ def gradient_logits(params: learners.LearnerParams, episode) -> ad.Tensor:
                 head_w, head_b = updated[-2], updated[-1]
             else:
                 head_w, head_b = updated
-    emb_q = learners._encode(encoder, ad.tensor(episode.query_x))
+    emb_q = learners._encode(encoder, ad.tensor(episode.query_x[0]))
     return learners._affine(emb_q, head_w, head_b)
 
 
-def episode_nlls(params: learners.LearnerParams, episodes) -> list[ad.Tensor]:
+def episode_nlls(params: learners.LearnerParams, batch) -> list[ad.Tensor]:
     """Each episode's mean query NLL, one scalar graph tensor per episode."""
     return [
-        ad.mean(ad.softmax_cross_entropy(gradient_logits(params, ep), ep.query_labels))
-        for ep in episodes
+        ad.mean(ad.softmax_cross_entropy(gradient_logits(params, batch[i : i + 1]), batch.query_labels))
+        for i in range(len(batch))
     ]

@@ -218,9 +218,9 @@ class TestTrain:
             def corrupt_batch(*args):
                 episodes = sample_episodes(*args)
                 if nth(3):
-                    x = episodes[0].x.copy()
-                    x[episodes[0].support_rows] = 1e308
-                    episodes[0] = dataclasses.replace(episodes[0], x=x)
+                    x = episodes.x.copy()
+                    x[episodes.support_rows[0]] = 1e308
+                    episodes = dataclasses.replace(episodes, x=x)
                 return episodes
 
             monkeypatch.setattr(training, "sample_episodes", corrupt_batch)

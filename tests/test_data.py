@@ -1,6 +1,7 @@
 """Tests for synthetic dataset generation, episode sampling, and disk IO."""
 
 import collections
+import dataclasses
 import hashlib
 import json
 import re
@@ -66,10 +67,10 @@ def _reference_episode(ds, n, k, q, rng):
     return tuple(ds.class_ids[p] for p in pos), support, query, ds.x[support_rows], ds.x[query_rows]
 
 
-def _assert_same_episode(a, b):
-    assert (a.n, a.k, a.q, a.classes) == (b.n, b.k, b.q, b.classes)
+def _assert_same_batch(a, b):
+    assert (a.n, a.k, a.q) == (b.n, b.k, b.q) and a.x is b.x
     names = ("x", "labels", "samples", "rows")
-    for name in [f"{part}_{n}" for part in ("support", "query") for n in names]:
+    for name in ["classes"] + [f"{part}_{n}" for part in ("support", "query") for n in names]:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
@@ -136,16 +137,17 @@ class TestSampleEpisode:
         ds = _small_dataset()
         rng = streams.stream(0, streams.TRAIN_EPISODES)
         ep = data.sample_episode(ds, 5, 1, 15, rng)
-        assert ep.support_x.shape == (5, 4)
-        assert ep.query_x.shape == (75, 4)
-        assert ep.support_labels.shape == ep.support_samples.shape == (5,)
-        assert ep.query_labels.shape == ep.query_samples.shape == (75,)
+        assert len(ep) == 1 and ep.classes.shape == (1, 5)
+        assert ep.support_x.shape == (1, 5, 4)
+        assert ep.query_x.shape == (1, 75, 4)
+        assert ep.support_labels.shape == (5,) and ep.support_samples.shape == ep.support_rows.shape == (1, 5)
+        assert ep.query_labels.shape == (75,) and ep.query_samples.shape == ep.query_rows.shape == (1, 75)
 
     def test_full_class_set(self):
         ds = _small_dataset(classes=5)
         rng = streams.stream(0, streams.TRAIN_EPISODES)
         ep = data.sample_episode(ds, 5, 2, 2, rng)
-        assert ep.classes == ds.class_ids
+        assert tuple(ep.classes[0].tolist()) == ds.class_ids
 
     def test_insufficient_classes_names_deficit(self):
         ds = _small_dataset(classes=3)
@@ -162,11 +164,12 @@ class TestSampleEpisode:
         rng = streams.stream(3, streams.TRAIN_EPISODES)
         for _ in range(10_000):
             ep = data.sample_episode(ds, 3, 2, 2, rng)
-            sup = set(zip(ep.support_labels.tolist(), ep.support_samples.tolist()))
-            qry = set(zip(ep.query_labels.tolist(), ep.query_samples.tolist()))
+            sup = set(zip(ep.support_labels.tolist(), ep.support_samples[0].tolist()))
+            qry = set(zip(ep.query_labels.tolist(), ep.query_samples[0].tolist()))
             assert len(sup) == 6 and len(qry) == 6
             assert not sup & qry
-            assert list(ep.classes) == sorted(set(ep.classes)) and len(ep.classes) == 3
+            classes = ep.classes[0].tolist()
+            assert classes == sorted(set(classes)) and len(classes) == 3
             for label in range(3):
                 assert np.sum(ep.support_labels == label) == 2
                 assert np.sum(ep.query_labels == label) == 2
@@ -175,7 +178,7 @@ class TestSampleEpisode:
         ds = _small_dataset()
         a = data.sample_episode(ds, 3, 1, 2, streams.stream(9, 5))
         b = data.sample_episode(ds, 3, 1, 2, streams.stream(9, 5))
-        assert a.classes == b.classes
+        np.testing.assert_array_equal(a.classes, b.classes)
         np.testing.assert_array_equal(a.support_samples, b.support_samples)
         np.testing.assert_array_equal(a.query_x, b.query_x)
 
@@ -189,7 +192,7 @@ class TestSampleEpisode:
         reps = 100_000
         for _ in range(reps):
             ep = data.sample_episode(ds, 2, 1, 1, rng)
-            for cid in ep.classes:
+            for cid in ep.classes[0].tolist():
                 counts[cid] += 1
         expected = reps * 2 / 10
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -211,37 +214,39 @@ class TestBlockStream:
         for _ in range(3):
             batch = data.sample_episodes(dataset, 3, 1, 3, a, count)
             assert len(batch) == count
-            for ep in batch:
-                _assert_same_episode(ep, data.sample_episode(dataset, 3, 1, 3, b))
+            singles = [data.sample_episode(dataset, 3, 1, 3, b) for _ in range(count)]
+            _assert_same_batch(batch, data.concat(singles))
         assert a.random() == b.random()
 
     def test_matches_the_python_reference(self, dataset):
         rng, ref = streams.stream(8, streams.TRAIN_EPISODES), streams.stream(8, streams.TRAIN_EPISODES)
-        for ep in data.sample_episodes(dataset, 3, 2, 2, rng, 200):
+        batch = data.sample_episodes(dataset, 3, 2, 2, rng, 200)
+        batch_support_x, batch_query_x = batch.support_x, batch.query_x
+        for i in range(len(batch)):
             classes, support, query, support_x, query_x = _reference_episode(dataset, 3, 2, 2, ref)
-            assert ep.classes == classes
-            assert ep.support_samples.tolist() == support and ep.query_samples.tolist() == query
-            np.testing.assert_array_equal(ep.support_x, support_x)
-            np.testing.assert_array_equal(ep.query_x, query_x)
+            assert tuple(batch.classes[i].tolist()) == classes
+            assert batch.support_samples[i].tolist() == support and batch.query_samples[i].tolist() == query
+            np.testing.assert_array_equal(batch_support_x[i], support_x)
+            np.testing.assert_array_equal(batch_query_x[i], query_x)
         assert rng.random() == ref.random()
 
     def test_episodes_index_the_datasets_own_rows(self, dataset):
         position = {cid: i for i, cid in enumerate(dataset.class_ids)}
-        for ep in data.sample_episodes(dataset, 3, 2, 2, streams.stream(8, streams.TRAIN_EPISODES), 50):
-            assert ep.x is dataset.x and ", x=" not in repr(ep)
-            start = dataset.offsets[[position[cid] for cid in ep.classes]]
-            for rows, labels, samples, x in (
-                (ep.support_rows, ep.support_labels, ep.support_samples, ep.support_x),
-                (ep.query_rows, ep.query_labels, ep.query_samples, ep.query_x),
-            ):
-                np.testing.assert_array_equal(rows, start[labels] + samples)
-                expected = dataset.x[rows]
-                assert x.dtype == expected.dtype and x.shape == expected.shape
-                assert x.tobytes() == expected.tobytes()
+        batch = data.sample_episodes(dataset, 3, 2, 2, streams.stream(8, streams.TRAIN_EPISODES), 50)
+        assert batch.x is dataset.x and ", x=" not in repr(batch)
+        start = dataset.offsets[[[position[cid] for cid in classes] for classes in batch.classes.tolist()]]
+        for rows, labels, samples, x in (
+            (batch.support_rows, batch.support_labels, batch.support_samples, batch.support_x),
+            (batch.query_rows, batch.query_labels, batch.query_samples, batch.query_x),
+        ):
+            np.testing.assert_array_equal(rows, start[:, labels] + samples)
+            expected = dataset.x[rows]
+            assert x.dtype == expected.dtype and x.shape == expected.shape
+            assert x.tobytes() == expected.tobytes()
 
     def test_labels_are_shared_and_read_only(self, dataset):
-        a, b = data.sample_episodes(dataset, 3, 2, 1, streams.stream(0, 1), 2)
-        c = data.sample_episode(dataset, 3, 2, 1, streams.stream(0, 1))
+        a = data.sample_episodes(dataset, 3, 2, 1, streams.stream(0, 1), 2)
+        b, c = a[1:], data.sample_episode(dataset, 3, 2, 1, streams.stream(0, 1))
         np.testing.assert_array_equal(a.support_labels, [0, 0, 1, 1, 2, 2])
         np.testing.assert_array_equal(a.query_labels, [0, 1, 2])
         assert a.support_labels is b.support_labels is c.support_labels
@@ -259,7 +264,7 @@ class TestBlockStream:
         # chi2(df=14, 0.999) = 36.123, a 0.1% false-alarm rate.
         ds = _ragged(tmp_path / "ds")
         episodes = data.sample_episodes(ds, 2, 1, 1, streams.stream(12, streams.TRAIN_EPISODES), 30_000)
-        counts = collections.Counter(ep.classes for ep in episodes)
+        counts = collections.Counter(map(tuple, episodes.classes.tolist()))
         assert len(counts) == 15
         observed = np.array(list(counts.values()))
         expected = len(episodes) / 15
@@ -275,8 +280,10 @@ class TestBlockStream:
         ds = _ragged(tmp_path / "ds")
         episodes = data.sample_episodes(ds, 2, 1, 1, streams.stream(13, streams.TRAIN_EPISODES), 30_000)
         pairs = {cid: collections.Counter() for cid in ds.class_ids}
-        for ep in episodes:
-            for cid, s, t in zip(ep.classes, ep.support_samples.tolist(), ep.query_samples.tolist()):
+        for classes, support, query in zip(
+            episodes.classes.tolist(), episodes.support_samples.tolist(), episodes.query_samples.tolist()
+        ):
+            for cid, s, t in zip(classes, support, query):
                 pairs[cid][s, t] += 1
         chi2 = 0.0
         for cid, count in zip(ds.class_ids, np.diff(ds.offsets).tolist()):
@@ -288,17 +295,74 @@ class TestBlockStream:
         assert chi2 < 185.571
 
 
+class TestEpisodeBatch:
+    def _batch(self, count=7, dataset=None, k=2):
+        dataset = dataset or _small_dataset(seed=2)
+        return data.sample_episodes(dataset, 3, k, 2, streams.stream(5, streams.TRAIN_EPISODES), count)
+
+    @pytest.mark.parametrize(
+        "index",
+        [slice(2, 5), slice(None, None, -2), slice(3, 3), np.array([4, 0, 4]), np.array([], dtype=int)],
+        ids=["slice", "reversed_step", "empty_slice", "index_array", "empty_array"],
+    )
+    def test_indexing_gives_the_matching_episodes(self, index):
+        batch = self._batch()
+        sub = batch[index]
+        chosen = np.arange(len(batch))[index]
+        assert len(sub) == len(chosen) and sub.x is batch.x
+        assert sub.support_labels is batch.support_labels and sub.query_labels is batch.query_labels
+        for name in (
+            "classes", "support_samples", "support_rows", "support_x", "query_samples", "query_rows", "query_x"
+        ):
+            np.testing.assert_array_equal(getattr(sub, name), getattr(batch, name)[chosen], err_msg=name)
+
+    @pytest.mark.parametrize("index", [0, -1, np.int64(2)])
+    def test_integer_index_rejected(self, index):
+        with pytest.raises(TypeError, match="slice or an index array"):
+            self._batch()[index]
+
+    def test_concat_of_a_batch_is_that_batch(self):
+        batch = self._batch()
+        assert data.concat(batch) is batch
+        _assert_same_batch(data.concat([batch[:3], batch[3:4], batch[4:]]), batch)
+
+    def test_concat_rejects_batches_that_do_not_share(self):
+        ds = _small_dataset(seed=2)
+        batch = self._batch(dataset=ds)
+        with pytest.raises(data.DatasetError, match="no episodes to join"):
+            data.concat([])
+        one_shot = self._batch(count=2, dataset=ds, k=1)
+        with pytest.raises(data.DatasetError, match=re.escape("episode shape (3, 1, 2) differs from (3, 2, 2)")):
+            data.concat([batch, one_shot])
+        with pytest.raises(data.DatasetError, match="different arrays"):
+            data.concat([batch, self._batch(dataset=_small_dataset(seed=2))])
+        # Permuted labels, and equal labels in another array.
+        for labels in (batch.support_labels[::-1].copy(), batch.support_labels.copy()):
+            with pytest.raises(data.DatasetError, match="different label arrays"):
+                data.concat([batch, dataclasses.replace(batch[:1], support_labels=labels)])
+        with pytest.raises(data.DatasetError, match="different label arrays"):
+            data.concat([batch, dataclasses.replace(batch[:1], query_labels=batch.query_labels[::-1].copy())])
+
+    def test_episode_file_bytes_of_a_batch_and_of_its_episodes(self, tmp_path):
+        batch = self._batch(count=5)
+        data.save_episode_file(batch, tmp_path / "batch.json")
+        data.save_episode_file([batch[i : i + 1] for i in range(len(batch))], tmp_path / "episodes.json")
+        assert (tmp_path / "batch.json").read_bytes() == (tmp_path / "episodes.json").read_bytes()
+
+
 class TestRaggedClasses:
     def test_samples_stay_inside_their_class(self, tmp_path):
         ds = _ragged(tmp_path / "ds")
         count_of = dict(zip(ds.class_ids, np.diff(ds.offsets).tolist()))
-        for ep in data.sample_episodes(ds, 4, 2, 2, streams.stream(2, streams.TRAIN_EPISODES), 2000):
+        batch = data.sample_episodes(ds, 4, 2, 2, streams.stream(2, streams.TRAIN_EPISODES), 2000)
+        support_x, query_x = batch.support_x, batch.query_x
+        for i, classes in enumerate(batch.classes.tolist()):
             for rows, labels, samples in (
-                (ep.support_x, ep.support_labels, ep.support_samples),
-                (ep.query_x, ep.query_labels, ep.query_samples),
+                (support_x[i], batch.support_labels, batch.support_samples[i]),
+                (query_x[i], batch.query_labels, batch.query_samples[i]),
             ):
                 for row, label, s in zip(rows, labels.tolist(), samples.tolist()):
-                    cid = ep.classes[label]
+                    cid = classes[label]
                     assert 0 <= s < count_of[cid]
                     np.testing.assert_array_equal(row, _class_rows(ds, cid)[s])
 
@@ -455,8 +519,8 @@ class TestDiskRoundTrip:
         eps = [data.sample_episode(shuffled, 4, 2, 3, rng) for _ in range(20)]
         data.save_episode_file(eps, tmp_path / "episodes.json")
         entries = json.loads((tmp_path / "episodes.json").read_text())["episodes"]
-        for ep, entry in zip(eps, entries):
-            for rows, pairs in ((ep.support_x, entry["support"]), (ep.query_x, entry["query"])):
+        for ep, entry in zip(eps, entries, strict=True):
+            for rows, pairs in ((ep.support_x[0], entry["support"]), (ep.query_x[0], entry["query"])):
                 assert len(rows) == len(pairs)
                 for row, (cid, idx) in zip(rows, pairs):
                     np.testing.assert_array_equal(row, _class_rows(ds, cid)[idx])

@@ -21,31 +21,42 @@ import per_episode
 
 
 def _episode(support_x, support_labels, query_x, query_labels, k, q):
-    """Hand-built episode over classes 0..n-1 from local labels, indexing
-    the support rows followed by the query rows. Learners read only the
-    rows and labels, so every sample index is 0."""
+    """Hand-built one-episode batch over classes 0..n-1 from local labels,
+    indexing the support rows followed by the query rows. Learners read
+    only the rows and labels, so every sample index is 0."""
     support_labels = np.asarray(support_labels, dtype=np.int64)
     query_labels = np.asarray(query_labels, dtype=np.int64)
     n = int(support_labels.max()) + 1
     x = np.concatenate([np.asarray(support_x, dtype=np.float64), np.asarray(query_x, dtype=np.float64)])
-    return data.Episode(
+    return data.EpisodeBatch(
         n=n,
         k=k,
         q=q,
-        classes=tuple(range(n)),
         x=x,
+        classes=np.arange(n)[None],
         support_labels=support_labels,
-        support_samples=np.zeros_like(support_labels),
-        support_rows=np.arange(len(support_labels)),
+        support_samples=np.zeros((1, len(support_labels)), dtype=np.int64),
+        support_rows=np.arange(len(support_labels))[None],
         query_labels=query_labels,
-        query_samples=np.zeros_like(query_labels),
-        query_rows=np.arange(len(support_labels), len(x)),
+        query_samples=np.zeros((1, len(query_labels)), dtype=np.int64),
+        query_rows=np.arange(len(support_labels), len(x))[None],
     )
+
+
+def _joined(episodes):
+    """One batch of one-episode batches drawn from different arrays: the
+    arrays stacked, each episode's rows shifted to its array's block."""
+    x = np.concatenate([ep.x for ep in episodes])
+    starts = np.cumsum([0] + [len(ep.x) for ep in episodes[:-1]]).tolist()
+    return data.concat([
+        dataclasses.replace(ep, x=x, support_rows=ep.support_rows + start, query_rows=ep.query_rows + start)
+        for ep, start in zip(episodes, starts)
+    ])
 
 
 def _probabilities(params, ep):
     """(n*q, n) predicted class probabilities per query."""
-    logits = learners._episode_logits(params, [ep]).data[0]
+    logits = learners._episode_logits(params, ep).data[0]
     e = kernels.softmax_xent(logits, ep.query_labels)[1]
     return e / e.sum(axis=1, keepdims=True)
 
@@ -96,7 +107,7 @@ class TestProtoLikelihoods:
         # labeled A: p(A) = 1/(1 + exp(-4)), log-lik = log p(A).
         params = _identity_params("proto_euclidean", 1)
         ep = _episode([[0.0], [2.0]], [0, 1], [[0.0]], [0], k=1, q=1)
-        ll = learners.episode_log_likelihoods(params, [ep])
+        ll = learners.episode_log_likelihoods(params, ep)
         expected_p = 1.0 / (1.0 + math.exp(-4.0))
         assert expected_p == pytest.approx(0.98201, abs=1e-5)
         assert ll.item() == pytest.approx(math.log(expected_p), abs=1e-12)
@@ -105,7 +116,7 @@ class TestProtoLikelihoods:
     def test_equidistant_query_scores_ln_n(self):
         params = _identity_params("proto_euclidean", 2)
         ep = _episode([[1.0, 0.0], [-1.0, 0.0]], [0, 1], [[0.0, 0.0]], [0], k=1, q=1)
-        ll = learners.episode_log_likelihoods(params, [ep])
+        ll = learners.episode_log_likelihoods(params, ep)
         assert ll.item() == -math.log(2.0)
 
     def test_cosine_zero_scale_scores_ln_n(self):
@@ -113,7 +124,7 @@ class TestProtoLikelihoods:
             "proto_cosine", 2, cosine_scale=ad.tensor(0.0, requires_grad=True)
         )
         ep = _episode([[1.0, 0.0], [0.0, 1.0]], [0, 1], [[1.0, 1.0], [2.0, 0.1]], [0, 1], k=1, q=1)
-        ll = learners.episode_log_likelihoods(params, [ep])
+        ll = learners.episode_log_likelihoods(params, ep)
         np.testing.assert_array_equal(ll.data, [[-math.log(2.0), -math.log(2.0)]])
 
     def test_cosine_zero_norm_embedding_rejected(self):
@@ -122,15 +133,15 @@ class TestProtoLikelihoods:
         )
         ep = _episode([[1.0, 0.0], [0.0, 1.0]], [0, 1], [[0.0, 0.0]], [0], k=1, q=1)
         with pytest.raises(learners.LearnerError, match="zero-norm"):
-            learners.episode_log_likelihoods(params, [ep])
+            learners.episode_log_likelihoods(params, ep)
 
     def test_translation_invariance_of_euclidean(self):
         params = _identity_params("proto_euclidean", 3)
         ep = _random_episode(2, dim=3)
         shift = np.array([5.0, -3.0, 1.5])
         shifted = dataclasses.replace(ep, x=ep.x + shift)
-        base = learners.episode_log_likelihoods(params, [ep])
-        moved = learners.episode_log_likelihoods(params, [shifted])
+        base = learners.episode_log_likelihoods(params, ep)
+        moved = learners.episode_log_likelihoods(params, shifted)
         np.testing.assert_allclose(base.data, moved.data, atol=1e-9)
 
     def test_cosine_argmax_invariant_to_positive_scale(self):
@@ -148,7 +159,7 @@ class TestGradientLikelihoods:
     def test_zero_rate_equals_unadapted(self):
         ep = _random_episode(5, n=3)
         params = learners.init_params("maml", 5, 3, seed=1, adaptation_rate=0.0)
-        ll = learners.episode_log_likelihoods(params, [ep])
+        ll = learners.episode_log_likelihoods(params, ep)
         # Unadapted = encode then zero-initialized head: uniform logits.
         np.testing.assert_allclose(ll.data, -math.log(3.0), atol=1e-12)
 
@@ -156,7 +167,7 @@ class TestGradientLikelihoods:
         ep = _random_episode(6, n=3)
         for algorithm in ("maml", "anil"):
             params = learners.init_params(algorithm, 5, 3, seed=2, adaptation_rate=0.0)
-            ll = learners.episode_log_likelihoods(params, [ep])
+            ll = learners.episode_log_likelihoods(params, ep)
             np.testing.assert_allclose(ll.data, -math.log(3.0), atol=1e-12)
 
     def test_adaptation_reduces_support_loss(self):
@@ -175,7 +186,7 @@ class TestGradientLikelihoods:
                         learners.init_params(
                             algorithm, 5, 3, seed=3, adaptation_rate=0.01, adaptation_steps=steps
                         ),
-                        [ep],
+                        ep,
                     ).item()
                     for steps in range(1, 6)
                 ]
@@ -185,14 +196,14 @@ class TestGradientLikelihoods:
         ep = _random_episode(8, n=3)
         params = learners.init_params("maml", 5, 4, seed=0)
         with pytest.raises(learners.LearnerError, match="width"):
-            learners.episode_log_likelihoods(params, [ep])
+            learners.episode_log_likelihoods(params, ep)
 
     @pytest.mark.parametrize("algorithm", learners.GRADIENT_ALGORITHMS)
     def test_non_finite_inner_loss_names_the_episode(self, algorithm):
         episodes = [_random_episode(12 + i, n=3) for i in range(4)]
         x = episodes[2].x.copy()
         x[episodes[2].support_rows] = 1e308
-        episodes[2] = dataclasses.replace(episodes[2], x=x)
+        episodes = _joined(episodes[:2] + [dataclasses.replace(episodes[2], x=x)] + episodes[3:])
         params = learners.init_params(algorithm, 5, 3, seed=4)
         # Recording (second-order inner loop) and not (first-order).
         for mode in (contextlib.nullcontext, ad.no_grad):
@@ -203,7 +214,7 @@ class TestGradientLikelihoods:
         ep = _random_episode(9, n=3)
         params = learners.init_params("anil", 5, 3, seed=5, adaptation_steps=3)
         before = [(w.data.copy(), b.data.copy()) for w, b in params.encoder]
-        learners.episode_log_likelihoods(params, [ep])
+        learners.episode_log_likelihoods(params, ep)
         for (w0, b0), (w, b) in zip(before, params.encoder):
             assert w0.tobytes() == w.data.tobytes()
             assert b0.tobytes() == b.data.tobytes()
@@ -219,7 +230,7 @@ class TestGradientLikelihoods:
 
         def f(*ts):
             # rebuild with the caller's leaves so gradients attach to them
-            return ad.reshape(learners.episode_nll(params.with_tensors(ts), [ep]), ())
+            return ad.reshape(learners.episode_nll(params.with_tensors(ts), ep), ())
 
         assert grad_check(f, tensors) < 1e-4
 
@@ -232,7 +243,7 @@ class TestGradientLikelihoods:
         tensors = params.trainable_tensors()
 
         def f(*ts):
-            return ad.reshape(learners.episode_nll(params.with_tensors(ts), [ep]), ())
+            return ad.reshape(learners.episode_nll(params.with_tensors(ts), ep), ())
 
         assert grad_check(f, tensors) < 1e-4
 
@@ -248,7 +259,7 @@ class TestMatchesPerEpisodeReference:
     def test_nll_and_outer_gradient(self, algorithm, shot, batch):
         ds = data.generate_synthetic(8, shot + 6, 5, 3.0, 1.0, seed=70)
         rng = streams.stream(70, streams.TRAIN_EPISODES)
-        episodes = [data.sample_episode(ds, 3, shot, 4, rng) for _ in range(batch)]
+        episodes = data.concat([data.sample_episode(ds, 3, shot, 4, rng) for _ in range(batch)])
         params = learners.init_params(
             algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=13, adaptation_steps=3
         )
@@ -275,7 +286,7 @@ class TestFirstOrderWhenNotRecording:
     def test_values_equal_the_recording_path(self, algorithm, shot, batch):
         ds = data.generate_synthetic(8, shot + 6, 5, 3.0, 1.0, seed=71)
         rng = streams.stream(71, streams.TRAIN_EPISODES)
-        episodes = [data.sample_episode(ds, 3, shot, 4, rng) for _ in range(batch)]
+        episodes = data.concat([data.sample_episode(ds, 3, shot, 4, rng) for _ in range(batch)])
         params = learners.init_params(
             algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=15, adaptation_steps=3
         )
@@ -289,7 +300,7 @@ class TestFirstOrderWhenNotRecording:
 
     def test_inner_grads_build_no_graph(self, monkeypatch):
         # 5-way 1-shot 15-query episodes, d = 12 and a 64-64-64 MLP, as in perfbench.
-        episodes = [_random_episode(90 + i, n=5, k=1, q=15, dim=12) for i in range(4)]
+        episodes = _joined([_random_episode(90 + i, n=5, k=1, q=15, dim=12) for i in range(4)])
         params = learners.init_params("maml", 12, 5, hidden_sizes=(64, 64), embedding_dim=64, seed=16)
         flags, recorded, inside = [], [0], [False]
         make, grad = ad._make, ad.grad
@@ -330,7 +341,7 @@ class TestTapeCost:
         monkeypatch.setattr(ad, "_make", counting_make)
         counts = []
         for batch in (4, 16):
-            episodes = [_random_episode(80 + i, n=3, k=1, q=4) for i in range(batch)]
+            episodes = _joined([_random_episode(80 + i, n=3, k=1, q=4) for i in range(batch)])
             recorded[0] = 0
             learners.episode_nll(params, episodes)
             counts.append(recorded[0])
@@ -366,7 +377,7 @@ class TestTapeCost:
         monkeypatch.setattr(ad, "_make", counting_make)
         monkeypatch.setattr(ad, "_topo_order", counting_topo_order)
         monkeypatch.setattr(ad, "grad", counting_grad)
-        learners.episode_nll(params, [ep])
+        learners.episode_nll(params, ep)
         assert len(recorded) == len(walked) == params.adaptation_steps == 5
         assert recorded == [recorded[0]] * 5
         # Step 1 walks down to the leaf parameters; every later step stops
@@ -375,7 +386,7 @@ class TestTapeCost:
 
     @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
     def test_tape_is_freed_without_the_cyclic_collector(self, algorithm):
-        episodes = [_random_episode(60 + i, n=3, k=1, q=4) for i in range(2)]
+        episodes = _joined([_random_episode(60 + i, n=3, k=1, q=4) for i in range(2)])
         params = learners.init_params(algorithm, 5, 3, seed=12)
         gc.collect()
         gc.disable()
@@ -403,7 +414,7 @@ class TestLikelihoodProperties:
         params = learners.init_params(algorithm, 5, 3, seed=8)
         a = training.score_difficulties(params, [ep])
         b = training.score_difficulties(params, [ep])
-        assert a == b == [-learners.episode_log_likelihoods(params, [ep]).data.mean()]
+        assert a == b == [-learners.episode_log_likelihoods(params, ep).data.mean()]
 
     # Finite logits up to 1e300 in size keep every shifted logit and every
     # mean of losses finite; larger ones can overflow the shift itself.
@@ -433,7 +444,7 @@ class TestAccuracy:
             [[10.0, 0.0], [-10.0, 0.0]], [0, 1],
             [[9.0, 0.5], [-9.5, 0.2]], [0, 1], k=1, q=1,
         )
-        assert learners.episode_accuracy(params, [ep]).tolist() == [1.0]
+        assert learners.episode_accuracy(params, ep).tolist() == [1.0]
 
     def test_adversarially_permuted_labels(self):
         params = _identity_params("proto_euclidean", 2)
@@ -441,7 +452,7 @@ class TestAccuracy:
             [[10.0, 0.0], [-10.0, 0.0]], [0, 1],
             [[9.0, 0.5], [-9.5, 0.2]], [1, 0], k=1, q=1,
         )
-        assert learners.episode_accuracy(params, [ep]).tolist() == [0.0]
+        assert learners.episode_accuracy(params, ep).tolist() == [0.0]
 
 
 class TestEmbedded:
@@ -462,10 +473,10 @@ class TestEmbedded:
         episodes = data.sample_episodes(
             embedded_ds, 3, shot, 4, streams.stream(72, streams.TEST_EPISODES), batch
         )
-        for ep, ref in zip(episodes, raw, strict=True):
-            assert ep.classes == ref.classes
-            np.testing.assert_array_equal(ep.support_samples, ref.support_samples)
-            np.testing.assert_array_equal(ep.query_samples, ref.query_samples)
+        assert len(episodes) == len(raw) == batch
+        np.testing.assert_array_equal(episodes.classes, raw.classes)
+        np.testing.assert_array_equal(episodes.support_samples, raw.support_samples)
+        np.testing.assert_array_equal(episodes.query_samples, raw.query_samples)
         with ad.no_grad():
             np.testing.assert_array_equal(
                 learners._episode_logits(frozen, episodes).data,
@@ -646,6 +657,6 @@ class TestCheckpoints:
         params = learners.init_params("proto_cosine", 5, 3, seed=10)
         learners.save_checkpoint(params, tmp_path / "ckpt")
         loaded = learners.load_checkpoint(tmp_path / "ckpt")
-        a = learners.episode_log_likelihoods(params, [ep])
-        b = learners.episode_log_likelihoods(loaded, [ep])
+        a = learners.episode_log_likelihoods(params, ep)
+        b = learners.episode_log_likelihoods(loaded, ep)
         np.testing.assert_array_equal(a.data, b.data)

@@ -130,7 +130,10 @@ def _reference_difficulties(params, episodes):
     """Difficulties scored one episode at a time, each the negated mean of
     its per-query log-likelihoods."""
     with ad.no_grad():
-        return [-learners.episode_log_likelihoods(params, [ep]).data.mean() for ep in episodes]
+        return [
+            -learners.episode_log_likelihoods(params, episodes[i : i + 1]).data.mean()
+            for i in range(len(episodes))
+        ]
 
 
 def _per_chunk_difficulties(params, episodes):
@@ -146,7 +149,7 @@ def _per_chunk_difficulties(params, episodes):
 
 def _rows(episodes):
     """The distinct rows the episodes index."""
-    return {row for ep in episodes for rows in (ep.support_rows, ep.query_rows) for row in rows.tolist()}
+    return {*episodes.support_rows.ravel().tolist(), *episodes.query_rows.ravel().tolist()}
 
 
 def _repeating_pool(shot, n=3, seed=7, dataset=None):
@@ -155,7 +158,7 @@ def _repeating_pool(shot, n=3, seed=7, dataset=None):
     ds = dataset or data.generate_synthetic(6, shot + 6, 5, 3.0, 1.0, seed=seed)
     rng = streams.stream(seed, streams.ANALYSIS)
     episodes = data.sample_episodes(ds, n, shot, 4, rng, 2 * training.EPISODE_CHUNK + 1)
-    return episodes + [episodes[0]]
+    return data.concat([episodes, episodes[:1]])
 
 
 @contextlib.contextmanager
@@ -173,11 +176,6 @@ def _encoder_stacks():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(learners, "_encode", counting_encode)
         yield stacks
-
-
-# A support and a query stack per chunk of four 3-way 5-shot episodes with
-# 4 queries per class.
-PER_CHUNK_STACKS = [4 * 15, 4 * 12]
 
 
 class TestScoreDifficulties:
@@ -209,27 +207,6 @@ class TestScoreDifficulties:
             omegas = training.score_difficulties(params, pool)
         if algorithm != "maml":
             assert sum(stacks) == len(_rows(pool)) < (shot + 4) * len(pool)
-        np.testing.assert_array_equal(omegas, _per_chunk_difficulties(params, pool))
-
-    @pytest.mark.parametrize("interleaved", [True, False])
-    @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
-    def test_episodes_of_two_arrays_are_encoded_chunk_by_chunk(self, algorithm, interleaved):
-        # Row indices into two arrays of the same shape, whose rows differ;
-        # one after the other, no chunk holds episodes of both.
-        first = _repeating_pool(5, seed=8)[: 2 * training.EPISODE_CHUNK]
-        second = _repeating_pool(5, seed=9)[: 2 * training.EPISODE_CHUNK]
-        pool = [ep for pair in zip(first, second) for ep in pair] if interleaved else first + second
-        params = learners.init_params(
-            algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=13, adaptation_steps=2
-        )
-        with _encoder_stacks() as stacks:
-            training.score_difficulties(params, first)
-        if algorithm != "maml":
-            assert sum(stacks) == len(_rows(first))
-        with _encoder_stacks() as stacks:
-            omegas = training.score_difficulties(params, pool)
-        if algorithm != "maml":
-            assert stacks == PER_CHUNK_STACKS * 4
         np.testing.assert_array_equal(omegas, _per_chunk_difficulties(params, pool))
 
     @pytest.mark.parametrize("algorithm", ["proto_euclidean", "proto_cosine", "anil"])
@@ -264,9 +241,8 @@ class TestScoreDifficulties:
         chunk = training.EPISODE_CHUNK
         first, row = next(
             (index, row)
-            for index, ep in enumerate(pool)
-            if index >= chunk
-            for row in ep.query_rows.tolist()
+            for index in range(chunk, len(pool))
+            for row in pool.query_rows[index].tolist()
             if row not in _rows(pool[:index])
         )
         x = ds.x.copy()
@@ -296,26 +272,65 @@ class TestScoreDifficulties:
         train_ds, _, _ = _datasets()
         params = learners.init_params("proto_euclidean", 6, 3, seed=5)
         episodes = data.sample_episodes(train_ds, 3, 1, 5, streams.stream(6, streams.TRAIN_EPISODES), 7)
-        # The first episode of the second chunk.
+        # The first episode of the second chunk, pointed at NaN rows of its
+        # own: the other episodes keep theirs, even those it shares with them.
         index = training.EPISODE_CHUNK
-        x = episodes[index].x.copy()
-        x[episodes[index].query_rows] = np.nan
-        episodes[index] = dataclasses.replace(episodes[index], x=x)
+        rows = episodes.query_rows.copy()
+        rows[index] = len(episodes.x) + np.arange(rows.shape[1])
+        x = np.concatenate([episodes.x, np.full((rows.shape[1], episodes.x.shape[1]), np.nan)])
+        episodes = dataclasses.replace(episodes, x=x, query_rows=rows)
         with pytest.raises(learners.LearnerError, match=f"non-finite difficulty for episode {index}$"):
             training.score_difficulties(params, episodes)
 
-    def test_huge_row_names_the_episode_without_a_warning(self):
-        # A 1e200 query row squares to inf in its distances and the softmax
-        # meets inf - inf: NaN, not a RuntimeWarning (an error in this suite).
+    @pytest.mark.parametrize(
+        "algorithm, value, message",
+        [
+            pytest.param(algorithm, value, message, id=f"{algorithm}-{value:g}")
+            for algorithm, value, message in [
+                ("proto_euclidean", 1e200, "non-finite difficulty for episode 4"),
+                ("proto_euclidean", 1e308, "non-finite difficulty for episode 4"),
+                ("proto_cosine", 1e160, "query embedding in episode 0 of the batch: its squared norm overflows"),
+                ("proto_cosine", 1e200, "query embedding in episode 0 of the batch: its squared norm overflows"),
+                ("proto_cosine", 1e308, "non-finite difficulty for episode 4"),
+                ("maml", 1e200, "non-finite inner-loop loss in episode 2 of the batch at adaptation step 1"),
+                ("maml", 1e308, "non-finite inner-loop loss in episode 2 of the batch at adaptation step 0"),
+                ("anil", 1e200, "non-finite inner-loop loss in episode 2 of the batch at adaptation step 1"),
+                ("anil", 1e308, "non-finite inner-loop loss in episode 2 of the batch at adaptation step 0"),
+            ]
+        ],
+    )
+    def test_huge_row_names_the_episode_without_a_warning(self, algorithm, value, message):
+        # A huge query row of the second chunk's first episode (also a
+        # support row of its third) overflows on the way to the loss: a
+        # non-finite difficulty, a non-finite inner-loop loss, or a proto_cosine
+        # query norm that would otherwise give a finite wrong cosine of 0.
+        # Each is a LearnerError, never a RuntimeWarning (an error in this
+        # suite). Episodes are named by their index in the caller's batch
+        # or, from inside the learner, in the chunk.
         train_ds, _, _ = _datasets()
-        params = learners.init_params("proto_euclidean", 6, 3, seed=5)
+        params = learners.init_params(algorithm, 6, 3, seed=5)
         episodes = data.sample_episodes(train_ds, 3, 1, 5, streams.stream(6, streams.TRAIN_EPISODES), 7)
         index = training.EPISODE_CHUNK
         x = train_ds.x.copy()
-        x[episodes[index].query_rows[0]] = 1e200
-        episodes = [dataclasses.replace(ep, x=x) for ep in episodes]
-        with pytest.raises(learners.LearnerError, match=f"non-finite difficulty for episode {index}$"):
+        x[episodes.query_rows[index, 0]] = value
+        episodes = dataclasses.replace(episodes, x=x)
+        with pytest.raises(learners.LearnerError, match=f"^{re.escape(message)}$"):
             training.score_difficulties(params, episodes)
+
+    def test_cosine_scale_free_below_the_overflow(self):
+        # The encoder's biases start at zero, so it embeds a scaled row as
+        # the scaled embedding, and the cosine ignores the scale: below the
+        # overflow a huge query row scores as the row it points along.
+        train_ds, _, _ = _datasets()
+        params = learners.init_params("proto_cosine", 6, 3, seed=5)
+        episodes = data.sample_episodes(train_ds, 3, 1, 5, streams.stream(6, streams.TRAIN_EPISODES), 7)
+        row = episodes.query_rows[training.EPISODE_CHUNK, 0]
+        omegas = []
+        for scale in (1.0, 1e150):
+            x = train_ds.x.copy()
+            x[row] = scale * x[row]
+            omegas.append(training.score_difficulties(params, dataclasses.replace(episodes, x=x)))
+        np.testing.assert_allclose(omegas[1], omegas[0], rtol=1e-12)
 
 
 class TestBatchedMatchesPerEpisode:
@@ -331,10 +346,10 @@ class TestBatchedMatchesPerEpisode:
             algorithm, 6, 3, hidden_sizes=(16,), embedding_dim=8, seed=1, adaptation_steps=2
         )
         rng = streams.stream(4, streams.TRAIN_EPISODES)
-        episodes = [data.sample_episode(train_ds, 3, shot, 5, rng) for _ in range(6)]
+        episodes = data.concat([data.sample_episode(train_ds, 3, shot, 5, rng) for _ in range(6)])
 
         nll = learners.episode_nll(params, episodes)
-        ref_nll = [ad.reshape(learners.episode_nll(params, [ep]), ()) for ep in episodes]
+        ref_nll = [ad.reshape(learners.episode_nll(params, episodes[i : i + 1]), ()) for i in range(6)]
         np.testing.assert_allclose(nll.data, [t.item() for t in ref_nll], rtol=1e-10, atol=0)
 
         omegas = training.score_difficulties(params, episodes)
@@ -373,7 +388,7 @@ class TestBatchedMatchesPerEpisode:
         rng = streams.stream(0, streams.TRAIN_EPISODES)
         sizes = []
         for batch in (4, 16):
-            episodes = [data.sample_episode(train_ds, 3, 1, 5, rng) for _ in range(batch)]
+            episodes = data.concat([data.sample_episode(train_ds, 3, 1, 5, rng) for _ in range(batch)])
             loss, _ = training.weighted_batch_loss(learners.episode_nll(params, episodes), [1.0] * batch)
             sizes.append(_tape_nodes(loss))
         assert sizes[0] == sizes[1]
@@ -387,10 +402,12 @@ class TestBatchedMatchesPerEpisode:
             result = training.evaluate(params, test_ds, 3, shot, 5, count, rng)
 
             ref_rng = streams.stream(3, streams.TEST_EPISODES)
-            episodes = [data.sample_episode(test_ds, 3, shot, 5, ref_rng) for _ in range(count)]
+            episodes = data.concat([data.sample_episode(test_ds, 3, shot, 5, ref_rng) for _ in range(count)])
             assert rng.random() == ref_rng.random(), (algorithm, shot)
             with ad.no_grad():
-                accs = np.array([learners.episode_accuracy(params, [ep])[0] for ep in episodes])
+                accs = np.array(
+                    [learners.episode_accuracy(params, episodes[i : i + 1])[0] for i in range(count)]
+                )
             expected = (float(accs.mean()), 1.96 * float(accs.std(ddof=1)) / np.sqrt(count))
             assert result == expected, (algorithm, shot)
             ref_omegas = _reference_difficulties(params, episodes)
@@ -460,13 +477,29 @@ class TestTrainLoop:
             streams.stream(config.seed, streams.TRAIN_EPISODES), config.batch_size,
         )
         x = train_ds.x.copy()
-        x[first[0].query_rows[0]] = 1e200
+        x[first.query_rows[0, 0]] = 1e200
         params = learners.init_params("proto_euclidean", 6, 3, seed=0)
         result = training.train(
             config, params, dataclasses.replace(train_ds, x=x), val_ds, SamplingScheme("baseline")
         )
         assert result.diagnostic == "iteration 1: TrainerError: non-finite loss"
         assert result.history == []
+
+    def test_diverging_maml_ends_the_run_with_the_inner_loop_diagnostic(self):
+        # A learning rate of 1e6 throws the weights so far in the first Adam
+        # step that the second iteration's inner loop overflows; the run
+        # ends with that diagnostic, not a RuntimeWarning (an error in this
+        # suite).
+        train_ds, val_ds, _ = _datasets()
+        params = learners.init_params("maml", 6, 3, seed=0)
+        result = training.train(
+            _config(learning_rate=1e6), params, train_ds, val_ds, SamplingScheme("baseline")
+        )
+        assert result.diagnostic == (
+            "iteration 2: LearnerError: non-finite inner-loop loss in episode 0 of the batch"
+            " at adaptation step 3"
+        )
+        assert [rec.iteration for rec in result.history] == [1]
 
     def test_zero_iterations_returns_initial_params(self):
         train_ds, val_ds, _ = _datasets()
@@ -603,10 +636,10 @@ class TestTrainLoop:
         )
         rng = streams.stream(config.seed, streams.TRAIN_EPISODES)
         for rec in result.history:
-            batch = [
+            batch = data.concat([
                 data.sample_episode(train_ds, config.way, config.shot, config.query, rng)
                 for _ in range(config.batch_size)
-            ]
+            ])
             expected = learners.episode_nll(proposal, batch).data.tolist()
             assert [ep.omega for ep in rec.episodes] == expected
 
