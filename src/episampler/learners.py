@@ -16,8 +16,10 @@ maximum alone puts 1 into ``z`` and ``picked <= 0``.
 * ``proto_euclidean`` - log-softmax over negative squared Euclidean
   distances between query embeddings and class prototypes (per-class mean
   support embeddings). The batch's supports and queries are encoded once
-  each, as two stacked matrices; prototypes use batch-global labels, and
-  one ``sqdist`` op on ``(B, ...)`` tensors takes every episode's
+  each, as two stacked matrices. One ``(n, n*k)`` averaging matrix, built
+  from the labels every episode shares and broadcast over the batch,
+  multiplies each episode's supports, so the prototypes cost linear time
+  in B. One ``sqdist`` op on ``(B, ...)`` tensors takes every episode's
   distances as one batched matrix product, so the tape does not grow with
   the batch size.
 * ``proto_cosine`` - negative cosine similarity in place of the distance,
@@ -87,7 +89,19 @@ ENCODE_STACK_ROWS = 200
 
 
 class LearnerError(Exception):
-    pass
+    """A learner failure. One about a single episode of the batch names it
+    by its index, ``episode``; ``template`` is then the message with
+    ``{episode}`` in place of that index."""
+
+    def __init__(self, template: str, episode: int | None = None):
+        super().__init__(template if episode is None else template.format(episode=episode))
+        self.template = template
+        self.episode = episode
+
+    def offset(self, start: int) -> "LearnerError":
+        """The same error with the episode counted in a batch of which this
+        batch starts at index ``start``."""
+        return LearnerError(self.template, self.episode + start)
 
 
 @dataclass
@@ -213,11 +227,21 @@ def _encode(encoder, x: ad.Tensor) -> ad.Tensor:
     return h
 
 
-def compute_prototypes(embeddings: ad.Tensor, labels: np.ndarray, k: int) -> ad.Tensor:
-    """Per-class mean support embeddings, rows ordered by class label.
+def _encode_stacked(encoder, x: np.ndarray) -> ad.Tensor:
+    """(B, m, d) inputs through the shared encoder as one (B*m, d) matrix,
+    returned as (B, m, e) embeddings."""
+    count, rows, dim = x.shape
+    return ad.reshape(_encode(encoder, ad.tensor(x.reshape(count * rows, dim))), (count, rows, -1))
 
-    ``labels`` are local labels in [0, n); every class must appear exactly
-    ``k`` times.
+
+def compute_prototypes(embeddings: ad.Tensor, labels: np.ndarray, k: int) -> ad.Tensor:
+    """Per-class mean support embeddings of each episode: ``(B, n, d)``
+    from ``(B, n*k, d)`` support embeddings, rows ordered by class label.
+
+    ``labels`` are the ``(n*k,)`` local labels in [0, n) that every episode
+    shares; every class must appear exactly ``k`` times. One ``(n, n*k)``
+    averaging matrix, broadcast over the batch, multiplies each episode's
+    supports.
     """
     labels = np.asarray(labels)
     n = int(labels.max()) + 1
@@ -228,48 +252,40 @@ def compute_prototypes(embeddings: ad.Tensor, labels: np.ndarray, k: int) -> ad.
     m = labels.shape[0]
     averaging = np.zeros((n, m))
     averaging[labels, np.arange(m)] = 1.0 / k
-    return ad.matmul(ad.tensor(averaging), embeddings)
+    return ad.matmul(ad.tensor(np.broadcast_to(averaging, (embeddings.shape[0], n, m))), embeddings)
 
 
-def _reciprocal_row_norms(x: ad.Tensor, count: int, what: str) -> ad.Tensor:
-    sq = ad.mul(x, x)
-    sums = ad.matmul(sq, _ones((x.shape[1], 1)))
+def _reciprocal_row_norms(x: ad.Tensor, what: str) -> ad.Tensor:
+    """(B, m, 1) reciprocal Euclidean norms of the rows of (B, m, d) ``x``."""
+    count, rows, dim = x.shape
+    flat = ad.reshape(x, (count * rows, dim))
+    sq = ad.mul(flat, flat)
+    sums = ad.matmul(sq, _ones((dim, 1)))
     if np.any(sums.data <= 0.0):
         raise LearnerError(f"zero-norm {what} embedding: cosine direction undefined")
     # An overflowed norm would give its row a cosine of 0. A NaN one comes
     # from a NaN row and gives a NaN difficulty, which the caller rejects.
     huge = np.flatnonzero(sums.data == np.inf)
     if huge.size:
-        episode = huge[0] * count // x.shape[0]
-        raise LearnerError(f"{what} embedding in episode {episode} of the batch: its squared norm overflows")
+        raise LearnerError(
+            f"{what} embedding in episode {{episode}} of the batch: its squared norm overflows",
+            int(huge[0]) // rows,
+        )
     # 1/sqrt(s) = exp(-log(s)/2), differentiable on s > 0.
-    return ad.exp(ad.smul(-0.5, ad.log(sums)))
+    return ad.reshape(ad.exp(ad.smul(-0.5, ad.log(sums))), (count, rows, 1))
 
 
 def _proto_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
-    count, n, k, features = len(batch), batch.n, batch.k, batch.x.shape[1]
-    emb_s = _encode(params.encoder, ad.tensor(batch.support_x.reshape(-1, features)))
-    emb_q = _encode(params.encoder, ad.tensor(batch.query_x.reshape(-1, features)))
-    # Batch-global labels: class j of episode i is prototype row i*n + j.
-    labels = (batch.support_labels + n * np.arange(count)[:, None]).reshape(-1)
-    protos = compute_prototypes(emb_s, labels, k)
-    dim = protos.shape[1]
-    queries = ad.reshape(emb_q, (count, -1, dim))
-    centres = ad.reshape(protos, (count, n, dim))
+    supports = _encode_stacked(params.encoder, batch.support_x)
+    queries = _encode_stacked(params.encoder, batch.query_x)
+    centres = compute_prototypes(supports, batch.support_labels, batch.k)
     if params.algorithm == "proto_euclidean":
         return ad.smul(-1.0, ad.sqdist(queries, centres))
     dots = ad.matmul(queries, centres, tb=True)
-    rq = ad.reshape(_reciprocal_row_norms(emb_q, count, "query"), (count, -1, 1))
-    rp = ad.reshape(_reciprocal_row_norms(protos, count, "prototype"), (count, n, 1))
+    rq = _reciprocal_row_norms(queries, "query")
+    rp = _reciprocal_row_norms(centres, "prototype")
     cosines = ad.mul(dots, ad.matmul(rq, rp, tb=True))
     return ad.mul(params.cosine_scale, cosines)
-
-
-def _encode_stacked(encoder, x: np.ndarray) -> ad.Tensor:
-    """(B, m, d) inputs through the shared encoder as one (B*m, d) matrix,
-    returned as (B, m, e) embeddings."""
-    count, rows, dim = x.shape
-    return ad.reshape(_encode(encoder, ad.tensor(x.reshape(count * rows, dim))), (count, rows, -1))
 
 
 def _gradient_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
@@ -320,8 +336,9 @@ def _gradient_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
             bad = np.flatnonzero(~np.isfinite(means.data))
             if bad.size:
                 raise LearnerError(
-                    f"non-finite inner-loop loss in episode {bad[0]} of the batch"
-                    f" at adaptation step {step}"
+                    f"non-finite inner-loop loss in episode {{episode}} of the batch"
+                    f" at adaptation step {step}",
+                    int(bad[0]),
                 )
             grads = ad.grad(ad.sum(means), weights, create_graph=second_order)
             weights = [ad.sub(w, ad.smul(alpha, g)) for w, g in zip(weights, grads)]

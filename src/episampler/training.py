@@ -16,7 +16,9 @@ slices; a batch is the same stream as one-at-a-time draws, so neither the
 batch nor the chunk size changes a stream. ``score_difficulties`` runs a
 given batch through ``learners.episode_nll`` ``EPISODE_CHUNK`` at a time,
 so a scored difficulty is the same float as the training loss of that
-episode under those parameters, and it rejects a non-finite one.
+episode under those parameters, and it rejects a non-finite one. The
+learner names an episode it fails on by its index in the chunk; both
+report it by its index in the whole batch.
 
 No ProtoNet or ANIL episode adapts the encoder, so for those learners both
 encode each row once, through ``learners.encode_once``, and feed each
@@ -68,14 +70,17 @@ from .sampling import DifficultyModel, SamplingScheme
 
 logger = logging.getLogger(__name__)
 
-# Episodes per batched forward in evaluate and score_difficulties. Larger
-# chunks cut per-op overhead but hold more rows at once; a MAML chunk holds
-# its encoder activations. When every chunk encoded its rows, 4 raised
-# perfbench's 5-shot scoring peak RSS by about 1% over one episode at a time
-# and 8 by about 2.5%, at the same throughput. The size is part of the
-# results: a batch's sums run in another order, so proto_cosine
-# difficulties change their last bits at other sizes.
-EPISODE_CHUNK = 4
+# Episodes per batched forward in evaluate and score_difficulties; it is
+# also the default training batch size, so an offline training batch is
+# scored in one forward. Larger chunks cut per-op overhead but hold more
+# rows at once; a MAML chunk holds its encoder activations. In-process
+# with one BLAS thread, 16 was fastest or within noise of it for all four
+# learners among 4, 8, 16 and 32; 32 slowed proto_cosine evaluation by
+# half. Over 4 it raised perfbench's 5-shot scoring peak RSS by about
+# 0.6%. Every episode is computed on its own rows, so the size changes no
+# accuracy and no difficulty, except a proto_cosine one by a few ulps
+# (test_any_chunk_size_keeps_the_difficulties).
+EPISODE_CHUNK = 16
 
 # Adam's moment decay rates and denominator guard.
 ADAM_BETA1 = 0.9
@@ -204,6 +209,21 @@ def _curriculum_progress(iteration: int, total: int) -> float:
     return (iteration - 1) / (total - 1)
 
 
+def _by_chunk(score, params: learners.LearnerParams, batch: EpisodeBatch):
+    """``(start, score(params, chunk))`` for each ``EPISODE_CHUNK``-episode
+    slice of ``batch``, in order, ``start`` being the chunk's first index.
+    A ``LearnerError`` from a chunk names its episode by its index in
+    ``batch``."""
+    for start in range(0, len(batch), EPISODE_CHUNK):
+        try:
+            result = score(params, batch[start : start + EPISODE_CHUNK])
+        except learners.LearnerError as exc:
+            if exc.episode is None:
+                raise
+            raise exc.offset(start) from exc
+        yield start, result
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def evaluate(
     params: learners.LearnerParams,
@@ -221,9 +241,8 @@ def evaluate(
     with ad.no_grad():
         params, dataset = learners.embedded(params, dataset)
         batch = sample_episodes(dataset, n, k, q, rng, num_episodes)
-        for start in range(0, num_episodes, EPISODE_CHUNK):
-            chunk = slice(start, start + EPISODE_CHUNK)
-            accs[chunk] = learners.episode_accuracy(params, batch[chunk])
+        for start, chunk_accs in _by_chunk(learners.episode_accuracy, params, batch):
+            accs[start : start + len(chunk_accs)] = chunk_accs
     ci = float(1.96 * accs.std(ddof=1) / np.sqrt(num_episodes))
     return float(accs.mean()), ci
 
@@ -233,10 +252,11 @@ def _encoded_once(params: learners.LearnerParams, batch: EpisodeBatch):
     embeddings of the distinct rows it indexes.
 
     A 300-episode 5-way 5-shot pool from perfbench's 3200-row split holds
-    9.4 rows per distinct row; proto_cosine scored it in 36 ms from encoded
-    rows against 59 ms chunk by chunk (one BLAS thread, 2-core Xeon). A
-    16-episode batch from that split holds 1.2-1.3, and either path scored
-    it in 2.6-2.9 ms (proto_euclidean), so no batch is too small for it.
+    9.4 rows per distinct row; proto_cosine scored it in 18-21 ms from
+    encoded rows against 33-34 ms chunk by chunk (16-episode chunks, one
+    BLAS thread, 2-core Xeon). A 16-episode batch from that split holds
+    1.2-1.3, and either path scored it in 1.4-1.9 ms (proto_euclidean), so
+    no batch is too small for it.
     """
     rows = np.concatenate([batch.support_rows, batch.query_rows], axis=1)
     distinct, index = np.unique(rows, return_inverse=True)
@@ -257,8 +277,8 @@ def score_difficulties(params: learners.LearnerParams, episodes) -> list[float]:
     with ad.no_grad():
         if params.algorithm != "maml":
             params, batch = _encoded_once(params, batch)
-        for start in range(0, len(batch), EPISODE_CHUNK):
-            means = learners.episode_nll(params, batch[start : start + EPISODE_CHUNK]).data
+        for start, nll in _by_chunk(learners.episode_nll, params, batch):
+            means = nll.data
             bad = np.flatnonzero(~np.isfinite(means))
             if bad.size:
                 raise learners.LearnerError(f"non-finite difficulty for episode {start + bad[0]}")

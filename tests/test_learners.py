@@ -76,28 +76,31 @@ def _random_episode(seed, n=3, k=2, q=4, dim=5):
 
 
 class TestPrototypes:
+    """Prototypes of a (B, n*k, d) batch of support embeddings, per episode."""
+
     def test_single_shot_prototypes_are_the_supports(self):
-        emb = ad.tensor([[1.0, 2.0], [3.0, 4.0]])
-        protos = learners.compute_prototypes(emb, np.array([0, 1]), k=1)
-        np.testing.assert_array_equal(protos.data, emb.data)
+        emb = streams.stream(0, 98).normal(size=(3, 2, 4))
+        protos = learners.compute_prototypes(ad.tensor(emb), np.array([0, 1]), k=1)
+        np.testing.assert_array_equal(protos.data, emb)
 
     def test_mean_of_two(self):
-        emb = ad.tensor([[0.0, 0.0], [2.0, 2.0]])
+        emb = ad.tensor([[[0.0, 0.0], [2.0, 2.0]], [[1.0, -3.0], [3.0, 5.0]]])
         protos = learners.compute_prototypes(emb, np.array([0, 0]), k=2)
-        np.testing.assert_array_equal(protos.data, [[1.0, 1.0]])
+        np.testing.assert_array_equal(protos.data, [[[1.0, 1.0]], [[2.0, 1.0]]])
 
     def test_permutation_invariance(self):
         rng = streams.stream(0, 99)
-        emb = rng.normal(size=(6, 3))
+        emb = rng.normal(size=(2, 6, 3))
         labels = np.array([0, 1, 2, 0, 1, 2])
         protos = learners.compute_prototypes(ad.tensor(emb), labels, k=2)
+        assert protos.shape == (2, 3, 3)
         perm = np.array([3, 1, 5, 0, 4, 2])
-        protos_p = learners.compute_prototypes(ad.tensor(emb[perm]), labels[perm], k=2)
+        protos_p = learners.compute_prototypes(ad.tensor(emb[:, perm]), labels[perm], k=2)
         np.testing.assert_allclose(protos.data, protos_p.data, atol=1e-15)
 
     def test_wrong_shot_count_rejected(self):
-        emb = ad.tensor(np.zeros((3, 2)))
-        with pytest.raises(learners.LearnerError):
+        emb = ad.tensor(np.zeros((2, 3, 2)))
+        with pytest.raises(learners.LearnerError, match="class 1 has 1 support samples, expected 2"):
             learners.compute_prototypes(emb, np.array([0, 0, 1]), k=2)
 
 
