@@ -22,14 +22,18 @@ row over an ``(m, n)`` operand, or a ``(B, 1, n)`` one over ``(B, m, n)``),
 ``smul`` (multiplication by a Python float), ``matmul`` (2-D, or 3-D
 ``(B, ...)`` operands multiplied episode by episode, with optional
 transposition of the last two axes; an outer product, whose contracted
-dimension is 1, is a broadcast with the product's bits), ``reshape``,
-``tile`` (copies of a tensor along a new leading axis, e.g. one set of
-fast weights per episode), ``relu``, ``exp``, ``log``, ``sum``, ``mean``
-(of all entries, or of each row), ``sqdist`` (pairwise squared Euclidean
-distance, 2-D or 3-D, as norms minus twice one batched matrix product,
-clamped at 0, so within a norm-scaled tolerance of the difference
-formula), and ``softmax_cross_entropy`` (fused, max-stabilized). Every
-operand is a :class:`Tensor`; constants are wrapped with :func:`tensor`.
+dimension is 1, is a broadcast with the product's bits), ``sgd_step`` (a
+gradient-descent step ``w - alpha a^T g`` on a weight from its input
+``a`` and the gradient ``g`` at its product's output, fused: one array and
+one record, with the bits of the ``sub``/``smul``/``matmul`` chain),
+``reshape``, ``tile`` (copies of a tensor along a new leading axis, e.g.
+one set of fast weights per episode), ``relu``, ``exp``, ``log``,
+``sum``, ``mean`` (of all entries, or of each row), ``sqdist`` (pairwise
+squared Euclidean distance, 2-D or 3-D, as norms minus twice one batched
+matrix product, clamped at 0, so within a norm-scaled tolerance of the
+difference formula), and ``softmax_cross_entropy`` (fused,
+max-stabilized). Every operand is a :class:`Tensor`; constants are
+wrapped with :func:`tensor`.
 State that only a backward pass reads (masks, one-hot labels) is built
 inside the vjp, so a forward under :func:`no_grad` never pays for it.
 
@@ -282,6 +286,36 @@ def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
         return matmul(a, g, ta=not ta)
 
     return _make("matmul", out, (a, b), (va, vb))
+
+
+def sgd_step(w: Tensor, a: Tensor, g: Tensor, alpha: float) -> Tensor:
+    """One gradient-descent step per leading index on ``(B, d_in, d_out)``
+    weights that right-multiply ``(B, m, d_in)`` inputs ``a``:
+    ``w - alpha * (a^T g)``, with ``g`` the ``(B, m, d_out)`` gradient at
+    the product's output, so ``a^T g`` is the weights' gradient.
+
+    The float sequence is that of ``sub(w, smul(alpha, matmul(a, g,
+    ta=True)))``, and so are the vjps' (scaling by ``-alpha`` negates what
+    scaling by ``alpha`` gives). The step writes one array where that chain
+    writes three, and records one node."""
+    alpha = float(alpha)
+    av, gv = a.data, g.data
+    if av.ndim != 3 or gv.ndim != 3 or av.shape[:2] != gv.shape[:2]:
+        raise ShapeMismatchError("sgd_step", a.shape, g.shape)
+    step_shape = (av.shape[0], av.shape[2], gv.shape[2])
+    if w.shape != step_shape:
+        raise ShapeMismatchError("sgd_step", w.shape, step_shape)
+    out = av.swapaxes(-1, -2) @ gv
+    out *= alpha
+    np.subtract(w.data, out, out=out)
+
+    def va(d):
+        return matmul(g, smul(-alpha, d), tb=True)
+
+    def vg(d):
+        return matmul(a, smul(-alpha, d))
+
+    return _make("sgd_step", out, (w, a, g), (_identity, va, vg))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -480,6 +480,9 @@ def main(argv=None) -> int:
         elif extras:
             raise ConfigError(f"unrecognized arguments: {' '.join(extras)}")
         args.func(args)
+    except KeyboardInterrupt:
+        print(json.dumps({"error": "interrupted", "type": "KeyboardInterrupt"}), file=sys.stderr)
+        return 130
     except Exception as exc:
         record = {"error": str(exc), "type": type(exc).__name__}
         print(json.dumps(record), file=sys.stderr)

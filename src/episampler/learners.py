@@ -27,15 +27,19 @@ maximum alone puts 1 into ``z`` and ``picked <= 0``.
 * ``maml`` - all parameters adapted by ``adaptation_steps`` gradient
   descent steps on the support NLL. The parameters are tiled into
   ``(B, ...)`` fast weights, one copy per episode, so the batch adapts on
-  one tape that does not grow with B. When the caller records, the
-  adapted parameters stay connected to the originals, so the outer
-  gradient is the full second-order one. Under ``autodiff.no_grad``
-  (evaluation, difficulty scoring) nothing can differentiate the result,
-  so each inner gradient is first order; the logits keep their bits.
+  one tape that does not grow with B. Each inner gradient is taken at
+  the layers' pre-activations and biases, and each weight takes one fused
+  ``autodiff.sgd_step`` from its layer's input and pre-activation
+  gradient: one array per step and layer, with the bits of a step on the
+  weight gradient. When the caller records, the adapted parameters stay
+  connected to the originals, so the outer gradient is the full
+  second-order one. Under ``autodiff.no_grad`` (evaluation, difficulty
+  scoring) nothing can differentiate the result, so the same code runs
+  first order; the logits keep their bits.
 * ``anil`` - same, but only the linear head is adapted: the batch's
   supports and queries are encoded once each, as for the ProtoNets, and
-  only the head is tiled. Its graph too is second order only when the
-  caller records.
+  only the head is tiled and stepped. Its graph too is second order only
+  when the caller records.
 
 A ProtoNet or ANIL encoder is the same for every episode, so under frozen
 parameters a row's embedding depends on the row alone. ``encode_once`` turns
@@ -291,25 +295,35 @@ def _proto_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
 def _gradient_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
     """(B, n*q, n) query logits after each episode's inner loop.
 
-    The weights to adapt are tiled to ``(B, ...)`` fast weights, one copy
-    per episode, so the batch's inner loops are one tape. The inner loss is the
-    sum of the episodes' mean support losses; no fast weight is shared
-    between episodes, so its gradient is each episode's own gradient.
+    The layers to adapt (MAML's encoder and head, ANIL's head) are tiled
+    to ``(B, ...)`` fast weights, one copy per episode, so the batch's
+    inner loops are one tape. The inner loss is the sum of the episodes'
+    mean support losses; no fast weight is shared between episodes, so its
+    gradient is each episode's own gradient.
+
+    The support forward keeps each adapted layer's input ``a`` and
+    pre-activation ``z = a w + b``. The inner grad asks for ``dL/dz`` and
+    the bias gradients, not the weight gradients: each weight takes one
+    ``sgd_step``, ``w - alpha a^T dL/dz``, which has the bits of a step
+    on the weight gradient but records one array, not three. A bias takes
+    ``b - alpha dL/db``.
 
     Only a recording caller can differentiate the adapted weights, so only
     it gets the second-order graph. Otherwise each inner gradient is first
-    order and records nothing; the softmax vjp has the same bits in both
-    modes, so the logits do too.
+    order and records nothing, and each step takes its layer input as a
+    constant; the softmax vjp has the same bits in both modes, so the
+    logits do too.
     """
     count, n = len(batch), batch.n
     if params.head[0].shape[1] != n:
         raise LearnerError(f"head width {params.head[0].shape[1]} does not match episode way {n}")
     support, query = batch.support_x, batch.query_x
     labels = np.tile(batch.support_labels, count)
-    maml = params.algorithm == "maml"
-    if maml:
+    if params.algorithm == "maml":
         support, query = ad.tensor(support), ad.tensor(query)
         slow = params.trainable_tensors()
+        # A ReLU follows every encoder layer but the last.
+        relus = len(params.encoder) - 1
     else:
         # ANIL adapts only the head. Encoding once, in the caller's
         # recording mode and before the head is tiled, keeps the encoder
@@ -317,12 +331,18 @@ def _gradient_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
         support = _encode_stacked(params.encoder, support)
         query = _encode_stacked(params.encoder, query)
         slow = list(params.head)
+        relus = 0
 
     def forward(weights, x):
-        if maml:
-            fast = params.with_tensors(weights)
-            return _affine(_encode(fast.encoder, x), *fast.head)
-        return _affine(x, *weights)
+        """The output for ``x``, and each layer's input and pre-activation."""
+        inputs, pre = [], []
+        for layer, (w, b) in enumerate(zip(weights[::2], weights[1::2])):
+            inputs.append(x)
+            x = _affine(x, w, b)
+            pre.append(x)
+            if layer < relus:
+                x = ad.relu(x)
+        return x, inputs, pre
 
     alpha = params.adaptation_rate
     second_order = ad.is_grad_enabled()
@@ -331,7 +351,8 @@ def _gradient_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
     with ad.enable_grad():
         weights = [ad.tile(t, count) for t in slow]
         for step in range(params.adaptation_steps):
-            losses = ad.softmax_cross_entropy(ad.reshape(forward(weights, support), (-1, n)), labels)
+            logits, inputs, pre = forward(weights, support)
+            losses = ad.softmax_cross_entropy(ad.reshape(logits, (-1, n)), labels)
             means = ad.mean(ad.reshape(losses, (count, -1)), rows=True)
             bad = np.flatnonzero(~np.isfinite(means.data))
             if bad.size:
@@ -340,10 +361,17 @@ def _gradient_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
                     f" at adaptation step {step}",
                     int(bad[0]),
                 )
-            grads = ad.grad(ad.sum(means), weights, create_graph=second_order)
-            weights = [ad.sub(w, ad.smul(alpha, g)) for w, g in zip(weights, grads)]
+            biases = weights[1::2]
+            grads = ad.grad(ad.sum(means), pre + biases, create_graph=second_order)
+            layers = zip(weights[::2], biases, inputs, grads[: len(pre)], grads[len(pre) :])
+            weights = []
+            for w, b, a, gz, gb in layers:
+                # A first-order step is constant in a, as in dL/dz; off the
+                # tape, a no longer holds this pass's forward alive.
+                a = a if second_order else ad.tensor(a.data)
+                weights += [ad.sgd_step(w, a, gz, alpha), ad.sub(b, ad.smul(alpha, gb))]
     # The query pass records only if the caller does.
-    return forward(weights, query)
+    return forward(weights, query)[0]
 
 
 def encode_once(params: LearnerParams, x: np.ndarray) -> tuple[LearnerParams, np.ndarray]:

@@ -339,6 +339,17 @@ def _random_case(rng, case):
         a = ad.tensor(rng.normal(size=(2, m, d)), requires_grad=True)
         b = ad.tensor(rng.normal(size=(2, n, d)), requires_grad=True)
         return lambda x, y: ad.mean(ad.mul(ad.sqdist(x, y), ad.sqdist(x, y))), [a, b]
+    if case == "sgd_step":
+        w = ad.tensor(rng.normal(size=(2, d, n)), requires_grad=True)
+        a = ad.tensor(rng.normal(size=(2, m, d)), requires_grad=True)
+        g = ad.tensor(rng.normal(size=(2, m, n)), requires_grad=True)
+        alpha = float(rng.uniform(0.0, 1.0))
+
+        def f(x, y, z):
+            out = ad.sgd_step(x, y, z, alpha)
+            return ad.sum(ad.mul(out, out))
+
+        return f, [w, a, g]
     if case == "softmax_xent":
         a = ad.tensor(rng.normal(size=(m, n + 1)), requires_grad=True)
         labels = rng.integers(0, n + 1, size=m)
@@ -367,6 +378,7 @@ CASES = [
     "add_bias_row_3d",
     "mean_rows",
     "sqdist_3d",
+    "sgd_step",
 ]
 
 
@@ -425,6 +437,20 @@ class TestGradientProperties:
         b = ad.tensor(rng.normal(size=(1, 4)), requires_grad=True)
         assert grad_check(f, [w, b]) < 1e-4
 
+        # One inner step as the learners take it: sgd_step on the second
+        # layer from the gradient at its pre-activation, whose input and
+        # gradient both depend on the parameters.
+        def adapted(w, v):
+            a = ad.matmul(x, ad.tile(w, 2))
+            tv = ad.tile(v, 2)
+            z = ad.matmul(a, tv)
+            (gz,) = ad.grad(ad.sum(ad.mul(z, z)), [z], create_graph=True)
+            out = ad.matmul(a, ad.sgd_step(tv, a, gz, 0.1))
+            return ad.sum(ad.mul(out, out))
+
+        v = ad.tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        assert grad_check(adapted, [w, v]) < 1e-4
+
     def test_forward_replay_is_bit_identical(self):
         rng = _rng(4)
         x = rng.normal(size=(6, 4))
@@ -457,6 +483,51 @@ class TestGradientProperties:
                 assert ad.is_grad_enabled()
             assert not ad.is_grad_enabled()
         assert ad.is_grad_enabled()
+
+
+def _awkward(rng, shape):
+    """Normal entries with some replaced by +-0 and subnormals."""
+    out = rng.normal(size=shape).reshape(-1)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-315])
+    picks = rng.random(out.size) < 0.3
+    out[picks] = rng.choice(specials, size=int(picks.sum()))
+    return out.reshape(shape)
+
+
+class TestSgdStep:
+    """The fused step against the chain it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.01, 0.0])
+    @pytest.mark.parametrize("shape", [(3, 5, 4, 2), (2, 1, 3, 4), (1, 6, 5, 5)])
+    def test_forward_and_vjps_match_the_unfused_chain(self, shape, alpha):
+        count, m, d, n = shape
+        rng = _rng(7)
+        dims = [(count, d, n), (count, m, d), (count, m, n), (count, d, n)]
+        w0, a0, g0, upstream = (_awkward(rng, size) for size in dims)
+        for create_graph in (False, True):
+            outs = []
+            for fused in (True, False):
+                w, a, g = (ad.tensor(v, requires_grad=True) for v in (w0, a0, g0))
+                if fused:
+                    out = ad.sgd_step(w, a, g, alpha)
+                else:
+                    out = ad.sub(w, ad.smul(alpha, ad.matmul(a, g, ta=True)))
+                loss = ad.sum(ad.mul(out, ad.tensor(upstream)))
+                grads = ad.grad(loss, [w, a, g], create_graph=create_graph)
+                outs.append([t.data.tobytes() for t in [out, *grads]])
+            assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "w, a, g",
+        [
+            ((2, 3, 4), (2, 5, 3), (2, 6, 4)),  # a and g disagree on m
+            ((2, 3, 4), (2, 5, 3), (2, 5, 5)),  # w is not d_in x d_out
+            ((3, 4), (5, 3), (5, 4)),  # 2-D
+        ],
+    )
+    def test_shapes_are_checked(self, w, a, g):
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.sgd_step(*(ad.tensor(np.zeros(shape)) for shape in (w, a, g)), 0.1)
 
 
 class TestSoftmaxCrossEntropyVjp:

@@ -492,3 +492,14 @@ class TestOutputRoot:
         assert _run(["gen-data", "--config", tiny_config]) == 0
         capsys.readouterr()
         assert (tmp_path / "root" / "dataset" / "train" / "data.csv").exists()
+
+
+class TestInterrupt:
+    def test_ctrl_c_ends_with_the_json_error_line(self, tiny_config, tmp_path, monkeypatch, capsys):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_train", interrupted)
+        code = _run(["train", "--config", tiny_config, "--out", tmp_path / "run"])
+        assert code == 130
+        assert json.loads(capsys.readouterr().err) == {"error": "interrupted", "type": "KeyboardInterrupt"}

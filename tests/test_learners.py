@@ -328,6 +328,29 @@ class TestFirstOrderWhenNotRecording:
         assert flags == [False] * params.adaptation_steps
         assert recorded[0] == 0
 
+    @pytest.mark.parametrize("algorithm", learners.GRADIENT_ALGORITHMS)
+    def test_first_order_steps_take_their_inputs_as_constants(self, algorithm, monkeypatch):
+        # Under no_grad no step links back to an earlier support pass, so
+        # that pass is freed when the next begins.
+        episodes = _joined([_random_episode(60 + i, n=3, k=2, q=2, dim=5) for i in range(2)])
+        params = learners.init_params(algorithm, 5, 3, hidden_sizes=(8,), embedding_dim=8, seed=3)
+        on_tape = []
+        sgd_step = ad.sgd_step
+
+        def recording_step(w, a, g, alpha):
+            on_tape.append(a.node is not None)
+            return sgd_step(w, a, g, alpha)
+
+        monkeypatch.setattr(ad, "sgd_step", recording_step)
+        learners.episode_nll(params, episodes)
+        # Recording: MAML's later layers and ANIL's head read activations
+        # of the parameters.
+        assert any(on_tape)
+        on_tape.clear()
+        with ad.no_grad():
+            learners.episode_nll(params, episodes)
+        assert on_tape and not any(on_tape)
+
 
 class TestTapeCost:
     @pytest.mark.parametrize("algorithm", learners.GRADIENT_ALGORITHMS)

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -503,6 +504,22 @@ MALFORMED_EPISODE_ROWS = {
 }
 
 
+# sha256 of history.csv, episodes.csv and best.csv of
+# test_gradient_learner_training_bytes.
+GRADIENT_TRAINING_DIGESTS = {
+    "maml": [
+        "39e9bd88cb38f266f95a678ef94c11df754f19095fe63778d5076b8f18146690",
+        "ba81ef6412767bf9ae615d69df092c49cc58778a58262e9ec86a7be4861aad46",
+        "807973e54e17813c6332745d00a1d9a33f2f89fd2f50706a0bc521e3d4546b6c",
+    ],
+    "anil": [
+        "d115088ce7e93f253abc59bd8ad6dc9bdc7146c25cd6af16c310c181764f2e75",
+        "31d2b8b2eb50239e7eeaf2986b2a995716cd0d4821526251200638f3f70ae09d",
+        "395e08842b5d1083fbde0d03bc6cefe740f55aa7892153bd1e74a85c44699570",
+    ],
+}
+
+
 class TestTrainLoop:
     def test_huge_row_ends_the_run_with_a_non_finite_loss(self):
         # A 1e200 query row in the first batch: its distances are inf and
@@ -607,6 +624,29 @@ class TestTrainLoop:
         assert any(ep.weight != 1.0 for rec in result.history for ep in rec.episodes)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.csv.episodes").read_bytes() == (tmp_path / "b.csv.episodes").read_bytes()
+
+    @pytest.mark.parametrize("algorithm", learners.GRADIENT_ALGORITHMS)
+    def test_gradient_learner_training_bytes(self, tmp_path, algorithm):
+        # The bytes of a tiny MAML and ANIL run, pinned: a change to the
+        # inner loop or its ops that moves a bit must change these literals.
+        # The 8-wide layers keep every product far below the size at which
+        # BLAS threads, so the bytes do not depend on the thread count.
+        train_ds, val_ds, _ = _datasets()
+        params = learners.init_params(algorithm, 6, 3, hidden_sizes=(8,), embedding_dim=8, seed=0)
+        result = training.train(
+            _config(iterations=6, validation_interval=3, validation_episodes=4), params,
+            train_ds, val_ds, SamplingScheme("hard"), difficulty_model=DifficultyModel(warmup_remaining=8),
+        )
+        assert result.diagnostic is None
+        assert any(ep.weight != 1.0 for rec in result.history for ep in rec.episodes)
+        training.write_history_csv(result.history, tmp_path / "history.csv")
+        training.write_episodes_csv(result.history, tmp_path / "episodes.csv")
+        learners.save_checkpoint(result.params, tmp_path / "best")
+        digests = [
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("history.csv", "episodes.csv", "best.csv")
+        ]
+        assert digests == GRADIENT_TRAINING_DIGESTS[algorithm]
 
     def test_online_uniform_weights_after_warmup(self):
         train_ds, val_ds, _ = _datasets()
