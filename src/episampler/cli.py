@@ -3,7 +3,8 @@
 Subcommands: ``gen-data``, ``train``, ``evaluate``, ``compare-schemes``,
 ``analyze``. Configuration is a single JSON document; any scalar leaf can
 be overridden on the command line with a dotted path, e.g.
-``--train.batch_size 32``. The default output root is the
+``--train.batch_size 32``; a leaf of the wrong type is a ``ConfigError``
+naming its dotted key. The default output root is the
 ``EPISAMPLER_OUTPUT_ROOT`` environment variable (``./runs`` otherwise).
 """
 
@@ -72,6 +73,43 @@ DEFAULT_CONFIG = {
 GENERATOR_KEYS = ("num_classes", "samples_per_class", "feature_dim")
 
 
+def _typed(*types):
+    return lambda v: type(v) in types  # so a bool is not an int
+
+
+def _list_of(accepts):
+    return lambda v: isinstance(v, list) and all(map(accepts, v))
+
+
+_INT, _NUMBER, _TEXT = _typed(int), _typed(int, float), _typed(str)
+
+# Each DEFAULT_CONFIG leaf, by dotted key, and the values it may hold.
+# Ranges are checked where the values are used.
+_CONFIG_TYPES = {
+    "seed": _INT,
+    "dataset.path": lambda v: v is None or _TEXT(v),
+    **{f"dataset.{key}": lambda v: v is None or _INT(v) for key in GENERATOR_KEYS},
+    "dataset.class_separation": _NUMBER,
+    "dataset.noise_scale": _NUMBER,
+    # Weights, or lists of class ids.
+    "dataset.split_ratios": lambda v: _list_of(_NUMBER)(v) or _list_of(_list_of(_INT))(v),
+    "learner.algorithm": lambda v: v in learners.ALGORITHMS,
+    "learner.hidden_sizes": _list_of(lambda v: _INT(v) and v > 0),
+    "learner.embedding_dim": _INT,
+    "learner.adaptation_rate": lambda v: v is None or _NUMBER(v),
+    "learner.adaptation_steps": _INT,
+    "learner.cosine_scale": _NUMBER,
+    **{f"train.{key}": _INT for key in DEFAULT_CONFIG["train"]},
+    "train.learning_rate": _NUMBER,  # the one train leaf that is not an integer
+    "scheme.kind": lambda v: v in sampling.SCHEME_KINDS,
+    "scheme.mode": lambda v: v in sampling.MODES,
+    "scheme.ema_lambda": _NUMBER,
+    "scheme.warmup_iterations": _INT,
+    "scheme.offline_episodes": _INT,
+    "scheme.proposal_checkpoint": lambda v: v is None or _TEXT(v),
+}
+
+
 def _merge_config(base: dict, user: dict, prefix: str = "") -> dict:
     merged = copy.deepcopy(base)
     for key, value in user.items():
@@ -104,20 +142,19 @@ def load_config(path: str | None, overrides) -> dict:
 
 
 def _validate_config(config: dict) -> None:
-    scheme = config["scheme"]
-    if scheme["kind"] not in sampling.SCHEME_KINDS:
-        raise ConfigError(f"unknown scheme.kind {scheme['kind']!r}")
-    if scheme["mode"] not in sampling.MODES:
-        raise ConfigError(f"unknown scheme.mode {scheme['mode']!r}")
-    if scheme["mode"] == "offline" and not scheme["proposal_checkpoint"]:
+    for key, accepts in _CONFIG_TYPES.items():
+        value = config
+        for part in key.split("."):
+            if not isinstance(value, dict) or part not in value:
+                raise ConfigError(f"missing config key {key}")
+            value = value[part]
+        if not accepts(value):
+            raise ConfigError(f"config key {key}: invalid value {value!r}")
+    if config["scheme"]["mode"] == "offline" and not config["scheme"]["proposal_checkpoint"]:
         raise ConfigError("offline mode requires scheme.proposal_checkpoint")
-    learner = config["learner"]
-    if learner["algorithm"] not in learners.ALGORITHMS:
-        raise ConfigError(f"unknown learner.algorithm {learner['algorithm']!r}")
-    dataset = config["dataset"]
-    if dataset["path"] is None:
+    if config["dataset"]["path"] is None:
         for key in GENERATOR_KEYS:
-            if dataset[key] is None:
+            if config["dataset"][key] is None:
                 raise ConfigError(f"missing config key dataset.{key}")
 
 

@@ -42,16 +42,14 @@ maximum alone puts 1 into ``z`` and ``picked <= 0``.
   when the caller records.
 
 A ProtoNet or ANIL encoder is the same for every episode, so under frozen
-parameters a row's embedding depends on the row alone. ``encode_once`` turns
-such a learner and a stack of rows into the learner without its encoder and
-the rows' embeddings; fed embedded rows, that learner gives the logits the
-full learner gives on the raw rows. It is the one way rows are encoded
-ahead of the episodes, and it has two callers: ``embedded``, on every row
-of a split (``training.evaluate`` draws from the result), and
-``training.score_difficulties``, on the distinct rows a given batch
-indexes, which it then points the batch at. MAML adapts its encoder per
-episode and has no embedded form. An encoder-less learner has no layer
-sizes and cannot be saved.
+parameters a row's embedding depends on the row alone. ``encoded``, the
+one path that encodes rows ahead of the episodes, encodes each distinct
+row a batch indexes once and points the batch at the embeddings; the
+learner without its encoder gives the logits the full learner gives on
+the raw rows (a 1-way episode's may round differently, but its accuracy
+is 1 and its difficulty 0). MAML adapts its encoder per episode and gets
+no embedded form. An encoder-less learner has no layer sizes and cannot
+be saved.
 
 Checkpoint format: ``<stem>.json`` manifest (algorithm, layer sizes,
 adaptation hyper-parameters) plus ``<stem>.csv`` with one ``value`` column
@@ -75,7 +73,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import files, streams
-from .data import BaseDataset, EpisodeBatch
+from .data import EpisodeBatch
 
 ALGORITHMS = ("proto_euclidean", "proto_cosine", "maml", "anil")
 GRADIENT_ALGORITHMS = ("maml", "anil")
@@ -84,7 +82,7 @@ PROTO_ALGORITHMS = ("proto_euclidean", "proto_cosine")
 DEFAULT_ADAPTATION_RATE = {"maml": 0.01, "anil": 0.1}
 DEFAULT_COSINE_SCALE = 10.0
 
-# Rows per encoder stack in encode_once, which bounds the activations held
+# Rows per encoder stack in encoded, which bounds the activations held
 # at a time. Past about 244 rows of the 64-wide layers OpenBLAS 0.3.31
 # leaves its small-matrix path and a row costs about 30% more (the
 # CHANGES.md line on stacks over 244 rows); the stack size does not change
@@ -374,46 +372,47 @@ def _gradient_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
     return forward(weights, query)[0]
 
 
-def encode_once(params: LearnerParams, x: np.ndarray) -> tuple[LearnerParams, np.ndarray]:
-    """``params`` without its encoder, and the rows of ``x`` through that
-    encoder under ``no_grad``, as a read-only array.
+def _check_width(params: LearnerParams, batch: EpisodeBatch) -> None:
+    """Rows must be as wide as the encoder's (or encoder-less ANIL head's) input."""
+    layer = (params.encoder or [params.head])[0]
+    if layer is not None and batch.x.shape[1] != layer[0].shape[0]:
+        raise LearnerError(
+            f"{params.algorithm} learner takes {layer[0].shape[0]} features per row,"
+            f" the episodes' rows have {batch.x.shape[1]}"
+        )
 
-    Only for a learner whose encoder no episode adapts (not MAML): fed the
-    embedded rows, the encoder-less learner gives the logits the full
-    learner gives on the raw rows. The rows go through in stacks of
-    ``ENCODE_STACK_ROWS``. A row's embedding has the same bits in any stack
+
+def encoded(params: LearnerParams, batch: EpisodeBatch) -> tuple[LearnerParams, EpisodeBatch]:
+    """``params`` without its encoder, and ``batch`` pointed at a read-only
+    array of the embeddings of the distinct rows it indexes, in row order,
+    encoded under ``no_grad`` in stacks of ``ENCODE_STACK_ROWS``; MAML gets
+    both back unchanged. A row's embedding has the same bits in any stack
     of two rows or more, but numpy multiplies a one-row stack by another
-    routine, so a lone last row joins the stack before it.
-    """
-    bounds = list(range(0, len(x), ENCODE_STACK_ROWS)) + [len(x)]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    out = np.empty((len(x), params.encoder[-1][0].shape[1]))
+    routine, so a lone last row joins the stack before it."""
+    _check_width(params, batch)
+    if params.algorithm == "maml":
+        return params, batch
+    used = np.zeros(len(batch.x), dtype=bool)
+    used[batch.support_rows] = used[batch.query_rows] = True
+    distinct = np.flatnonzero(used)
+    # The starts stop short of a lone last row.
+    bounds = list(range(0, max(len(distinct) - 1, 1), ENCODE_STACK_ROWS)) + [len(distinct)]
+    out = np.empty((len(distinct), params.encoder[-1][0].shape[1]))
     with ad.no_grad():
         for start, stop in zip(bounds, bounds[1:]):
-            out[start:stop] = _encode(params.encoder, ad.tensor(x[start:stop])).data
+            out[start:stop] = _encode(params.encoder, ad.tensor(batch.x[distinct[start:stop]])).data
     out.setflags(write=False)
-    return dataclasses.replace(params, encoder=[]), out
-
-
-def embedded(params: LearnerParams, dataset: BaseDataset) -> tuple[LearnerParams, BaseDataset]:
-    """The learner and split to draw episodes from when no episode adapts
-    the encoder: ``encode_once`` of ``params`` and every row of ``dataset``.
-
-    The episode draw reads only class ids and counts, so a stream yields
-    the same episodes from either split, embedded rows in place of feature
-    rows. MAML adapts its encoder per episode; it gets both back unchanged.
-    """
-    if params.algorithm == "maml":
-        return params, dataset
-    params, x = encode_once(params, dataset.x)
-    return params, dataclasses.replace(dataset, x=x)
+    inverse = np.cumsum(used) - 1  # a used row's position in distinct
+    return dataclasses.replace(params, encoder=[]), dataclasses.replace(
+        batch, x=out, support_rows=inverse[batch.support_rows], query_rows=inverse[batch.query_rows]
+    )
 
 
 def _episode_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
     """(B, n*q, n) query logits; column j scores local label j."""
     if not len(batch):
         raise LearnerError("empty episode batch")
+    _check_width(params, batch)
     if params.algorithm in PROTO_ALGORITHMS:
         return _proto_logits(params, batch)
     return _gradient_logits(params, batch)

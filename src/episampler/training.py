@@ -20,25 +20,13 @@ episode under those parameters, and it rejects a non-finite one. The
 learner names an episode it fails on by its index in the chunk; both
 report it by its index in the whole batch.
 
-No ProtoNet or ANIL episode adapts the encoder, so for those learners both
-encode each row once, through ``learners.encode_once``, and feed each
-chunk its embedded rows. ``evaluate`` encodes its whole split
-(``learners.embedded``) and draws from the embedded rows; the draw reads
-only class ids and counts, so the stream yields the same episodes.
-``score_difficulties`` gets its batch already drawn, holding the indices
-of its rows in the array it was drawn from: it encodes the distinct rows
-those indices name and points the batch at the embeddings, however few
-rows repeat (an offline training batch's barely do). The encoder works
-row by row, so the logits keep their bits. The exception is a
-one-row stack, which numpy multiplies by another routine and may round
-differently; only a 1-way episode has one, and its accuracy is 1 and its
-difficulty 0 whatever its logits. MAML adapts its encoder per episode, so
-it encodes each chunk's rows.
-Both run under ``autodiff.no_grad``, so a MAML or ANIL learner adapts first
-order there, without the second-order graph training needs; its
-difficulties and accuracies are the same floats either way. Offline mode
-scores each training batch with the proposal through
-``score_difficulties``, so it takes the same path.
+Both read through ``learners.encoded``, which encodes a ProtoNet or ANIL
+batch's distinct rows once, ahead of its chunks. Both run under
+``autodiff.no_grad``, so a MAML or ANIL learner adapts first order there,
+without the second-order graph training needs; its difficulties and
+accuracies are the same floats either way. Offline mode scores each
+training batch with the proposal through ``score_difficulties``, so it
+takes the same path.
 
 ``train``, ``evaluate`` and ``score_difficulties`` run under
 ``np.errstate(over="ignore", invalid="ignore")``, so a row too large to
@@ -58,7 +46,7 @@ learner format.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -237,33 +225,11 @@ def evaluate(
     """Mean episode accuracy and 95% CI half-width (1.96 * std / sqrt(N))."""
     if num_episodes < 2:
         raise TrainerError("evaluate: need at least 2 episodes")
-    accs = np.empty(num_episodes)
     with ad.no_grad():
-        params, dataset = learners.embedded(params, dataset)
-        batch = sample_episodes(dataset, n, k, q, rng, num_episodes)
-        for start, chunk_accs in _by_chunk(learners.episode_accuracy, params, batch):
-            accs[start : start + len(chunk_accs)] = chunk_accs
+        params, batch = learners.encoded(params, sample_episodes(dataset, n, k, q, rng, num_episodes))
+        accs = np.concatenate([chunk for _, chunk in _by_chunk(learners.episode_accuracy, params, batch)])
     ci = float(1.96 * accs.std(ddof=1) / np.sqrt(num_episodes))
     return float(accs.mean()), ci
-
-
-def _encoded_once(params: learners.LearnerParams, batch: EpisodeBatch):
-    """``params`` without its encoder and ``batch`` pointed at the
-    embeddings of the distinct rows it indexes.
-
-    A 300-episode 5-way 5-shot pool from perfbench's 3200-row split holds
-    9.4 rows per distinct row; proto_cosine scored it in 18-21 ms from
-    encoded rows against 33-34 ms chunk by chunk (16-episode chunks, one
-    BLAS thread, 2-core Xeon). A 16-episode batch from that split holds
-    1.2-1.3, and either path scored it in 1.4-1.9 ms (proto_euclidean), so
-    no batch is too small for it.
-    """
-    rows = np.concatenate([batch.support_rows, batch.query_rows], axis=1)
-    distinct, index = np.unique(rows, return_inverse=True)
-    params, embeddings = learners.encode_once(params, batch.x.take(distinct, axis=0))
-    # The inverse is flat under numpy 1.x and has the shape of rows under 2.x.
-    support, query = np.split(index.reshape(rows.shape), [batch.support_rows.shape[1]], axis=1)
-    return params, replace(batch, x=embeddings, support_rows=support, query_rows=query)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -272,17 +238,14 @@ def score_difficulties(params: learners.LearnerParams, episodes) -> list[float]:
     given (frozen) parameters: its entry of ``learners.episode_nll``.
     Raises ``LearnerError`` naming the first episode, by its index in that
     batch, whose difficulty is not finite."""
-    batch = concat(episodes)
     out: list[float] = []
     with ad.no_grad():
-        if params.algorithm != "maml":
-            params, batch = _encoded_once(params, batch)
+        params, batch = learners.encoded(params, concat(episodes))
         for start, nll in _by_chunk(learners.episode_nll, params, batch):
-            means = nll.data
-            bad = np.flatnonzero(~np.isfinite(means))
+            bad = np.flatnonzero(~np.isfinite(nll.data))
             if bad.size:
                 raise learners.LearnerError(f"non-finite difficulty for episode {start + bad[0]}")
-            out.extend(means.tolist())
+            out.extend(nll.data.tolist())
     return out
 
 

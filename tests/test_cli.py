@@ -79,6 +79,52 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="train.bogus"):
             cli.load_config(str(tiny_config), [("train.bogus", "8")])
 
+    def test_every_default_leaf_has_a_type_rule(self):
+        def leaves(tree, prefix=""):
+            for key, value in tree.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield f"{prefix}{key}"
+
+        assert list(leaves(cli.DEFAULT_CONFIG)) == list(cli._CONFIG_TYPES)
+        for key, accepts in cli._CONFIG_TYPES.items():
+            value = cli.DEFAULT_CONFIG
+            for part in key.split("."):
+                value = value[part]
+            assert accepts(value), key
+
+    @pytest.mark.parametrize("key,raw,value", [
+        ("seed", "1.5", "1.5"),
+        ("train.batch_size", "abc", "'abc'"),
+        ("train.way", "2.0", "2.0"),
+        ("train.shot", "true", "True"),
+        ("train.learning_rate", "null", "None"),
+        ("learner.cosine_scale", "false", "False"),
+        ("learner.adaptation_rate", "[0.1]", "[0.1]"),
+        ("learner.hidden_sizes", "64", "64"),
+        ("learner.hidden_sizes", "[64, 0]", "[64, 0]"),
+        ("learner.algorithm", "protonet", "'protonet'"),
+        ("dataset.feature_dim", "8.5", "8.5"),
+        ("dataset.split_ratios", "[6, [1], 3]", "[6, [1], 3]"),
+        ("scheme.proposal_checkpoint", "3", "3"),
+        ("scheme.mode", "[]", "[]"),
+    ])
+    def test_value_of_the_wrong_type_is_rejected_before_any_work(
+        self, tiny_config, tmp_path, capsys, key, raw, value
+    ):
+        out = tmp_path / "run"
+        assert _run(["train", "--config", tiny_config, "--out", out, f"--{key}", raw]) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"type": "ConfigError", "error": f"config key {key}: invalid value {value}"}
+        assert not out.exists()
+
+    def test_section_that_is_not_an_object_is_missing_its_keys(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**TINY_CONFIG, "train": 5}))
+        with pytest.raises(cli.ConfigError, match="^missing config key train.iterations$"):
+            cli.load_config(str(path), [])
+
 
 class TestGenData:
     def test_deterministic_bytes(self, tiny_config, tmp_path):
@@ -344,6 +390,62 @@ class TestEvaluate:
         assert err == {
             "type": "LearnerError", "error": f"cannot read {stem}.json: No such file or directory"
         }
+
+
+class TestCheckpointWidth:
+    """A 12-feature checkpoint read against the 5-feature tiny dataset."""
+
+    @pytest.fixture
+    def wide(self, tiny_config, tmp_path, capsys):
+        ds_dir = tmp_path / "ds"
+        assert _run(["gen-data", "--config", tiny_config, "--out", ds_dir]) == 0
+        capsys.readouterr()
+
+        def checkpoint(algorithm):
+            stem = tmp_path / algorithm
+            params = learners.init_params(algorithm, 12, 3, hidden_sizes=(8,), embedding_dim=4, seed=1)
+            learners.save_checkpoint(params, stem)
+            return stem
+
+        return ds_dir, checkpoint
+
+    @staticmethod
+    def _error(capsys, algorithm):
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {
+            "type": "LearnerError",
+            "error": f"{algorithm} learner takes 12 features per row, the episodes' rows have 5",
+        }
+
+    @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
+    def test_evaluate(self, wide, capsys, algorithm):
+        ds_dir, checkpoint = wide
+        code = _run([
+            "evaluate", "--checkpoint", checkpoint(algorithm), "--data", ds_dir,
+            "--episodes", "4", "--way", "3", "--shot", "1", "--query", "4",
+        ])
+        assert code == 1
+        self._error(capsys, algorithm)
+
+    def test_analyze(self, wide, tmp_path, capsys):
+        ds_dir, checkpoint = wide
+        code = _run([
+            "analyze", "--checkpoint", checkpoint("proto_cosine"), "--data", ds_dir,
+            "--out", tmp_path / "analysis", "--episodes", "10", "--way", "3", "--shot", "1",
+            "--query", "4", "--qq",
+        ])
+        assert code == 1
+        self._error(capsys, "proto_cosine")
+
+    def test_offline_train(self, wide, tiny_config, tmp_path, capsys):
+        _, checkpoint = wide
+        code = _run([
+            "train", "--config", tiny_config, "--out", tmp_path / "offline",
+            "--scheme.mode", "offline", "--scheme.offline_episodes", "10",
+            "--scheme.proposal_checkpoint", str(checkpoint("anil")),
+        ])
+        assert code == 1
+        self._error(capsys, "anil")
 
 
 class TestCompareSchemes:

@@ -481,24 +481,21 @@ class TestAccuracy:
         assert learners.episode_accuracy(params, ep).tolist() == [0.0]
 
 
-class TestEmbedded:
-    """Episodes drawn from ``embedded``'s split against the same episodes
-    drawn from the raw split. The encoder works row by row and every stack
-    here has at least two rows, so the logits keep their bits."""
+class TestEncoded:
+    """Batches passed through ``encoded`` against the same batches on the
+    raw rows. The encoder works row by row and every stack here has at
+    least two rows, so the logits keep their bits."""
 
     @pytest.mark.parametrize("batch", [1, 4])
     @pytest.mark.parametrize("shot", [1, 5])
     @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
-    def test_logits_equal_the_raw_split(self, algorithm, shot, batch):
+    def test_logits_equal_the_raw_rows(self, algorithm, shot, batch):
         ds = data.generate_synthetic(8, shot + 6, 5, 3.0, 1.0, seed=72)
         params = learners.init_params(
             algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=16, adaptation_steps=3
         )
         raw = data.sample_episodes(ds, 3, shot, 4, streams.stream(72, streams.TEST_EPISODES), batch)
-        frozen, embedded_ds = learners.embedded(params, ds)
-        episodes = data.sample_episodes(
-            embedded_ds, 3, shot, 4, streams.stream(72, streams.TEST_EPISODES), batch
-        )
+        frozen, episodes = learners.encoded(params, raw)
         assert len(episodes) == len(raw) == batch
         np.testing.assert_array_equal(episodes.classes, raw.classes)
         np.testing.assert_array_equal(episodes.support_samples, raw.support_samples)
@@ -513,6 +510,9 @@ class TestEmbedded:
     @pytest.mark.parametrize("rows_per_stack", [None, 2, 3, 4, 8, 9, 20])
     def test_stacks_keep_the_bits_and_leave_no_row_alone(self, monkeypatch, rows_per_stack):
         x = streams.stream(73, streams.INIT).standard_normal((9, 5))
+        # One 3-way episode with 1 support and 2 queries per class: rows 0-2
+        # and 3-8, each indexed once.
+        ep = _episode(x[:3], [0, 1, 2], x[3:], [0, 0, 1, 1, 2, 2], k=1, q=2)
         params = learners.init_params("proto_cosine", 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=17)
         with ad.no_grad():
             whole = learners._encode(params.encoder, ad.tensor(x)).data
@@ -526,8 +526,10 @@ class TestEmbedded:
         monkeypatch.setattr(learners, "_encode", counting_encode)
         if rows_per_stack is not None:
             monkeypatch.setattr(learners, "ENCODE_STACK_ROWS", rows_per_stack)
-        frozen, out = learners.encode_once(params, x)
-        np.testing.assert_array_equal(out, whole)
+        frozen, out = learners.encoded(params, ep)
+        np.testing.assert_array_equal(out.x, whole)
+        np.testing.assert_array_equal(out.support_rows, ep.support_rows)
+        np.testing.assert_array_equal(out.query_rows, ep.query_rows)
         assert sum(stacks) == 9 and min(stacks) >= 2
         assert max(stacks) <= (rows_per_stack or 9) + 1
         assert frozen.encoder == [] and frozen.cosine_scale is params.cosine_scale
@@ -536,26 +538,50 @@ class TestEmbedded:
     def test_only_maml_keeps_its_encoder(self, algorithm):
         ds = data.generate_synthetic(4, 3, 5, 3.0, 1.0, seed=0)
         params = learners.init_params(algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=16)
-        frozen, embedded_ds = learners.embedded(params, ds)
+        batch = data.sample_episodes(ds, 3, 1, 2, streams.stream(0, streams.TEST_EPISODES), 4)
+        frozen, out = learners.encoded(params, batch)
         if algorithm == "maml":
-            assert frozen is params and embedded_ds is ds
+            assert frozen is params and out is batch
             return
-        assert frozen.encoder == [] and embedded_ds.x.shape == (12, 8)
-        assert (embedded_ds.class_ids, embedded_ds.split) == (ds.class_ids, ds.split)
-        np.testing.assert_array_equal(embedded_ds.offsets, ds.offsets)
+        rows = np.union1d(batch.support_rows, batch.query_rows)
+        assert frozen.encoder == [] and out.x.shape == (len(rows), 8)
+        np.testing.assert_array_equal(rows[out.support_rows], batch.support_rows)
+        np.testing.assert_array_equal(rows[out.query_rows], batch.query_rows)
+        for name in ("classes", "support_labels", "support_samples", "query_labels", "query_samples"):
+            assert getattr(out, name) is getattr(batch, name)
         assert frozen.trainable_tensors() == params.trainable_tensors()[2 * len(params.encoder) :]
 
     @pytest.mark.parametrize("algorithm", ["proto_euclidean", "proto_cosine", "anil"])
     def test_encoderless_learner_has_no_layer_sizes_or_checkpoint(self, tmp_path, algorithm):
         ds = data.generate_synthetic(4, 3, 5, 3.0, 1.0, seed=0)
         params = learners.init_params(algorithm, 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=16)
-        frozen, _ = learners.embedded(params, ds)
+        batch = data.sample_episodes(ds, 3, 1, 2, streams.stream(0, streams.TEST_EPISODES), 2)
+        frozen, _ = learners.encoded(params, batch)
         match = f"^{algorithm} learner has no encoder: it reads embedded rows$"
         with pytest.raises(learners.LearnerError, match=match):
             frozen.layer_sizes
         with pytest.raises(learners.LearnerError, match=match):
             learners.save_checkpoint(frozen, tmp_path / "ckpt")
         assert not (tmp_path / "ckpt.json").exists()
+
+    @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
+    def test_rows_of_another_width_are_rejected(self, algorithm):
+        ds = data.generate_synthetic(4, 3, 8, 3.0, 1.0, seed=0)
+        params = learners.init_params(algorithm, 12, 3, hidden_sizes=(16,), embedding_dim=8, seed=16)
+        batch = data.sample_episodes(ds, 3, 1, 2, streams.stream(0, streams.TEST_EPISODES), 2)
+        match = f"^{algorithm} learner takes 12 features per row, the episodes' rows have 8$"
+        for read in (learners.encoded, learners.episode_accuracy):
+            with pytest.raises(learners.LearnerError, match=match):
+                read(params, batch)
+
+    def test_encoderless_anil_checks_its_head_width(self):
+        ds = data.generate_synthetic(4, 3, 5, 3.0, 1.0, seed=0)
+        params = learners.init_params("anil", 5, 3, hidden_sizes=(16,), embedding_dim=8, seed=16)
+        batch = data.sample_episodes(ds, 3, 1, 2, streams.stream(0, streams.TEST_EPISODES), 2)
+        frozen, _ = learners.encoded(params, batch)
+        match = "^anil learner takes 8 features per row, the episodes' rows have 5$"
+        with pytest.raises(learners.LearnerError, match=match):
+            learners.episode_accuracy(frozen, batch)
 
 
 class TestWithTensors:

@@ -1,4 +1,5 @@
-"""The seed-1 tiny perfbench digests that ROADMAP.md's digest table quotes.
+"""The seed-1 perfbench digests, tiny and full size, that ROADMAP.md's
+digest table quotes.
 
 A change that moves any bit of a workload's artifacts fails here, so it
 must change a literal below, and say why, as ROADMAP.md's digest rule
@@ -23,6 +24,14 @@ TINY_DIGESTS = {
     "cosine_score_5shot": "bfe245fbb50742bc",
 }
 
+# The same at full size, the size the benchmark measures. Only it encodes
+# more than one ENCODE_STACK_ROWS stack in an evaluation.
+FULL_DIGESTS = {
+    "proto_train": "754d27ef760af923",
+    "maml_train": "4dbe858cb3b65c33",
+    "cosine_score_5shot": "03c6e41d78bbf7fd",
+}
+
 # One thread for every BLAS and OpenMP pool, as perfbench/run.py pins them.
 ONE_THREAD = {
     name: "1"
@@ -33,18 +42,28 @@ ONE_THREAD = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(TINY_DIGESTS))
-def test_tiny_digest(workload, tmp_path):
+def _digests(workload, size, out):
+    """The 16-digit digests of every pass of ``workload`` at ``size``."""
     env = dict(os.environ, **ONE_THREAD)
     env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO / "perfbench")])
     proc = subprocess.run(
         [
             sys.executable, str(REPO / "perfbench" / "workload.py"), "--workload", workload,
-            "--size", "tiny", "--seed", "1", "--seconds", "0", "--trace", "0", "--out", str(tmp_path),
+            "--size", size, "--seed", "1", "--seconds", "0", "--trace", "0", "--out", str(out),
         ],
         env=env, cwd=REPO, capture_output=True, text=True, timeout=170,
     )
     assert proc.returncode == 0, proc.stderr
     passes = json.loads(proc.stdout.strip().splitlines()[-1])["passes"]
     assert not any(p["failures"] for p in passes)
-    assert {p["digest"][:16] for p in passes} == {TINY_DIGESTS[workload]}
+    return {p["digest"][:16] for p in passes}
+
+
+@pytest.mark.parametrize("workload", sorted(TINY_DIGESTS))
+def test_tiny_digest(workload, tmp_path):
+    assert _digests(workload, "tiny", tmp_path) == {TINY_DIGESTS[workload]}
+
+
+@pytest.mark.parametrize("workload", sorted(FULL_DIGESTS))
+def test_full_digest(workload, tmp_path):
+    assert _digests(workload, "full", tmp_path) == {FULL_DIGESTS[workload]}

@@ -486,6 +486,16 @@ class TestEvaluate:
         assert a == b
         assert [type(v) for v in a] == [float, float]
 
+    @pytest.mark.parametrize("algorithm", ["proto_euclidean", "proto_cosine", "anil"])
+    def test_encodes_only_the_rows_its_episodes_index(self, algorithm):
+        # 2000 rows, of which two 3-way 1-shot episodes index at most 30.
+        ds = data.generate_synthetic(20, 100, 6, 3.0, 1.0, seed=5)
+        params = learners.init_params(algorithm, 6, 3, hidden_sizes=(16,), embedding_dim=8, seed=2)
+        with _encoder_stacks() as stacks:
+            training.evaluate(params, ds, 3, 1, 4, 2, streams.stream(3, streams.TEST_EPISODES))
+        episodes = data.sample_episodes(ds, 3, 1, 4, streams.stream(3, streams.TEST_EPISODES), 2)
+        assert stacks == [len(_rows(episodes))]
+
     def test_minimum_episode_count(self):
         _, _, test_ds = _datasets()
         params = learners.init_params("proto_euclidean", 6, 3, seed=0)
