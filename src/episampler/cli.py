@@ -1,11 +1,14 @@
 """Command-line entry point.
 
 Subcommands: ``gen-data``, ``train``, ``evaluate``, ``compare-schemes``,
-``analyze``. Configuration is a single JSON document; any scalar leaf can
-be overridden on the command line with a dotted path, e.g.
-``--train.batch_size 32``; a leaf of the wrong type is a ``ConfigError``
-naming its dotted key. The default output root is the
-``EPISAMPLER_OUTPUT_ROOT`` environment variable (``./runs`` otherwise).
+``analyze``. Configuration is a single JSON document; any key can be
+overridden on the command line with a dotted path, e.g.
+``--train.batch_size 32``. An object value, e.g.
+``--train '{"iterations": 4}'``, merges key by key, as a section of the
+file does. An unknown key, a leaf of the wrong type and a number that is
+not finite (``NaN``, ``Infinity``) are each a ``ConfigError`` naming the
+dotted key. The default output root is the ``EPISAMPLER_OUTPUT_ROOT``
+environment variable (``./runs`` otherwise).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -30,46 +34,6 @@ class ConfigError(Exception):
     pass
 
 
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "dataset": {
-        "path": None,
-        "num_classes": None,
-        "samples_per_class": None,
-        "feature_dim": None,
-        "class_separation": 3.0,
-        "noise_scale": 1.0,
-        "split_ratios": [64, 16, 20],
-    },
-    "learner": {
-        "algorithm": "proto_euclidean",
-        "hidden_sizes": [64, 64],
-        "embedding_dim": 64,
-        "adaptation_rate": None,
-        "adaptation_steps": 5,
-        "cosine_scale": 10.0,
-    },
-    "train": {
-        "iterations": 20000,
-        "batch_size": 16,
-        "learning_rate": 1e-3,
-        "validation_interval": 1000,
-        "validation_episodes": 1000,
-        "test_episodes": 1000,
-        "way": 5,
-        "shot": 1,
-        "query": 15,
-    },
-    "scheme": {
-        "kind": "baseline",
-        "mode": "online",
-        "ema_lambda": 0.9,
-        "warmup_iterations": 100,
-        "offline_episodes": 1000,
-        "proposal_checkpoint": None,
-    },
-}
-
 GENERATOR_KEYS = ("num_classes", "samples_per_class", "feature_dim")
 
 
@@ -81,81 +45,105 @@ def _list_of(accepts):
     return lambda v: isinstance(v, list) and all(map(accepts, v))
 
 
-_INT, _NUMBER, _TEXT = _typed(int), _typed(int, float), _typed(str)
+def _or_none(accepts):
+    return lambda v: v is None or accepts(v)
 
-# Each DEFAULT_CONFIG leaf, by dotted key, and the values it may hold.
-# Ranges are checked where the values are used.
-_CONFIG_TYPES = {
-    "seed": _INT,
-    "dataset.path": lambda v: v is None or _TEXT(v),
-    **{f"dataset.{key}": lambda v: v is None or _INT(v) for key in GENERATOR_KEYS},
-    "dataset.class_separation": _NUMBER,
-    "dataset.noise_scale": _NUMBER,
-    # Weights, or lists of class ids.
-    "dataset.split_ratios": lambda v: _list_of(_NUMBER)(v) or _list_of(_list_of(_INT))(v),
-    "learner.algorithm": lambda v: v in learners.ALGORITHMS,
-    "learner.hidden_sizes": _list_of(lambda v: _INT(v) and v > 0),
-    "learner.embedding_dim": _INT,
-    "learner.adaptation_rate": lambda v: v is None or _NUMBER(v),
-    "learner.adaptation_steps": _INT,
-    "learner.cosine_scale": _NUMBER,
-    **{f"train.{key}": _INT for key in DEFAULT_CONFIG["train"]},
-    "train.learning_rate": _NUMBER,  # the one train leaf that is not an integer
-    "scheme.kind": lambda v: v in sampling.SCHEME_KINDS,
-    "scheme.mode": lambda v: v in sampling.MODES,
-    "scheme.ema_lambda": _NUMBER,
-    "scheme.warmup_iterations": _INT,
-    "scheme.offline_episodes": _INT,
-    "scheme.proposal_checkpoint": lambda v: v is None or _TEXT(v),
+
+_INT, _TEXT = _typed(int), _typed(str)
+
+
+def _number(v) -> bool:
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
+def _positive(v) -> bool:
+    return _INT(v) and v > 0
+
+
+# Each config leaf as (default, the values it may hold). Most ranges are
+# checked where the values are used.
+_CONFIG = {
+    "seed": (0, _INT),
+    "dataset": {
+        "path": (None, _or_none(_TEXT)),
+        **{key: (None, _or_none(_INT)) for key in GENERATOR_KEYS},
+        "class_separation": (3.0, _number),
+        "noise_scale": (1.0, _number),
+        # Weights, or lists of class ids.
+        "split_ratios": ([64, 16, 20], lambda v: _list_of(_number)(v) or _list_of(_list_of(_INT))(v)),
+    },
+    "learner": {
+        "algorithm": ("proto_euclidean", lambda v: v in learners.ALGORITHMS),
+        "hidden_sizes": ([64, 64], _list_of(_positive)),
+        "embedding_dim": (64, _positive),
+        "adaptation_rate": (None, _or_none(_number)),
+        "adaptation_steps": (5, _INT),
+        "cosine_scale": (10.0, _number),
+    },
+    "train": {
+        "iterations": (20000, _INT),
+        "batch_size": (16, _INT),
+        "learning_rate": (1e-3, _number),
+        "validation_interval": (1000, _INT),
+        "validation_episodes": (1000, _INT),
+        "test_episodes": (1000, _INT),
+        "way": (5, _INT),
+        "shot": (1, _INT),
+        "query": (15, _INT),
+    },
+    "scheme": {
+        "kind": ("baseline", lambda v: v in sampling.SCHEME_KINDS),
+        "mode": ("online", lambda v: v in sampling.MODES),
+        "ema_lambda": (0.9, _number),
+        "warmup_iterations": (100, _INT),
+        "offline_episodes": (1000, _INT),
+        "proposal_checkpoint": (None, _or_none(_TEXT)),
+    },
 }
 
 
-def _merge_config(base: dict, user: dict, prefix: str = "") -> dict:
-    merged = copy.deepcopy(base)
+def _defaults(table: dict) -> dict:
+    return {key: _defaults(entry) if isinstance(entry, dict) else entry[0] for key, entry in table.items()}
+
+
+DEFAULT_CONFIG = _defaults(_CONFIG)
+
+
+def _merge(config: dict, user: dict, table: dict = _CONFIG, prefix: str = "") -> None:
+    """Write ``user`` into ``config`` key by key. An unknown key, or a value
+    its leaf's rule rejects, is a ``ConfigError`` naming the dotted key."""
     for key, value in user.items():
         path = f"{prefix}{key}"
-        if key not in base:
+        if key not in table:
             raise ConfigError(f"unknown config key {path!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            merged[key] = _merge_config(base[key], value, prefix=f"{path}.")
+        entry = table[key]
+        if isinstance(entry, dict) and isinstance(value, dict):
+            _merge(config[key], value, entry, f"{path}.")
+        elif isinstance(entry, dict) or not entry[1](value):
+            raise ConfigError(f"config key {path}: invalid value {value!r}")
         else:
-            merged[key] = copy.deepcopy(value)
-    return merged
+            config[key] = value
 
 
 def load_config(path: str | None, overrides) -> dict:
-    user = {} if path is None else files.read_manifest(path, {}, ConfigError)
-    config = _merge_config(DEFAULT_CONFIG, user)
+    config = copy.deepcopy(DEFAULT_CONFIG)
+    if path is not None:
+        _merge(config, files.read_manifest(path, {}, ConfigError))
     for key, raw in overrides:
-        *parents, leaf = key.split(".")
-        node = config
-        for part in parents:
-            node = node.get(part) if isinstance(node, dict) else None
-        if not isinstance(node, dict) or leaf not in node:
-            raise ConfigError(f"unknown config key {key!r}")
         try:
-            node[leaf] = json.loads(raw)
+            value = json.loads(raw)
         except json.JSONDecodeError:
-            node[leaf] = raw
-    _validate_config(config)
-    return config
-
-
-def _validate_config(config: dict) -> None:
-    for key, accepts in _CONFIG_TYPES.items():
-        value = config
-        for part in key.split("."):
-            if not isinstance(value, dict) or part not in value:
-                raise ConfigError(f"missing config key {key}")
-            value = value[part]
-        if not accepts(value):
-            raise ConfigError(f"config key {key}: invalid value {value!r}")
+            value = raw
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        _merge(config, value)
     if config["scheme"]["mode"] == "offline" and not config["scheme"]["proposal_checkpoint"]:
         raise ConfigError("offline mode requires scheme.proposal_checkpoint")
     if config["dataset"]["path"] is None:
         for key in GENERATOR_KEYS:
             if config["dataset"][key] is None:
                 raise ConfigError(f"missing config key dataset.{key}")
+    return config
 
 
 def _output_root() -> Path:
@@ -452,48 +440,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen-data", help="generate a synthetic dataset with train/val/test splits")
-    gen.add_argument("--config", required=True)
-    gen.add_argument("--out", default=None)
-    gen.add_argument("--force", action="store_true")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", required=True)
+    configured.add_argument("--out", default=None)
+    configured.add_argument("--force", action="store_true")
+
+    scored = argparse.ArgumentParser(add_help=False)
+    scored.add_argument("--checkpoint", required=True)
+    scored.add_argument("--data", required=True)
+    scored.add_argument("--split", default="test")
+    scored.add_argument("--episodes", type=int, default=1000)
+    scored.add_argument("--way", type=int, default=5)
+    scored.add_argument("--shot", type=int, default=1)
+    scored.add_argument("--query", type=int, default=15)
+    scored.add_argument("--seed", type=int, default=0)
+
+    gen = sub.add_parser(
+        "gen-data", parents=[configured], help="generate a synthetic dataset with train/val/test splits"
+    )
     gen.set_defaults(func=cmd_gen_data)
 
-    tr = sub.add_parser("train", help="train one learner under one sampling scheme")
-    tr.add_argument("--config", required=True)
-    tr.add_argument("--out", default=None)
-    tr.add_argument("--force", action="store_true")
+    tr = sub.add_parser("train", parents=[configured], help="train one learner under one sampling scheme")
     tr.set_defaults(func=cmd_train)
 
-    ev = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset split")
-    ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--data", required=True)
-    ev.add_argument("--split", default="test")
-    ev.add_argument("--episodes", type=int, default=1000)
-    ev.add_argument("--way", type=int, default=5)
-    ev.add_argument("--shot", type=int, default=1)
-    ev.add_argument("--query", type=int, default=15)
-    ev.add_argument("--seed", type=int, default=0)
+    ev = sub.add_parser("evaluate", parents=[scored], help="evaluate a checkpoint on a dataset split")
     ev.add_argument("--out", default=None)
     ev.set_defaults(func=cmd_evaluate)
 
-    cmp = sub.add_parser("compare-schemes", help="train once per scheme and tabulate accuracies")
-    cmp.add_argument("--config", required=True)
+    cmp = sub.add_parser(
+        "compare-schemes", parents=[configured], help="train once per scheme and tabulate accuracies"
+    )
     cmp.add_argument("--schemes", required=True, help="comma-separated scheme kinds, each listed once")
-    cmp.add_argument("--out", default=None)
-    cmp.add_argument("--force", action="store_true")
     cmp.set_defaults(func=cmd_compare_schemes)
 
-    an = sub.add_parser("analyze", help="run the difficulty analysis protocols")
-    an.add_argument("--checkpoint", required=True)
-    an.add_argument("--data", required=True)
-    an.add_argument("--split", default="test")
+    an = sub.add_parser("analyze", parents=[scored], help="run the difficulty analysis protocols")
     an.add_argument("--out", default=None)
     an.add_argument("--force", action="store_true")
-    an.add_argument("--episodes", type=int, default=1000)
-    an.add_argument("--way", type=int, default=5)
-    an.add_argument("--shot", type=int, default=1)
-    an.add_argument("--query", type=int, default=15)
-    an.add_argument("--seed", type=int, default=0)
     an.add_argument("--normality", action="store_true")
     an.add_argument("--subsample-size", type=int, default=50)
     an.add_argument("--repetitions", type=int, default=100)

@@ -150,6 +150,11 @@ def normality_rejection_rate(
     omegas = np.asarray(omegas, dtype=np.float64)
     if repetitions <= 0:
         raise StatsError("normality_rejection_rate: repetitions must be positive")
+    if not 3 <= subsample_size <= 5000:
+        # shapiro_wilk's range: a subsample outside it would count as a non-rejection.
+        raise StatsError(
+            f"normality_rejection_rate: subsample_size {subsample_size} outside [3, 5000]"
+        )
     if omegas.size < subsample_size:
         raise StatsError(
             f"normality_rejection_rate: need at least {subsample_size} values, got {omegas.size}"
@@ -204,6 +209,8 @@ def track_extremes(
     through ``checkpoint_omegas`` (sequence of (checkpoint id, omegas over
     the identical episode pool))."""
     initial = np.asarray(initial_omegas, dtype=np.float64)
+    if m < 1:
+        raise StatsError(f"track_extremes: m must be at least 1, got {m}")
     if initial.size < 2 * m:
         raise StatsError(f"track_extremes: pool of {initial.size} episodes cannot supply 2x{m}")
     order = np.argsort(initial, kind="stable")

@@ -79,20 +79,16 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="train.bogus"):
             cli.load_config(str(tiny_config), [("train.bogus", "8")])
 
-    def test_every_default_leaf_has_a_type_rule(self):
-        def leaves(tree, prefix=""):
-            for key, value in tree.items():
-                if isinstance(value, dict):
-                    yield from leaves(value, f"{prefix}{key}.")
+    def test_every_default_passes_its_own_rule(self):
+        def leaves(table, prefix=""):
+            for key, entry in table.items():
+                if isinstance(entry, dict):
+                    yield from leaves(entry, f"{prefix}{key}.")
                 else:
-                    yield f"{prefix}{key}"
+                    yield f"{prefix}{key}", entry
 
-        assert list(leaves(cli.DEFAULT_CONFIG)) == list(cli._CONFIG_TYPES)
-        for key, accepts in cli._CONFIG_TYPES.items():
-            value = cli.DEFAULT_CONFIG
-            for part in key.split("."):
-                value = value[part]
-            assert accepts(value), key
+        for key, (default, accepts) in leaves(cli._CONFIG):
+            assert accepts(default), key
 
     @pytest.mark.parametrize("key,raw,value", [
         ("seed", "1.5", "1.5"),
@@ -109,6 +105,9 @@ class TestConfig:
         ("dataset.split_ratios", "[6, [1], 3]", "[6, [1], 3]"),
         ("scheme.proposal_checkpoint", "3", "3"),
         ("scheme.mode", "[]", "[]"),
+        ("train.learning_rate", "NaN", "nan"),
+        ("dataset.class_separation", "-Infinity", "-inf"),
+        ("learner.embedding_dim", "0", "0"),
     ])
     def test_value_of_the_wrong_type_is_rejected_before_any_work(
         self, tiny_config, tmp_path, capsys, key, raw, value
@@ -119,11 +118,34 @@ class TestConfig:
         assert err == {"type": "ConfigError", "error": f"config key {key}: invalid value {value}"}
         assert not out.exists()
 
-    def test_section_that_is_not_an_object_is_missing_its_keys(self, tmp_path):
+    def test_non_finite_number_in_the_file_is_rejected(self, tmp_path):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["train"]["learning_rate"] = math.inf
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(cli.ConfigError, match="^config key train.learning_rate: invalid value inf$"):
+            cli.load_config(str(path), [])
+
+    def test_section_that_is_not_an_object_is_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({**TINY_CONFIG, "train": 5}))
-        with pytest.raises(cli.ConfigError, match="^missing config key train.iterations$"):
+        with pytest.raises(cli.ConfigError, match="^config key train: invalid value 5$"):
             cli.load_config(str(path), [])
+
+    def test_object_override_merges_key_by_key(self, tiny_config):
+        config = cli.load_config(str(tiny_config), [("train", '{"iterations": 4, "validation_interval": 1}')])
+        expected = {**cli.DEFAULT_CONFIG["train"], **TINY_CONFIG["train"]}
+        assert config["train"] == {**expected, "iterations": 4, "validation_interval": 1}
+
+    def test_object_override_with_an_unknown_key_is_rejected_before_any_work(
+        self, tiny_config, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        section = json.dumps({**cli.DEFAULT_CONFIG["train"], "bogus": 1})
+        assert _run(["train", "--config", tiny_config, "--out", out, "--train", section]) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"type": "ConfigError", "error": "unknown config key 'train.bogus'"}
+        assert not out.exists()
 
 
 class TestGenData:
@@ -525,6 +547,23 @@ class TestAnalyze:
         lines = (out / "normality.csv").read_text().splitlines()
         assert lines[0] == "rejection_rate"
         assert 0.0 <= float(lines[1]) <= 1.0
+
+    def test_subsample_size_outside_the_shapiro_wilk_range_is_an_error(self, trained, tmp_path, capsys):
+        run_dir, ds_dir = trained
+        out = tmp_path / "analysis"
+        code = _run([
+            "analyze", "--checkpoint", run_dir / "checkpoints" / "best",
+            "--data", ds_dir, "--out", out, "--episodes", "20",
+            "--way", "3", "--shot", "1", "--query", "4",
+            "--normality", "--subsample-size", "2", "--repetitions", "10",
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {
+            "type": "StatsError",
+            "error": "normality_rejection_rate: subsample_size 2 outside [3, 5000]",
+        }
+        assert not (out / "normality.csv").exists()
 
     def test_spearman_single_value_file(self, trained, tmp_path, capsys):
         run_dir, ds_dir = trained

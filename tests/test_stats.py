@@ -153,6 +153,22 @@ class TestNormalityRejectionRate:
         with pytest.raises(stats.StatsError):
             stats.normality_rejection_rate(np.zeros(100), streams.stream(0, 0), repetitions=0)
 
+    @pytest.mark.parametrize("size", [-4, 0, 2, 5001])
+    def test_subsample_size_outside_shapiro_wilk_range_rejected_before_any_draw(self, size):
+        omegas = streams.stream(1, streams.STATS).normal(size=6000)
+        rng = streams.stream(0, streams.STATS)
+        message = rf"^normality_rejection_rate: subsample_size {size} outside \[3, 5000\]$"
+        with pytest.raises(stats.StatsError, match=message):
+            stats.normality_rejection_rate(omegas, rng, subsample_size=size, repetitions=2)
+        assert rng.random() == streams.stream(0, streams.STATS).random()  # nothing drawn
+
+    @pytest.mark.parametrize("size", [3, 5000])
+    def test_subsample_sizes_at_the_range_ends_run(self, size):
+        omegas = streams.stream(1, streams.STATS).normal(size=6000)
+        rng = streams.stream(0, streams.STATS)
+        rate = stats.normality_rejection_rate(omegas, rng, subsample_size=size, repetitions=2)
+        assert 0.0 <= rate <= 1.0
+
     def test_pure_function_of_inputs_and_seed(self):
         omegas = streams.stream(8, streams.STATS).normal(size=500)
         a = stats.normality_rejection_rate(omegas, streams.stream(9, streams.STATS))
@@ -214,6 +230,11 @@ class TestTrackExtremes:
     def test_pool_too_small_rejected(self):
         with pytest.raises(stats.StatsError):
             stats.track_extremes(np.arange(5.0), [], m=3)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one_rejected(self, m):
+        with pytest.raises(stats.StatsError, match=f"^track_extremes: m must be at least 1, got {m}$"):
+            stats.track_extremes(np.arange(10.0), [("c0", np.arange(10.0))], m=m)
 
     def test_mismatched_pool_rejected(self):
         with pytest.raises(stats.StatsError):
