@@ -150,11 +150,12 @@ def _output_root() -> Path:
     return Path(os.environ.get("EPISAMPLER_OUTPUT_ROOT", "runs"))
 
 
-def _prepare_out(out: str | None, default_name: str, force: bool) -> Path:
+def _output_dir(out: str | None, default_name: str, force: bool) -> Path:
+    """The output directory, which must be empty or absent unless ``force``;
+    the caller makes it when it writes."""
     path = Path(out) if out else _output_root() / default_name
     if path.exists() and any(path.iterdir()) and not force:
         raise ConfigError(f"output directory {path} is not empty (use --force to overwrite)")
-    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -181,22 +182,6 @@ def _load_split(path: str, split: str) -> data.BaseDataset:
     return data.load_dataset(root / split)
 
 
-def _init_learner(config: dict, feature_dim: int) -> learners.LearnerParams:
-    learner = config["learner"]
-    train = config["train"]
-    return learners.init_params(
-        learner["algorithm"],
-        feature_dim,
-        train["way"],
-        hidden_sizes=tuple(learner["hidden_sizes"]),
-        embedding_dim=learner["embedding_dim"],
-        seed=config["seed"],
-        adaptation_rate=learner["adaptation_rate"],
-        adaptation_steps=learner["adaptation_steps"],
-        cosine_scale=learner["cosine_scale"],
-    )
-
-
 def result_schema() -> dict:
     text = resources.files("episampler").joinpath("schemas/result.schema.json").read_text()
     return json.loads(text)
@@ -210,7 +195,7 @@ def cmd_gen_data(args) -> Path:
     config = load_config(args.config, args.overrides)
     if config["dataset"]["path"] is not None:
         raise ConfigError("gen-data generates a dataset; dataset.path must be null")
-    out = _prepare_out(args.out, "dataset", args.force)
+    out = _output_dir(args.out, "dataset", args.force)
     splits = _build_splits(config)
     for split in splits:
         data.save_dataset(split, out / split.split)
@@ -220,7 +205,10 @@ def cmd_gen_data(args) -> Path:
 
 def _run_training(config: dict, out: Path) -> dict:
     train_ds, val_ds, test_ds = _build_splits(config)
-    params = _init_learner(config, train_ds.feature_dim)
+    params = learners.init_params(
+        feature_dim=train_ds.feature_dim, way=config["train"]["way"], seed=config["seed"],
+        **config["learner"],
+    )
     scheme_cfg = config["scheme"]
     scheme = SamplingScheme(scheme_cfg["kind"], mode=scheme_cfg["mode"])
     train_cfg = TrainConfig(seed=config["seed"], **config["train"])
@@ -277,7 +265,8 @@ def _run_training(config: dict, out: Path) -> dict:
 
 def cmd_train(args) -> Path:
     config = load_config(args.config, args.overrides)
-    out = _prepare_out(args.out, "run", args.force)
+    out = _output_dir(args.out, "run", args.force)
+    out.mkdir(parents=True, exist_ok=True)
     files.write_json(out / "config.json", config)
     payload = _run_training(config, out)
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -311,18 +300,17 @@ def cmd_compare_schemes(args) -> Path:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if len(schemes) < 2:
         raise ConfigError("compare-schemes needs at least 2 schemes")
-    for i, scheme in enumerate(schemes):
-        if scheme not in sampling.SCHEME_KINDS:
-            raise ConfigError(f"unknown scheme {scheme!r}")
+    runs = {}
+    for scheme in schemes:
         # Each scheme trains into its own directory and comparison.csv row.
-        if scheme in schemes[:i]:
+        if scheme in runs:
             raise ConfigError(f"scheme {scheme!r} listed twice")
-    out = _prepare_out(args.out, "comparison", args.force)
+        runs[scheme] = copy.deepcopy(config)
+        _merge(runs[scheme], {"scheme": {"kind": scheme}})
+    out = _output_dir(args.out, "comparison", args.force)
     rows = []
     failure: Exception | None = None
-    for scheme in schemes:
-        run_config = copy.deepcopy(config)
-        run_config["scheme"]["kind"] = scheme
+    for scheme, run_config in runs.items():
         run_dir = out / scheme
         run_dir.mkdir(parents=True, exist_ok=True)
         files.write_json(run_dir / "config.json", run_config)
@@ -349,35 +337,33 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def cmd_analyze(args) -> Path:
-    out = _prepare_out(args.out, "analysis", args.force)
+    out = _output_dir(args.out, "analysis", args.force)
     dataset = _load_split(args.data, args.split)
     params = learners.load_checkpoint(args.checkpoint)
     rng = streams.stream(args.seed, streams.ANALYSIS)
     episodes = data.sample_episodes(dataset, args.way, args.shot, args.query, rng, args.episodes)
-    data.save_episode_file(episodes, out / "episodes.json")
     omegas = np.array(training.score_difficulties(params, episodes))
-    ran_any = False
+    # Each protocol's (file name, header, rows). Nothing is written until
+    # every protocol has run, so a failed analysis leaves no directory.
+    tables = []
 
     if args.normality:
         rate = stats.normality_rejection_rate(
             omegas, streams.stream(args.seed, streams.STATS),
             subsample_size=args.subsample_size, repetitions=args.repetitions,
         )
-        _write_csv(out / "normality.csv", "rejection_rate", [(float(rate),)])
-        ran_any = True
+        tables.append(("normality.csv", "rejection_rate", [(float(rate),)]))
 
     if args.qq:
         hist, qq = stats.export_density_and_qq(omegas, bins=args.bins)
-        _write_csv(out / "density.csv", "bin_left,density", hist)
-        _write_csv(out / "qq.csv", "theoretical_q,sample_q", qq)
-        ran_any = True
+        tables.append(("density.csv", "bin_left,density", hist))
+        tables.append(("qq.csv", "theoretical_q,sample_q", qq))
 
     if args.spearman:
         other = learners.load_checkpoint(args.spearman)
         other_omegas = np.array(training.score_difficulties(other, episodes))
         rho = stats.spearman(omegas, other_omegas)
-        _write_csv(out / "spearman.csv", "rho", [(float(rho),)])
-        ran_any = True
+        tables.append(("spearman.csv", "rho", [(float(rho),)]))
 
     if args.extremes:
         run_dir = Path(args.extremes)
@@ -393,22 +379,24 @@ def cmd_analyze(args) -> Path:
         best = learners.load_checkpoint(ckpt_dir / "best")
         initial = np.array(training.score_difficulties(best, episodes))
         rows = stats.track_extremes(initial, per_checkpoint, m=args.m)
-        _write_csv(out / "extremes.csv", "checkpoint,easy_mean,hard_mean", rows)
-        ran_any = True
+        tables.append(("extremes.csv", "checkpoint,easy_mean,hard_mean", rows))
 
     if args.dispersion:
         rows = []
         for run_dir in args.dispersion:
             batches = training.read_episodes_csv(Path(run_dir) / "episodes.csv")
             rows.append((Path(run_dir).name, stats.weighted_loss_std(batches)))
-        _write_csv(out / "dispersion.csv", "run_id,mean_batch_std", rows)
-        ran_any = True
+        tables.append(("dispersion.csv", "run_id,mean_batch_std", rows))
 
-    if not ran_any:
+    if not tables:
         raise ConfigError(
             "analyze: choose at least one protocol "
             "(--normality, --qq, --spearman, --extremes, --dispersion)"
         )
+    out.mkdir(parents=True, exist_ok=True)
+    data.save_episode_file(episodes, out / "episodes.json")
+    for name, header, rows in tables:
+        _write_csv(out / name, header, rows)
     print(f"analysis written to {out}")
     return out
 

@@ -201,8 +201,8 @@ def generate_synthetic(
         raise DatasetError("num_classes and samples_per_class must be positive")
     if feature_dim < 2:
         raise DatasetError("feature_dim must be at least 2 (sphere sampling is degenerate)")
-    if class_separation < 0:
-        raise DatasetError("class_separation must be non-negative")
+    if class_separation < 0 or noise_scale < 0:
+        raise DatasetError("class_separation and noise_scale must be non-negative")
     rng = streams.stream(seed, streams.DATASET)
     x = np.empty((num_classes, samples_per_class, feature_dim))
     for cid in range(num_classes):

@@ -41,6 +41,11 @@ maximum alone puts 1 into ``z`` and ``picked <= 0``.
   only the head is tiled and stepped. Its graph too is second order only
   when the caller records.
 
+Every forward runs one layer loop, ``_layers``, over flat ``w, b`` pairs:
+the encoder (a ReLU after every layer but the last), and MAML's and
+ANIL's adapted layers, whose inputs and pre-activations it also returns
+for the fused step.
+
 A ProtoNet or ANIL encoder is the same for every episode, so under frozen
 parameters a row's embedding depends on the row alone. ``encoded``, the
 one path that encodes rows ahead of the episodes, encodes each distinct
@@ -180,8 +185,6 @@ def init_params(
     cosine_scale: float = DEFAULT_COSINE_SCALE,
 ) -> LearnerParams:
     """He-initialized encoder; head and cosine scale start at zero logits."""
-    if algorithm not in ALGORITHMS:
-        raise LearnerError(f"unknown algorithm {algorithm!r}")
     rng = streams.stream(seed, streams.INIT)
     sizes = [feature_dim, *hidden_sizes, embedding_dim]
     encoder = []
@@ -215,18 +218,23 @@ def _ones(shape) -> ad.Tensor:
     return ad.tensor(np.ones(shape))
 
 
-def _affine(x: ad.Tensor, w: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    return ad.add(ad.matmul(x, w), b)
+def _layers(weights, x: ad.Tensor, relus: int):
+    """``x`` through the affine layers of flat ``weights`` (``w0, b0, w1,
+    b1, ...``), a ReLU after each of the first ``relus``: the output, and
+    each layer's input and pre-activation."""
+    inputs, pre = [], []
+    for layer, (w, b) in enumerate(zip(weights[::2], weights[1::2])):
+        inputs.append(x)
+        x = ad.add(ad.matmul(x, w), b)
+        pre.append(x)
+        if layer < relus:
+            x = ad.relu(x)
+    return x, inputs, pre
 
 
 def _encode(encoder, x: ad.Tensor) -> ad.Tensor:
-    h = x
-    last = len(encoder) - 1
-    for i, (w, b) in enumerate(encoder):
-        h = _affine(h, w, b)
-        if i < last:
-            h = ad.relu(h)
-    return h
+    """``x`` through the encoder: a ReLU follows every layer but the last."""
+    return _layers([t for layer in encoder for t in layer], x, len(encoder) - 1)[0]
 
 
 def _encode_stacked(encoder, x: np.ndarray) -> ad.Tensor:
@@ -331,17 +339,6 @@ def _gradient_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
         slow = list(params.head)
         relus = 0
 
-    def forward(weights, x):
-        """The output for ``x``, and each layer's input and pre-activation."""
-        inputs, pre = [], []
-        for layer, (w, b) in enumerate(zip(weights[::2], weights[1::2])):
-            inputs.append(x)
-            x = _affine(x, w, b)
-            pre.append(x)
-            if layer < relus:
-                x = ad.relu(x)
-        return x, inputs, pre
-
     alpha = params.adaptation_rate
     second_order = ad.is_grad_enabled()
     # The inner loop differentiates the support loss, so recording must be
@@ -349,7 +346,7 @@ def _gradient_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
     with ad.enable_grad():
         weights = [ad.tile(t, count) for t in slow]
         for step in range(params.adaptation_steps):
-            logits, inputs, pre = forward(weights, support)
+            logits, inputs, pre = _layers(weights, support, relus)
             losses = ad.softmax_cross_entropy(ad.reshape(logits, (-1, n)), labels)
             means = ad.mean(ad.reshape(losses, (count, -1)), rows=True)
             bad = np.flatnonzero(~np.isfinite(means.data))
@@ -369,7 +366,7 @@ def _gradient_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
                 a = a if second_order else ad.tensor(a.data)
                 weights += [ad.sgd_step(w, a, gz, alpha), ad.sub(b, ad.smul(alpha, gb))]
     # The query pass records only if the caller does.
-    return forward(weights, query)[0]
+    return _layers(weights, query, relus)[0]
 
 
 def _check_width(params: LearnerParams, batch: EpisodeBatch) -> None:
@@ -476,7 +473,7 @@ _MANIFEST_FIELDS = {
     "algorithm": lambda v: v in ALGORITHMS,
     "layer_sizes": lambda v: isinstance(v, list) and len(v) >= 2 and all(map(_positive_int, v)),
     "way": lambda v: v is None or _positive_int(v),
-    "adaptation_rate": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0,
+    "adaptation_rate": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v < np.inf,
     "adaptation_steps": _positive_int,
     "has_cosine_scale": lambda v: isinstance(v, bool),
 }

@@ -20,7 +20,7 @@ def gradient_logits(params: learners.LearnerParams, episode) -> ad.Tensor:
     with ad.enable_grad():
         for step in range(params.adaptation_steps):
             emb = learners._encode(encoder, sup_x)
-            logits = learners._affine(emb, head_w, head_b)
+            logits = ad.add(ad.matmul(emb, head_w), head_b)
             loss = ad.mean(ad.softmax_cross_entropy(logits, episode.support_labels))
             if not np.isfinite(loss.item()):
                 raise learners.LearnerError(f"non-finite inner-loop loss at adaptation step {step}")
@@ -36,7 +36,7 @@ def gradient_logits(params: learners.LearnerParams, episode) -> ad.Tensor:
             else:
                 head_w, head_b = updated
     emb_q = learners._encode(encoder, ad.tensor(episode.query_x[0]))
-    return learners._affine(emb_q, head_w, head_b)
+    return ad.add(ad.matmul(emb_q, head_w), head_b)
 
 
 def episode_nlls(params: learners.LearnerParams, batch) -> list[ad.Tensor]:

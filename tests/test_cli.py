@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its artifacts."""
 
 import dataclasses
+import inspect
 import json
 import math
 from pathlib import Path
@@ -89,6 +90,10 @@ class TestConfig:
 
         for key, (default, accepts) in leaves(cli._CONFIG):
             assert accepts(default), key
+
+    def test_every_learner_key_is_an_init_params_keyword(self):
+        keywords = inspect.signature(learners.init_params).parameters
+        assert set(cli._CONFIG["learner"]) <= set(keywords)
 
     @pytest.mark.parametrize("key,raw,value", [
         ("seed", "1.5", "1.5"),
@@ -499,6 +504,36 @@ class TestCompareSchemes:
         assert err == {"type": "ConfigError", "error": "scheme 'uniform' listed twice"}
         assert not out.exists()
 
+    def test_unknown_scheme_rejected_before_any_run(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        code = _run([
+            "compare-schemes", "--config", tiny_config,
+            "--schemes", "baseline,bogus", "--out", out,
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"type": "ConfigError", "error": "config key scheme.kind: invalid value 'bogus'"}
+        assert not out.exists()
+
+    def test_failing_arm_keeps_the_completed_rows(self, tiny_config, tmp_path, monkeypatch, capsys):
+        def run_training(config, out):
+            if config["scheme"]["kind"] == "easy":
+                raise training.TrainerError("easy arm failed")
+            return {"test_accuracy_mean": 0.5, "test_accuracy_ci95": 0.25, "best_iteration": 10}
+
+        monkeypatch.setattr(cli, "_run_training", run_training)
+        out = tmp_path / "cmp"
+        code = _run([
+            "compare-schemes", "--config", tiny_config,
+            "--schemes", "baseline,easy,hard", "--out", out,
+        ])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {"type": "TrainerError", "error": "easy arm failed"}
+        assert (out / "comparison.csv").read_text() == (
+            "scheme,test_accuracy_mean,test_accuracy_ci95,best_iteration\nbaseline,0.5,0.25,10\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == ["baseline", "comparison.csv", "easy"]
+
     def test_single_scheme_rejected(self, tiny_config, tmp_path, capsys):
         code = _run([
             "compare-schemes", "--config", tiny_config,
@@ -563,7 +598,7 @@ class TestAnalyze:
             "type": "StatsError",
             "error": "normality_rejection_rate: subsample_size 2 outside [3, 5000]",
         }
-        assert not (out / "normality.csv").exists()
+        assert not out.exists()
 
     def test_spearman_single_value_file(self, trained, tmp_path, capsys):
         run_dir, ds_dir = trained
@@ -603,11 +638,12 @@ class TestAnalyze:
         run_dir, ds_dir = trained
         empty = tmp_path / "empty"
         empty.mkdir()
+        out = tmp_path / "analysis"
         code = _run([
             "analyze", "--checkpoint", run_dir / "checkpoints" / "best",
-            "--data", ds_dir, "--out", tmp_path / "analysis", "--episodes", "10",
+            "--data", ds_dir, "--out", out, "--episodes", "10",
             "--way", "3", "--shot", "1", "--query", "4",
-            "--dispersion", run_dir, empty,
+            "--qq", "--dispersion", run_dir, empty,
         ])
         assert code == 1
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
@@ -615,16 +651,38 @@ class TestAnalyze:
             "type": "TrainerError",
             "error": f"cannot read {empty / 'episodes.csv'}: No such file or directory",
         }
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing_run", [False, True], ids=["m-zero", "missing-run"])
+    def test_failed_extremes_leaves_no_output(self, trained, tmp_path, capsys, missing_run):
+        run_dir, ds_dir = trained
+        extremes = tmp_path / "missing" if missing_run else run_dir
+        out = tmp_path / "analysis"
+        code = _run([
+            "analyze", "--checkpoint", run_dir / "checkpoints" / "best",
+            "--data", ds_dir, "--out", out, "--episodes", "10",
+            "--way", "3", "--shot", "1", "--query", "4",
+            "--qq", "--extremes", extremes, "--m", "1" if missing_run else "0",
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        if missing_run:
+            assert err == {"type": "ConfigError", "error": f"no checkpoints under {extremes / 'checkpoints'}"}
+        else:
+            assert err == {"type": "StatsError", "error": "track_extremes: m must be at least 1, got 0"}
+        assert not out.exists()
 
     def test_no_protocol_selected_errors(self, trained, tmp_path, capsys):
         run_dir, ds_dir = trained
+        out = tmp_path / "analysis"
         code = _run([
             "analyze", "--checkpoint", run_dir / "checkpoints" / "best",
-            "--data", ds_dir, "--out", tmp_path / "analysis", "--episodes", "10",
+            "--data", ds_dir, "--out", out, "--episodes", "10",
             "--way", "3", "--shot", "1", "--query", "4",
         ])
         assert code == 1
         assert "protocol" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
 
 
 class TestOutputRoot:

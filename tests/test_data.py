@@ -90,6 +90,11 @@ class TestGenerate:
         assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
 
+    @pytest.mark.parametrize("separation, noise", [(-1.0, 1.0), (3.0, -1.0)])
+    def test_negative_separation_or_noise_rejected(self, separation, noise):
+        with pytest.raises(data.DatasetError, match="^class_separation and noise_scale must be non-negative$"):
+            data.generate_synthetic(3, 3, 4, separation, noise, seed=0)
+
     def test_feature_dim_below_two_rejected(self):
         with pytest.raises(data.DatasetError):
             data.generate_synthetic(3, 3, 1, 3.0, 1.0, seed=0)

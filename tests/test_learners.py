@@ -604,6 +604,12 @@ class TestWithTensors:
                 params.with_tensors(wrong)
 
 
+class TestInitParams:
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(learners.LearnerError, match="^unknown algorithm 'protonet'$"):
+            learners.init_params("protonet", 4, 3)
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
     def test_round_trip(self, tmp_path, algorithm):
@@ -660,9 +666,11 @@ class TestCheckpoints:
             (lambda m: m.pop("way"), "has no field 'way'"),
             (lambda m: m.update(layer_sizes=None), "field 'layer_sizes': invalid value None"),
             (lambda m: m.update(adaptation_steps="5"), "field 'adaptation_steps': invalid value '5'"),
+            (lambda m: m.update(adaptation_rate=math.inf), "field 'adaptation_rate': invalid value inf"),
+            (lambda m: m.update(adaptation_rate=math.nan), "field 'adaptation_rate': invalid value nan"),
             (None, "is not JSON"),
         ],
-        ids=["missing-way", "null-layer-sizes", "string-steps", "not-json"],
+        ids=["missing-way", "null-layer-sizes", "string-steps", "infinite-rate", "nan-rate", "not-json"],
     )
     def test_malformed_manifest_names_file_and_field(self, tmp_path, edit, match):
         params = learners.init_params("maml", 4, 3, hidden_sizes=(5,), embedding_dim=4, seed=9)
