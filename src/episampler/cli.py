@@ -154,6 +154,8 @@ def _output_dir(out: str | None, default_name: str, force: bool) -> Path:
     """The output directory, which must be empty or absent unless ``force``;
     the caller makes it when it writes."""
     path = Path(out) if out else _output_root() / default_name
+    if path.exists() and not path.is_dir():
+        raise ConfigError(f"output path {path} is not a directory")
     if path.exists() and any(path.iterdir()) and not force:
         raise ConfigError(f"output directory {path} is not empty (use --force to overwrite)")
     return path
@@ -204,6 +206,9 @@ def cmd_gen_data(args) -> Path:
 
 
 def _run_training(config: dict, out: Path) -> dict:
+    """Train one run into ``out``. The splits, learner, settings, scheme and
+    difficulty model are built first, so a run that cannot start writes
+    nothing; ``out`` and its ``config.json`` come only then."""
     train_ds, val_ds, test_ds = _build_splits(config)
     params = learners.init_params(
         feature_dim=train_ds.feature_dim, way=config["train"]["way"], seed=config["seed"],
@@ -230,7 +235,8 @@ def _run_training(config: dict, out: Path) -> dict:
             lam=scheme_cfg["ema_lambda"],
             warmup_remaining=scheme_cfg["warmup_iterations"] * train_cfg.batch_size,
         )
-
+    out.mkdir(parents=True, exist_ok=True)
+    files.write_json(out / "config.json", config)
     result = training.train(
         train_cfg, params, train_ds, val_ds, scheme,
         difficulty_model=model, proposal_params=proposal_params,
@@ -266,8 +272,6 @@ def _run_training(config: dict, out: Path) -> dict:
 def cmd_train(args) -> Path:
     config = load_config(args.config, args.overrides)
     out = _output_dir(args.out, "run", args.force)
-    out.mkdir(parents=True, exist_ok=True)
-    files.write_json(out / "config.json", config)
     payload = _run_training(config, out)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return out
@@ -311,18 +315,19 @@ def cmd_compare_schemes(args) -> Path:
     rows = []
     failure: Exception | None = None
     for scheme, run_config in runs.items():
-        run_dir = out / scheme
-        run_dir.mkdir(parents=True, exist_ok=True)
-        files.write_json(run_dir / "config.json", run_config)
         try:
-            payload = _run_training(run_config, run_dir)
+            payload = _run_training(run_config, out / scheme)
         except Exception as exc:  # preserve partial results before aborting
             failure = exc
             break
         rows.append(
             (scheme, payload["test_accuracy_mean"], payload["test_accuracy_ci95"], payload["best_iteration"])
         )
-    _write_csv(out / "comparison.csv", "scheme,test_accuracy_mean,test_accuracy_ci95,best_iteration", rows)
+    # The completed arms' rows; with none there is no table.
+    if rows:
+        _write_csv(
+            out / "comparison.csv", "scheme,test_accuracy_mean,test_accuracy_ci95,best_iteration", rows
+        )
     if failure is not None:
         raise failure
     print(f"comparison written to {out / 'comparison.csv'}")

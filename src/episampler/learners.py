@@ -41,10 +41,10 @@ maximum alone puts 1 into ``z`` and ``picked <= 0``.
   only the head is tiled and stepped. Its graph too is second order only
   when the caller records.
 
-Every forward runs one layer loop, ``_layers``, over flat ``w, b`` pairs:
-the encoder (a ReLU after every layer but the last), and MAML's and
-ANIL's adapted layers, whose inputs and pre-activations it also returns
-for the fused step.
+Every forward runs one layer loop, ``_layers``, over a flat ``w0, b0, w1,
+b1, ...`` list, the layout the parameters are held in: the encoder (a ReLU
+after every layer but the last), and MAML's and ANIL's adapted layers,
+whose inputs and pre-activations it also returns for the fused step.
 
 A ProtoNet or ANIL encoder is the same for every episode, so under frozen
 parameters a row's embedding depends on the row alone. ``encoded``, the
@@ -58,10 +58,10 @@ be saved.
 
 Checkpoint format: ``<stem>.json`` manifest (algorithm, layer sizes,
 adaptation hyper-parameters) plus ``<stem>.csv`` with one ``value`` column
-holding the flattened parameters in canonical order: per encoder layer the
-weight matrix row-major then the bias, then head weight and bias (maml and
-anil), then the cosine scale (proto_cosine). ``trainable_tensors`` lists
-the tensors in that order and ``LearnerParams.with_tensors`` is its inverse.
+holding the flattened parameters in canonical order, ``trainable_tensors``:
+the encoder list (each weight row-major, then its bias), then head weight
+and bias (maml and anil), then the cosine scale (proto_cosine).
+``LearnerParams.with_tensors`` is its inverse.
 Loading reads both files through ``files``, so a bad manifest field or CSV
 line is reported with its file. It builds the manifest's learner with
 ``init_params`` as a template and fills it with the values, split to the
@@ -113,11 +113,13 @@ class LearnerError(Exception):
 
 @dataclass
 class LearnerParams:
-    """Model parameters plus the algorithm kind and adaptation settings."""
+    """Model parameters plus the algorithm kind and adaptation settings:
+    ``encoder`` is the flat ``w0, b0, w1, b1, ...`` list of its layers and
+    ``head`` MAML's and ANIL's ``[weight, bias]``, as ``_layers`` runs them."""
 
     algorithm: str
-    encoder: list[tuple[ad.Tensor, ad.Tensor]]
-    head: tuple[ad.Tensor, ad.Tensor] | None = None
+    encoder: list[ad.Tensor]
+    head: list[ad.Tensor] | None = None
     cosine_scale: ad.Tensor | None = None
     adaptation_rate: float = 0.01
     adaptation_steps: int = 5
@@ -125,6 +127,10 @@ class LearnerParams:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise LearnerError(f"unknown algorithm {self.algorithm!r}")
+        if len(self.encoder) % 2:
+            raise LearnerError(f"encoder has {len(self.encoder)} tensors: a weight and a bias per layer")
+        if self.head is not None and len(self.head) != 2:
+            raise LearnerError(f"head has {len(self.head)} tensors, not a weight and a bias")
         if (self.head is not None) != (self.algorithm in GRADIENT_ALGORITHMS):
             raise LearnerError("head must be present exactly for maml/anil")
         if (self.cosine_scale is not None) != (self.algorithm == "proto_cosine"):
@@ -136,14 +142,8 @@ class LearnerParams:
 
     def trainable_tensors(self) -> list[ad.Tensor]:
         """All parameters in the canonical (checkpoint) order."""
-        out: list[ad.Tensor] = []
-        for w, b in self.encoder:
-            out.extend((w, b))
-        if self.head is not None:
-            out.extend(self.head)
-        if self.cosine_scale is not None:
-            out.append(self.cosine_scale)
-        return out
+        scale = [] if self.cosine_scale is None else [self.cosine_scale]
+        return [*self.encoder, *(self.head or []), *scale]
 
     def with_tensors(self, tensors) -> "LearnerParams":
         """The same learner with ``tensors``, in the canonical order of
@@ -152,21 +152,19 @@ class LearnerParams:
         expected = len(self.trainable_tensors())
         if len(tensors) != expected:
             raise LearnerError(f"{self.algorithm} learner has {expected} tensors, got {len(tensors)}")
-        it = iter(tensors)
+        cut = len(self.encoder)
         return dataclasses.replace(
             self,
-            encoder=[(next(it), next(it)) for _ in self.encoder],
-            head=None if self.head is None else (next(it), next(it)),
-            cosine_scale=None if self.cosine_scale is None else next(it),
+            encoder=tensors[:cut],
+            head=None if self.head is None else tensors[cut : cut + 2],
+            cosine_scale=None if self.cosine_scale is None else tensors[-1],
         )
 
     @property
     def layer_sizes(self) -> list[int]:
         if not self.encoder:
             raise LearnerError(f"{self.algorithm} learner has no encoder: it reads embedded rows")
-        sizes = [self.encoder[0][0].shape[0]]
-        sizes.extend(w.shape[1] for w, _ in self.encoder)
-        return sizes
+        return [self.encoder[0].shape[0], *(w.shape[1] for w in self.encoder[::2])]
 
     @property
     def way(self) -> int | None:
@@ -190,16 +188,14 @@ def init_params(
     encoder = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         w = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
-        encoder.append(
-            (ad.tensor(w, requires_grad=True), ad.tensor(np.zeros((1, fan_out)), requires_grad=True))
-        )
+        encoder += [ad.tensor(w, requires_grad=True), ad.tensor(np.zeros((1, fan_out)), requires_grad=True)]
     head = None
     scale = None
     if algorithm in GRADIENT_ALGORITHMS:
-        head = (
+        head = [
             ad.tensor(np.zeros((embedding_dim, way)), requires_grad=True),
             ad.tensor(np.zeros((1, way)), requires_grad=True),
-        )
+        ]
     if algorithm == "proto_cosine":
         scale = ad.tensor(float(cosine_scale), requires_grad=True)
     if adaptation_rate is None:
@@ -233,8 +229,8 @@ def _layers(weights, x: ad.Tensor, relus: int):
 
 
 def _encode(encoder, x: ad.Tensor) -> ad.Tensor:
-    """``x`` through the encoder: a ReLU follows every layer but the last."""
-    return _layers([t for layer in encoder for t in layer], x, len(encoder) - 1)[0]
+    """``x`` through the flat encoder list: a ReLU follows every layer but the last."""
+    return _layers(encoder, x, len(encoder) // 2 - 1)[0]
 
 
 def _encode_stacked(encoder, x: np.ndarray) -> ad.Tensor:
@@ -321,22 +317,22 @@ def _gradient_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
     logits do too.
     """
     count, n = len(batch), batch.n
-    if params.head[0].shape[1] != n:
-        raise LearnerError(f"head width {params.head[0].shape[1]} does not match episode way {n}")
+    if params.way != n:
+        raise LearnerError(f"head width {params.way} does not match episode way {n}")
     support, query = batch.support_x, batch.query_x
     labels = np.tile(batch.support_labels, count)
     if params.algorithm == "maml":
         support, query = ad.tensor(support), ad.tensor(query)
         slow = params.trainable_tensors()
         # A ReLU follows every encoder layer but the last.
-        relus = len(params.encoder) - 1
+        relus = len(params.encoder) // 2 - 1
     else:
         # ANIL adapts only the head. Encoding once, in the caller's
         # recording mode and before the head is tiled, keeps the encoder
         # forward out of every inner grad.
         support = _encode_stacked(params.encoder, support)
         query = _encode_stacked(params.encoder, query)
-        slow = list(params.head)
+        slow = params.head
         relus = 0
 
     alpha = params.adaptation_rate
@@ -371,10 +367,10 @@ def _gradient_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
 
 def _check_width(params: LearnerParams, batch: EpisodeBatch) -> None:
     """Rows must be as wide as the encoder's (or encoder-less ANIL head's) input."""
-    layer = (params.encoder or [params.head])[0]
-    if layer is not None and batch.x.shape[1] != layer[0].shape[0]:
+    first = (params.encoder or params.head or [None])[0]
+    if first is not None and batch.x.shape[1] != first.shape[0]:
         raise LearnerError(
-            f"{params.algorithm} learner takes {layer[0].shape[0]} features per row,"
+            f"{params.algorithm} learner takes {first.shape[0]} features per row,"
             f" the episodes' rows have {batch.x.shape[1]}"
         )
 
@@ -394,7 +390,7 @@ def encoded(params: LearnerParams, batch: EpisodeBatch) -> tuple[LearnerParams, 
     distinct = np.flatnonzero(used)
     # The starts stop short of a lone last row.
     bounds = list(range(0, max(len(distinct) - 1, 1), ENCODE_STACK_ROWS)) + [len(distinct)]
-    out = np.empty((len(distinct), params.encoder[-1][0].shape[1]))
+    out = np.empty((len(distinct), params.encoder[-1].shape[1]))
     with ad.no_grad():
         for start, stop in zip(bounds, bounds[1:]):
             out[start:stop] = _encode(params.encoder, ad.tensor(batch.x[distinct[start:stop]])).data

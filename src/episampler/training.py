@@ -32,10 +32,10 @@ takes the same path.
 ``np.errstate(over="ignore", invalid="ignore")``, so a row too large to
 square ends in their diagnostic, not a ``RuntimeWarning``.
 A run that meets a ``TrainerError`` (a non-finite loss or gradient), a
-``LearnerError`` (a non-finite inner-loop loss) or a ``SamplerError`` (a
-degenerate difficulty model) stops at that iteration and returns what it
-has, marked aborted, with a diagnostic that names the iteration and the
-error.
+``LearnerError`` (a non-finite inner-loop loss), a ``SamplerError`` (a
+degenerate difficulty model) or a ``DatasetError`` (an episode shape a
+split cannot fill) stops at that iteration and returns what it has,
+marked aborted, with a diagnostic that names the iteration and the error.
 
 Artifacts: ``history.csv`` (per-iteration: iteration, loss, ess, mu,
 sigma2, fallback, val_accuracy), ``episodes.csv`` (per-episode: iteration,
@@ -53,7 +53,9 @@ import numpy as np
 from . import autodiff as ad
 from . import files, kernels, learners, sampling, streams
 # sample_episode stays bound here: benchmark tracing wraps this module's name.
-from .data import BaseDataset, EpisodeBatch, concat, sample_episode, sample_episodes  # noqa: F401
+from .data import (  # noqa: F401
+    BaseDataset, DatasetError, EpisodeBatch, concat, sample_episode, sample_episodes,
+)
 from .sampling import DifficultyModel, SamplingScheme
 
 logger = logging.getLogger(__name__)
@@ -341,7 +343,7 @@ def train(
                     best_accuracy = acc
                     best_iteration = iteration
                     best_params = snapshot
-        except (TrainerError, learners.LearnerError, sampling.SamplerError) as exc:
+        except (TrainerError, learners.LearnerError, sampling.SamplerError, DatasetError) as exc:
             diagnostic = f"iteration {iteration}: {type(exc).__name__}: {exc}"
             logger.error(diagnostic)
             break

@@ -14,29 +14,24 @@ from episampler import learners
 def gradient_logits(params: learners.LearnerParams, episode) -> ad.Tensor:
     """(n*q, n) query logits of a one-episode batch after its inner loop."""
     sup_x = ad.tensor(episode.support_x[0])
-    encoder = list(params.encoder)
-    head_w, head_b = params.head
+    # The flat encoder and head lists; MAML adapts both, ANIL the head.
+    encoder, head = params.encoder, params.head
     alpha = params.adaptation_rate
     with ad.enable_grad():
         for step in range(params.adaptation_steps):
             emb = learners._encode(encoder, sup_x)
-            logits = ad.add(ad.matmul(emb, head_w), head_b)
+            logits = ad.add(ad.matmul(emb, head[0]), head[1])
             loss = ad.mean(ad.softmax_cross_entropy(logits, episode.support_labels))
             if not np.isfinite(loss.item()):
                 raise learners.LearnerError(f"non-finite inner-loop loss at adaptation step {step}")
-            if params.algorithm == "maml":
-                targets = [t for pair in encoder for t in pair] + [head_w, head_b]
-            else:
-                targets = [head_w, head_b]
+            targets = encoder + head if params.algorithm == "maml" else head
             grads = ad.grad(loss, targets, create_graph=True)
             updated = [ad.sub(t, ad.smul(alpha, g)) for t, g in zip(targets, grads)]
             if params.algorithm == "maml":
-                encoder = [(updated[2 * i], updated[2 * i + 1]) for i in range(len(encoder))]
-                head_w, head_b = updated[-2], updated[-1]
-            else:
-                head_w, head_b = updated
+                encoder = updated[: len(encoder)]
+            head = updated[-2:]
     emb_q = learners._encode(encoder, ad.tensor(episode.query_x[0]))
-    return ad.add(ad.matmul(emb_q, head_w), head_b)
+    return ad.add(ad.matmul(emb_q, head[0]), head[1])
 
 
 def episode_nlls(params: learners.LearnerParams, batch) -> list[ad.Tensor]:

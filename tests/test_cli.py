@@ -206,7 +206,56 @@ class TestTrain:
         assert _run(["train", "--config", tiny_config, "--out", out, f"--train.{name}", "1"]) == 1
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err == {"type": "TrainerError", "error": f"{name} must be at least 2, got 1"}
-        assert not (out / "history.csv").exists() and not (out / "checkpoints").exists()
+        assert not out.exists()
+
+    # Each run fails while it is built (settings, difficulty model, learner,
+    # offline proposal), after its data are generated and before it writes.
+    @pytest.mark.parametrize("command", ["train", "compare-schemes"])
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            (["--train.batch_size", "0"], "TrainerError"),
+            (["--scheme.ema_lambda", "1.5"], "SamplerError"),
+            (["--scheme.warmup_iterations", "-1"], "SamplerError"),
+            (["--learner.adaptation_steps", "0"], "LearnerError"),
+            (["--train.iterations", "4", "--train.validation_interval", "3"], "TrainerError"),
+            (["--scheme.mode", "offline", "--scheme.proposal_checkpoint", "missing"], "LearnerError"),
+        ],
+        ids=["batch-size", "ema-lambda", "warmup", "adaptation-steps", "validation-interval", "proposal"],
+    )
+    def test_run_that_cannot_start_writes_nothing(
+        self, tiny_config, tmp_path, capsys, command, overrides, expected
+    ):
+        out = tmp_path / "out"
+        schemes = ["--schemes", "baseline,uniform"] if command == "compare-schemes" else []
+        overrides = [str(tmp_path / v) if v == "missing" else v for v in overrides]
+        assert _run([command, "--config", tiny_config, "--out", out, *schemes, *overrides]) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["type"] == expected
+        assert not out.exists()
+
+    def test_episode_shape_a_split_cannot_fill_keeps_the_completed_iterations(
+        self, tiny_config, tmp_path, capsys
+    ):
+        # 4-way episodes fit the 6 training classes, not the 3 validation
+        # ones: the first validation, at iteration 10, ends the run.
+        out = tmp_path / "run"
+        assert _run(["train", "--config", tiny_config, "--out", out, "--train.way", "4"]) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {
+            "type": "TrainerError",
+            "error": "iteration 10: DatasetError: need 4 classes but dataset has only 3",
+        }
+        history = (out / "history.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in history[1:]] == [str(i) for i in range(1, 10)]
+        assert (out / "checkpoints" / "best.csv").exists() and not (out / "result.json").exists()
+
+    def test_out_naming_a_file_is_an_error(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("keep\n")
+        assert _run(["train", "--config", tiny_config, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"type": "ConfigError", "error": f"output path {out} is not a directory"}
+        assert out.read_text() == "keep\n"
 
     def test_seed_changes_history_not_schema(self, tiny_config, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -517,6 +566,9 @@ class TestCompareSchemes:
 
     def test_failing_arm_keeps_the_completed_rows(self, tiny_config, tmp_path, monkeypatch, capsys):
         def run_training(config, out):
+            # As the real one does once its run is built: the easy arm fails
+            # in training, after its directory is made.
+            out.mkdir(parents=True)
             if config["scheme"]["kind"] == "easy":
                 raise training.TrainerError("easy arm failed")
             return {"test_accuracy_mean": 0.5, "test_accuracy_ci95": 0.25, "best_iteration": 10}
@@ -567,6 +619,20 @@ class TestAnalyze:
         assert len((out / "density.csv").read_text().splitlines()) == 11
         assert len((out / "qq.csv").read_text().splitlines()) == 61
         assert (out / "episodes.json").exists()
+
+    def test_out_naming_a_file_is_an_error(self, trained, tmp_path, capsys):
+        run_dir, ds_dir = trained
+        out = tmp_path / "analysis"
+        out.write_text("keep\n")
+        code = _run([
+            "analyze", "--checkpoint", run_dir / "checkpoints" / "best",
+            "--data", ds_dir, "--out", out, "--episodes", "20",
+            "--way", "3", "--shot", "1", "--query", "4", "--qq",
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"type": "ConfigError", "error": f"output path {out} is not a directory"}
+        assert out.read_text() == "keep\n"
 
     def test_normality_value_in_range(self, trained, tmp_path, capsys):
         run_dir, ds_dir = trained

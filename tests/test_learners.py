@@ -64,7 +64,7 @@ def _probabilities(params, ep):
 def _identity_params(algorithm, dim, **kwargs):
     """Single linear layer with identity weights: embeddings == inputs."""
     encoder = [
-        (ad.tensor(np.eye(dim), requires_grad=True), ad.tensor(np.zeros((1, dim)), requires_grad=True))
+        ad.tensor(np.eye(dim), requires_grad=True), ad.tensor(np.zeros((1, dim)), requires_grad=True)
     ]
     return learners.LearnerParams(algorithm=algorithm, encoder=encoder, **kwargs)
 
@@ -216,11 +216,10 @@ class TestGradientLikelihoods:
     def test_anil_inner_loop_never_touches_encoder(self):
         ep = _random_episode(9, n=3)
         params = learners.init_params("anil", 5, 3, seed=5, adaptation_steps=3)
-        before = [(w.data.copy(), b.data.copy()) for w, b in params.encoder]
+        before = [t.data.copy() for t in params.encoder]
         learners.episode_log_likelihoods(params, ep)
-        for (w0, b0), (w, b) in zip(before, params.encoder):
-            assert w0.tobytes() == w.data.tobytes()
-            assert b0.tobytes() == b.data.tobytes()
+        for old, t in zip(before, params.encoder, strict=True):
+            assert old.tobytes() == t.data.tobytes()
 
     def test_maml_outer_gradient_matches_finite_differences(self):
         # Full second-order path through a small maml learner.
@@ -549,7 +548,7 @@ class TestEncoded:
         np.testing.assert_array_equal(rows[out.query_rows], batch.query_rows)
         for name in ("classes", "support_labels", "support_samples", "query_labels", "query_samples"):
             assert getattr(out, name) is getattr(batch, name)
-        assert frozen.trainable_tensors() == params.trainable_tensors()[2 * len(params.encoder) :]
+        assert frozen.trainable_tensors() == params.trainable_tensors()[len(params.encoder) :]
 
     @pytest.mark.parametrize("algorithm", ["proto_euclidean", "proto_cosine", "anil"])
     def test_encoderless_learner_has_no_layer_sizes_or_checkpoint(self, tmp_path, algorithm):
@@ -608,6 +607,25 @@ class TestInitParams:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(learners.LearnerError, match="^unknown algorithm 'protonet'$"):
             learners.init_params("protonet", 4, 3)
+
+
+class TestLearnerParams:
+    """The flat parameter lists hold a weight and a bias per layer; the
+    layer loop would drop a stray tensor without a word."""
+
+    @pytest.mark.parametrize("algorithm", learners.ALGORITHMS)
+    def test_odd_length_encoder_rejected(self, algorithm):
+        params = learners.init_params(algorithm, 4, 3, hidden_sizes=(5,), embedding_dim=4, seed=9)
+        with pytest.raises(learners.LearnerError, match="^encoder has 3 tensors: a weight and a bias per layer$"):
+            dataclasses.replace(params, encoder=params.encoder[:-1])
+
+    @pytest.mark.parametrize("algorithm", learners.GRADIENT_ALGORITHMS)
+    @pytest.mark.parametrize("keep", [1, 3])
+    def test_head_not_a_pair_rejected(self, algorithm, keep):
+        params = learners.init_params(algorithm, 4, 3, hidden_sizes=(5,), embedding_dim=4, seed=9)
+        head = (params.head * 2)[:keep]
+        with pytest.raises(learners.LearnerError, match=f"^head has {keep} tensors, not a weight and a bias$"):
+            dataclasses.replace(params, head=head)
 
 
 class TestCheckpoints:
