@@ -9,6 +9,10 @@ file does. An unknown key, a leaf of the wrong type and a number that is
 not finite (``NaN``, ``Infinity``) are each a ``ConfigError`` naming the
 dotted key. The default output root is the ``EPISAMPLER_OUTPUT_ROOT``
 environment variable (``./runs`` otherwise).
+
+``validate_result`` checks each ``result.json`` before it is written: exactly
+the fields of ``_RESULT_FIELDS``, each accepted by its ``files`` rule, or a
+``ValueError`` naming the field.
 """
 
 from __future__ import annotations
@@ -16,16 +20,15 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import os
+import shutil
 import sys
-from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import data, files, learners, sampling, stats, streams, training
+from .files import integer, list_of, number, of_type, or_none, positive
 from .sampling import DifficultyModel, SamplingScheme
 from .training import TrainConfig
 
@@ -37,67 +40,44 @@ class ConfigError(Exception):
 GENERATOR_KEYS = ("num_classes", "samples_per_class", "feature_dim")
 
 
-def _typed(*types):
-    return lambda v: type(v) in types  # so a bool is not an int
-
-
-def _list_of(accepts):
-    return lambda v: isinstance(v, list) and all(map(accepts, v))
-
-
-def _or_none(accepts):
-    return lambda v: v is None or accepts(v)
-
-
-_INT, _TEXT = _typed(int), _typed(str)
-
-
-def _number(v) -> bool:
-    return type(v) is int or (type(v) is float and math.isfinite(v))
-
-
-def _positive(v) -> bool:
-    return _INT(v) and v > 0
-
-
 # Each config leaf as (default, the values it may hold). Most ranges are
 # checked where the values are used.
 _CONFIG = {
-    "seed": (0, _INT),
+    "seed": (0, integer),
     "dataset": {
-        "path": (None, _or_none(_TEXT)),
-        **{key: (None, _or_none(_INT)) for key in GENERATOR_KEYS},
-        "class_separation": (3.0, _number),
-        "noise_scale": (1.0, _number),
+        "path": (None, or_none(of_type(str))),
+        **{key: (None, or_none(integer)) for key in GENERATOR_KEYS},
+        "class_separation": (3.0, number),
+        "noise_scale": (1.0, number),
         # Weights, or lists of class ids.
-        "split_ratios": ([64, 16, 20], lambda v: _list_of(_number)(v) or _list_of(_list_of(_INT))(v)),
+        "split_ratios": ([64, 16, 20], lambda v: list_of(number)(v) or list_of(list_of(integer))(v)),
     },
     "learner": {
         "algorithm": ("proto_euclidean", lambda v: v in learners.ALGORITHMS),
-        "hidden_sizes": ([64, 64], _list_of(_positive)),
-        "embedding_dim": (64, _positive),
-        "adaptation_rate": (None, _or_none(_number)),
-        "adaptation_steps": (5, _INT),
-        "cosine_scale": (10.0, _number),
+        "hidden_sizes": ([64, 64], list_of(positive)),
+        "embedding_dim": (64, positive),
+        "adaptation_rate": (None, or_none(number)),
+        "adaptation_steps": (5, integer),
+        "cosine_scale": (10.0, number),
     },
     "train": {
-        "iterations": (20000, _INT),
-        "batch_size": (16, _INT),
-        "learning_rate": (1e-3, _number),
-        "validation_interval": (1000, _INT),
-        "validation_episodes": (1000, _INT),
-        "test_episodes": (1000, _INT),
-        "way": (5, _INT),
-        "shot": (1, _INT),
-        "query": (15, _INT),
+        "iterations": (20000, integer),
+        "batch_size": (16, integer),
+        "learning_rate": (1e-3, number),
+        "validation_interval": (1000, integer),
+        "validation_episodes": (1000, integer),
+        "test_episodes": (1000, integer),
+        "way": (5, integer),
+        "shot": (1, integer),
+        "query": (15, integer),
     },
     "scheme": {
         "kind": ("baseline", lambda v: v in sampling.SCHEME_KINDS),
         "mode": ("online", lambda v: v in sampling.MODES),
-        "ema_lambda": (0.9, _number),
-        "warmup_iterations": (100, _INT),
-        "offline_episodes": (1000, _INT),
-        "proposal_checkpoint": (None, _or_none(_TEXT)),
+        "ema_lambda": (0.9, number),
+        "warmup_iterations": (100, integer),
+        "offline_episodes": (1000, integer),
+        "proposal_checkpoint": (None, or_none(of_type(str))),
     },
 }
 
@@ -184,13 +164,25 @@ def _load_split(path: str, split: str) -> data.BaseDataset:
     return data.load_dataset(root / split)
 
 
-def result_schema() -> dict:
-    text = resources.files("episampler").joinpath("schemas/result.schema.json").read_text()
-    return json.loads(text)
+# Each result.json field and the values it may hold.
+_RESULT_FIELDS = {
+    "algorithm": lambda v: v in learners.ALGORITHMS,
+    "scheme": lambda v: v in sampling.SCHEME_KINDS,
+    "mode": lambda v: v in sampling.MODES,
+    "seed": integer,
+    "best_iteration": lambda v: integer(v) and v >= 0,
+    "test_accuracy_mean": lambda v: number(v) and 0 <= v <= 1,
+    "test_accuracy_ci95": lambda v: number(v) and v >= 0,
+}
 
 
 def validate_result(payload: dict) -> None:
-    jsonschema.validate(payload, result_schema())
+    """Raise ``ValueError`` naming the field unless ``payload`` holds exactly
+    the fields of ``_RESULT_FIELDS``, each with a value its rule accepts."""
+    extra = sorted(set(payload) - set(_RESULT_FIELDS))
+    if extra:
+        raise ValueError(f"result has unknown field {extra[0]!r}")
+    files.check_fields(payload, _RESULT_FIELDS, ValueError, "result")
 
 
 def cmd_gen_data(args) -> Path:
@@ -208,7 +200,8 @@ def cmd_gen_data(args) -> Path:
 def _run_training(config: dict, out: Path) -> dict:
     """Train one run into ``out``. The splits, learner, settings, scheme and
     difficulty model are built first, so a run that cannot start writes
-    nothing; ``out`` and its ``config.json`` come only then."""
+    nothing. Only then does it delete the ``result.json`` and checkpoints of
+    an earlier run in ``out`` (``--force``) and write ``config.json``."""
     train_ds, val_ds, test_ds = _build_splits(config)
     params = learners.init_params(
         feature_dim=train_ds.feature_dim, way=config["train"]["way"], seed=config["seed"],
@@ -235,6 +228,9 @@ def _run_training(config: dict, out: Path) -> dict:
             lam=scheme_cfg["ema_lambda"],
             warmup_remaining=scheme_cfg["warmup_iterations"] * train_cfg.batch_size,
         )
+    (out / "result.json").unlink(missing_ok=True)
+    if (out / "checkpoints").exists():
+        shutil.rmtree(out / "checkpoints")
     out.mkdir(parents=True, exist_ok=True)
     files.write_json(out / "config.json", config)
     result = training.train(
@@ -278,6 +274,8 @@ def cmd_train(args) -> Path:
 
 
 def cmd_evaluate(args) -> dict:
+    if args.out and Path(args.out).is_dir():
+        raise ConfigError(f"output path {args.out} is a directory")
     params = learners.load_checkpoint(args.checkpoint)
     dataset = _load_split(args.data, args.split)
     rng = streams.stream(args.seed, streams.TEST_EPISODES)

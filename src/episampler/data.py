@@ -346,16 +346,14 @@ def save_dataset(dataset: BaseDataset, path) -> None:
     files.write_text(path / "data.csv", "\n".join(lines) + "\n")
 
 
-def _int_list(value, minimum: int) -> bool:
-    return isinstance(value, list) and all(type(v) is int and v >= minimum for v in value)
-
-
 # Each required manifest field and the values it may hold.
 _MANIFEST_FIELDS = {
-    "feature_dim": lambda v: type(v) is int and v >= 1,
+    "feature_dim": files.positive,
     "split": lambda v: v in SPLITS,
-    "class_ids": lambda v: _int_list(v, 0) and 0 < len(v) == len(set(v)) and max(v) < 2**53,
-    "per_class_counts": lambda v: _int_list(v, 1),
+    "class_ids": lambda v: (
+        files.list_of(files.integer)(v) and 0 < len(v) == len(set(v)) and 0 <= min(v) and max(v) < 2**53
+    ),
+    "per_class_counts": files.list_of(files.positive),
 }
 
 

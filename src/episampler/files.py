@@ -11,6 +11,12 @@ Artifacts read back are JSON manifests (``read_manifest``) and CSV tables
 of numbers (``read_table``). Each reader takes the caller's exception
 class, and its errors name the file and the line or field at fault; a file
 that is missing or cannot be read raises that class too.
+
+The field rules here (``of_type``, ``integer``, ``positive``, ``number``,
+``list_of``, ``or_none``) are the package's one set of value predicates: the
+config, both manifests and ``result.json`` are checked with tables of them,
+a table's own ranges and choices written on top. A bool is not an integer
+and a number is finite. ``check_fields`` checks a record against a table.
 """
 
 from __future__ import annotations
@@ -51,20 +57,50 @@ def _read_text(path, error: type[Exception]) -> str:
         raise error(f"cannot read {path}: {exc.strerror}") from None
 
 
+def of_type(kind: type):
+    """The values whose type is exactly ``kind``."""
+    return lambda v: type(v) is kind
+
+
+integer = of_type(int)
+
+
+def positive(v) -> bool:
+    return integer(v) and v > 0
+
+
+def number(v) -> bool:
+    """A finite int or float; not a bool."""
+    return integer(v) or (type(v) is float and math.isfinite(v))
+
+
+def list_of(rule):
+    return lambda v: isinstance(v, list) and all(map(rule, v))
+
+
+def or_none(rule):
+    return lambda v: v is None or rule(v)
+
+
+def check_fields(record: dict, fields: dict, error: type[Exception], where) -> None:
+    """Each key of ``fields`` must be in ``record`` and hold a value its rule
+    accepts; otherwise raises ``error`` naming ``where`` and the key."""
+    for key, rule in fields.items():
+        if key not in record:
+            raise error(f"{where} has no field {key!r}")
+        if not rule(record[key]):
+            raise error(f"{where} field {key!r}: invalid value {record[key]!r}")
+
+
 def read_manifest(path, fields: dict, error: type[Exception]) -> dict:
-    """The JSON object in ``path``. Each key of ``fields`` must be present
-    and hold a value its predicate accepts; otherwise raises ``error``."""
+    """The JSON object in ``path``, checked by ``check_fields``."""
     try:
         manifest = json.loads(_read_text(path, error))
     except json.JSONDecodeError as exc:
         raise error(f"{path} is not JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise error(f"{path} is not a JSON object")
-    for key, valid in fields.items():
-        if key not in manifest:
-            raise error(f"{path} has no field {key!r}")
-        if not valid(manifest[key]):
-            raise error(f"{path} field {key!r}: invalid value {manifest[key]!r}")
+    check_fields(manifest, fields, error, path)
     return manifest
 
 

@@ -460,18 +460,14 @@ def save_checkpoint(params: LearnerParams, stem) -> None:
     files.write_text(stem.with_suffix(".csv"), "\n".join(lines) + "\n")
 
 
-def _positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
-
-
 # Each manifest field and the values it may hold.
 _MANIFEST_FIELDS = {
     "algorithm": lambda v: v in ALGORITHMS,
-    "layer_sizes": lambda v: isinstance(v, list) and len(v) >= 2 and all(map(_positive_int, v)),
-    "way": lambda v: v is None or _positive_int(v),
-    "adaptation_rate": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v < np.inf,
-    "adaptation_steps": _positive_int,
-    "has_cosine_scale": lambda v: isinstance(v, bool),
+    "layer_sizes": lambda v: files.list_of(files.positive)(v) and len(v) >= 2,
+    "way": files.or_none(files.positive),
+    "adaptation_rate": lambda v: files.number(v) and v >= 0,
+    "adaptation_steps": files.positive,
+    "has_cosine_scale": files.of_type(bool),
 }
 
 

@@ -249,6 +249,27 @@ class TestTrain:
         assert [line.split(",")[0] for line in history[1:]] == [str(i) for i in range(1, 10)]
         assert (out / "checkpoints" / "best.csv").exists() and not (out / "result.json").exists()
 
+    def test_forced_run_that_aborts_leaves_none_of_the_earlier_runs_artifacts(
+        self, tiny_config, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        assert _run(["train", "--config", tiny_config, "--out", out]) == 0
+        assert (out / "result.json").exists() and (out / "checkpoints" / "iter_000020.csv").exists()
+        # The forced 4-way run aborts at its first validation, iteration 10.
+        assert _run(["train", "--config", tiny_config, "--out", out, "--force", "--train.way", "4"]) == 1
+        capsys.readouterr()
+        assert json.loads((out / "config.json").read_text())["train"]["way"] == 4
+        assert len((out / "history.csv").read_text().splitlines()) == 10
+        assert not (out / "result.json").exists()
+        assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["best.csv", "best.json"]
+
+    def test_forced_run_that_cannot_start_keeps_the_earlier_run(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert _run(["train", "--config", tiny_config, "--out", out]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert _run(["train", "--config", tiny_config, "--out", out, "--force", "--train.batch_size", "0"]) == 1
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_out_naming_a_file_is_an_error(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "run"
         out.write_text("keep\n")
@@ -434,6 +455,42 @@ class TestTrain:
         assert result["mode"] == "offline"
 
 
+class TestValidateResult:
+    VALID = {
+        "algorithm": "maml", "scheme": "uniform", "mode": "offline", "seed": 3,
+        "best_iteration": 0, "test_accuracy_mean": 1, "test_accuracy_ci95": 0.0,
+    }
+
+    def test_valid_result_passes(self):
+        cli.validate_result(dict(self.VALID))
+
+    @pytest.mark.parametrize("key, value", [
+        ("algorithm", "protonet"),
+        ("scheme", "hardest"),
+        ("mode", "batch"),
+        ("seed", True),
+        ("seed", 1.5),
+        ("best_iteration", -1),
+        ("test_accuracy_mean", 1.5),
+        ("test_accuracy_mean", math.nan),
+        ("test_accuracy_ci95", -0.1),
+        ("test_accuracy_ci95", math.inf),
+    ])
+    def test_invalid_value_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=f"^result field '{key}': invalid value "):
+            cli.validate_result({**self.VALID, key: value})
+
+    def test_missing_key_is_named(self):
+        payload = dict(self.VALID)
+        del payload["best_iteration"]
+        with pytest.raises(ValueError, match="^result has no field 'best_iteration'$"):
+            cli.validate_result(payload)
+
+    def test_extra_key_is_named(self):
+        with pytest.raises(ValueError, match="^result has unknown field 'status'$"):
+            cli.validate_result({**self.VALID, "status": "ok"})
+
+
 class TestEvaluate:
     def test_evaluate_checkpoint(self, tiny_config, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -451,6 +508,17 @@ class TestEvaluate:
         payload = json.loads((tmp_path / "eval.json").read_text())
         assert 0.0 <= payload["accuracy_mean"] <= 1.0
         assert payload["episodes"] == 10
+
+    def test_out_naming_a_directory_is_an_error_before_the_checkpoint_loads(self, tmp_path, capsys):
+        out = tmp_path / "r1"
+        out.mkdir()
+        code = _run([
+            "evaluate", "--checkpoint", tmp_path / "missing", "--data", tmp_path / "ds", "--out", out,
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"type": "ConfigError", "error": f"output path {out} is a directory"}
+        assert list(out.iterdir()) == []
 
     def test_missing_checkpoint_names_its_file(self, tiny_config, tmp_path, capsys):
         ds_dir = tmp_path / "ds"

@@ -1,15 +1,20 @@
 """Checks on the package source that no linter runs here: every import in
 ``src/episampler`` is used in its module, and every private top-level
 function or class is referenced somewhere in ``src/episampler`` outside
-its own body."""
+its own body. Also checks the runtime dependencies: the package imports
+only the standard library, numpy and itself, and ``pyproject.toml``
+declares numpy alone."""
 
 import ast
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "episampler"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "episampler"
 MODULES = sorted(SRC.glob("*.py"))
 
 # (module, name) imports that the module itself does not use. training
@@ -57,3 +62,22 @@ def test_every_private_definition_is_referenced():
                     private.append((f"{path.stem}.{stmt.name}", own[stmt.name]))
     unreferenced = [name for name, own in private if counts[name.split(".")[1]] == own]
     assert not unreferenced, f"never referenced in src outside their own bodies: {unreferenced}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_only_the_standard_library_numpy_and_itself(path):
+    allowed = sys.stdlib_module_names | {"numpy", "episampler"}
+    imported = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert imported <= allowed, f"{path.name} imports {sorted(imported - allowed)}"
+
+
+def test_numpy_is_the_only_declared_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = [re.match(r"[A-Za-z0-9._-]+", requirement).group() for requirement in project["dependencies"]]
+    assert names == ["numpy"]
