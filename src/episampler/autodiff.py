@@ -14,7 +14,8 @@ values can skip work that exists for a later backward pass (the learners'
 inner loop is first order then). A vjp that runs without recording, as every
 ``grad`` without ``create_graph`` does, may work on plain arrays;
 ``softmax_cross_entropy``'s does, with the float sequence of its op path, so
-a gradient has the same bits whether or not its graph is built.
+a gradient has the same bits whether or not its graph is built;
+``sqdist``'s do too.
 
 Supported ops: ``add``, ``sub``, ``mul`` (elementwise; one operand may be a
 scalar tensor of shape ``()``, and ``add`` also broadcasts a ``(1, n)`` bias
@@ -22,12 +23,15 @@ row over an ``(m, n)`` operand, or a ``(B, 1, n)`` one over ``(B, m, n)``),
 ``smul`` (multiplication by a Python float), ``matmul`` (2-D, or 3-D
 ``(B, ...)`` operands multiplied episode by episode, with optional
 transposition of the last two axes; an outer product, whose contracted
-dimension is 1, is a broadcast with the product's bits), ``sgd_step`` (a
-gradient-descent step ``w - alpha a^T g`` on a weight from its input
-``a`` and the gradient ``g`` at its product's output, fused: one array and
-one record, with the bits of the ``sub``/``smul``/``matmul`` chain),
-``reshape``, ``tile`` (copies of a tensor along a new leading axis, e.g.
-one set of fast weights per episode), ``relu``, ``exp``, ``log``,
+dimension is 1, is a broadcast with the product's bits), ``affine``
+(``x @ w + b``, a layer, as one record holding one array: ``matmul``'s
+product with the bias added in place, with the bits of the ``add`` of a
+``matmul``), ``sgd_step`` (a gradient-descent step ``w - alpha a^T g``
+on a weight from its input ``a`` and the gradient ``g`` at its product's
+output, fused: one array and one record, with the bits of the
+``sub``/``smul``/``matmul`` chain), ``reshape``, ``tile`` (copies of a
+tensor along a new leading axis, e.g. one set of fast weights per
+episode, as a read-only view of it), ``relu``, ``exp``, ``log``,
 ``sum``, ``mean`` (of all entries, or of each row), ``sqdist`` (pairwise
 squared Euclidean distance, 2-D or 3-D, as norms minus twice one batched
 matrix product, clamped at 0, so within a norm-scaled tolerance of the
@@ -42,10 +46,13 @@ each record draws its place after its inputs exist, so it comes after
 them, and a tensor sums its consumers' contributions from the latest to
 the earliest. A call costs the part of the tape between its output and its
 requested inputs: the walk stops at records older than the oldest
-requested input, and only vjps on a path to a requested input run. The
-``exp`` and ``log`` vjps hold their own output through a weak reference,
-so a tape has no reference cycles and is freed by refcount as soon as its
-last tensor is dropped.
+requested input, and only vjps on a path to a requested input run. A
+tensor's consumers are all recorded after it, so its gradient is complete
+when the sweep reaches it; once its vjps have run the sweep drops it,
+keeping only the requested inputs' gradients. The ``exp`` and ``log``
+vjps hold their own output through a weak reference, so a tape has no
+reference cycles and is freed by refcount as soon as its last tensor is
+dropped.
 
 Each graph is single-threaded; independent graphs may live on different
 threads. Pass only arrays (a tensor's ``data``) between threads.
@@ -265,15 +272,28 @@ def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
     ``+ 0.0`` turns a -0.0 into +0.0 as its zero-started sum does, so the
     result has the same bits, ±0, inf, NaN and subnormals included."""
     av, bv = a.data, b.data
-    if av.ndim != bv.ndim or av.ndim not in (2, 3):
-        raise ShapeMismatchError("matmul", a.shape, b.shape)
     if ta:
         av = av.swapaxes(-1, -2)
     if tb:
         bv = bv.swapaxes(-1, -2)
-    if av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-2]:
-        raise ShapeMismatchError("matmul", av.shape, bv.shape)
-    out = av * bv + 0.0 if av.shape[-1] == 1 else av @ bv
+    return _make("matmul", _product("matmul", av, bv), (a, b), _matmul_vjps(a, b, ta, tb))
+
+
+def _product(op: str, av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """``av @ bv`` for ``op``, written to a fresh array; a contracted
+    dimension of 1 is the broadcast ``av * bv + 0.0``."""
+    if (
+        av.ndim != bv.ndim
+        or av.ndim not in (2, 3)
+        or av.shape[:-2] != bv.shape[:-2]
+        or av.shape[-1] != bv.shape[-2]
+    ):
+        raise ShapeMismatchError(op, av.shape, bv.shape)
+    return av * bv + 0.0 if av.shape[-1] == 1 else av @ bv
+
+
+def _matmul_vjps(a: Tensor, b: Tensor, ta: bool, tb: bool) -> tuple:
+    """The vjps of ``matmul(a, b, ta, tb)`` for ``a`` and ``b``."""
 
     def va(g):
         if ta:
@@ -285,7 +305,27 @@ def matmul(a: Tensor, b: Tensor, ta: bool = False, tb: bool = False) -> Tensor:
             return matmul(g, a, ta=True, tb=ta)
         return matmul(a, g, ta=not ta)
 
-    return _make("matmul", out, (a, b), (va, vb))
+    return va, vb
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one record: 2-D ``(m, d) (d, e)`` operands, or 3-D
+    ``(B, ...)`` ones multiplied episode by episode, plus a bias of the
+    product's shape or a bias row over it, as ``add`` takes one. The
+    product is ``matmul``'s and the bias is added to it in place, so the
+    value has the bits of ``add(matmul(x, w), b)`` and is the one array
+    the layer keeps.
+
+    The node's inputs are ``(b, x, w)``: its vjps run, and record under
+    ``create_graph``, in the order the ``add``-then-``matmul`` pair runs
+    them, so a gradient taken through them sums in the same order and
+    keeps the pair's bits, second order included."""
+    out = _product("affine", x.data, w.data)
+    if b.shape != out.shape and not _is_row_over(b.shape, out.shape):
+        raise ShapeMismatchError("affine", out.shape, b.shape)
+    out += b.data
+    vjps = (_unbroadcast(b.shape, out.shape), *_matmul_vjps(x, w, False, False))
+    return _make("affine", out, (b, x, w), vjps)
 
 
 def sgd_step(w: Tensor, a: Tensor, g: Tensor, alpha: float) -> Tensor:
@@ -331,10 +371,10 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def tile(a: Tensor, count: int) -> Tensor:
     """``count`` copies of ``a`` along a new leading axis: shape
-    ``(count, *a.shape)``."""
+    ``(count, *a.shape)``, as a read-only view of ``a``'s array."""
     count = int(count)
     shape = a.shape
-    out = np.repeat(a.data[np.newaxis], count, axis=0)
+    out = np.broadcast_to(a.data, (count, *shape))
 
     def va(g):
         # Sum over the copies, as a ones row times g, so the vjp stays an op.
@@ -437,11 +477,18 @@ def sqdist(x: Tensor, y: Tensor) -> Tensor:
 
     def vx(g):
         rows = matmul(g, _ones(lead + (n, 1)))
+        if not is_grad_enabled():
+            # The op path below on arrays: the product with a ones row is
+            # the column plus 0.0, broadcast, so no (m, d) scale is written.
+            return Tensor(2.0 * ((rows.data + 0.0) * x.data - _product("sqdist", g.data, y.data)))
         scale = matmul(rows, _ones(lead + (1, d)))
         return smul(2.0, sub(mul(scale, x), matmul(g, y)))
 
     def vy(g):
         cols = matmul(g, _ones(lead + (m, 1)), ta=True)
+        if not is_grad_enabled():
+            gt = g.data.swapaxes(-1, -2)
+            return Tensor(2.0 * ((cols.data + 0.0) * y.data - _product("sqdist", gt, x.data)))
         scale = matmul(cols, _ones(lead + (1, d)))
         return smul(2.0, sub(mul(scale, y), matmul(g, x, ta=True)))
 
@@ -534,7 +581,8 @@ def grad(
     so an inner-loop gradient with respect to the latest fast weights does
     not grow with the number of earlier steps. The sweep runs in reverse
     creation order, so a tensor's gradient sums its consumers'
-    contributions from the latest consumer to the earliest.
+    contributions from the latest consumer to the earliest, and is dropped
+    once its own vjps have run unless it was requested.
     """
     inputs = list(inputs)
     if output.shape != ():
@@ -544,7 +592,8 @@ def grad(
     order = _topo_order(output, min(map(_seq, inputs), default=0))
     # Mark every tensor that leads to a requested input; only vjps into
     # marked tensors run.
-    wanted = {id(t) for t in inputs}
+    requested = {id(t) for t in inputs}
+    wanted = set(requested)
     for t in order:
         if t.node is not None and any(id(inp) in wanted for inp in t.node.inputs):
             wanted.add(id(t))
@@ -552,7 +601,9 @@ def grad(
     grads = {id(output): Tensor(1.0)}
     with nullcontext() if create_graph else no_grad():
         for t in reversed(order):
-            g = grads.get(id(t))
+            # Every consumer of t was recorded after it, so its gradient is
+            # complete; only a requested input's outlives its vjps.
+            g = grads.get(id(t)) if id(t) in requested else grads.pop(id(t), None)
             if g is None or t.node is None:
                 continue
             for inp, vjp in zip(t.node.inputs, t.node.vjps):

@@ -197,11 +197,12 @@ def cmd_gen_data(args) -> Path:
     return out
 
 
-def _run_training(config: dict, out: Path) -> dict:
+def _run_training(config: dict, out: Path, stale=()) -> dict:
     """Train one run into ``out``. The splits, learner, settings, scheme and
     difficulty model are built first, so a run that cannot start writes
     nothing. Only then does it delete the ``result.json`` and checkpoints of
-    an earlier run in ``out`` (``--force``) and write ``config.json``."""
+    an earlier run in ``out`` (``--force``) and the ``stale`` paths, and
+    write ``config.json``."""
     train_ds, val_ds, test_ds = _build_splits(config)
     params = learners.init_params(
         feature_dim=train_ds.feature_dim, way=config["train"]["way"], seed=config["seed"],
@@ -228,9 +229,11 @@ def _run_training(config: dict, out: Path) -> dict:
             lam=scheme_cfg["ema_lambda"],
             warmup_remaining=scheme_cfg["warmup_iterations"] * train_cfg.batch_size,
         )
-    (out / "result.json").unlink(missing_ok=True)
-    if (out / "checkpoints").exists():
-        shutil.rmtree(out / "checkpoints")
+    for path in (out / "result.json", out / "checkpoints", *stale):
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink(missing_ok=True)
     out.mkdir(parents=True, exist_ok=True)
     files.write_json(out / "config.json", config)
     result = training.train(
@@ -312,9 +315,13 @@ def cmd_compare_schemes(args) -> Path:
     out = _output_dir(args.out, "comparison", args.force)
     rows = []
     failure: Exception | None = None
+    # Once the first arm is built, a forced comparison deletes the earlier
+    # one's table and the arms it has not reached yet.
+    stale = [out / "comparison.csv", *(out / name for name in schemes[1:])]
     for scheme, run_config in runs.items():
         try:
-            payload = _run_training(run_config, out / scheme)
+            payload = _run_training(run_config, out / scheme, stale)
+            stale = []
         except Exception as exc:  # preserve partial results before aborting
             failure = exc
             break

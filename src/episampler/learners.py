@@ -44,7 +44,10 @@ maximum alone puts 1 into ``z`` and ``picked <= 0``.
 Every forward runs one layer loop, ``_layers``, over a flat ``w0, b0, w1,
 b1, ...`` list, the layout the parameters are held in: the encoder (a ReLU
 after every layer but the last), and MAML's and ANIL's adapted layers,
-whose inputs and pre-activations it also returns for the fused step.
+whose inputs and pre-activations it also returns for the fused step. A
+layer is one ``autodiff.affine`` record, so the tape holds one array per
+layer's pre-activation, and the tiled fast weights are views of the slow
+ones, not copies.
 
 A ProtoNet or ANIL encoder is the same for every episode, so under frozen
 parameters a row's embedding depends on the row alone. ``encoded``, the
@@ -221,7 +224,7 @@ def _layers(weights, x: ad.Tensor, relus: int):
     inputs, pre = [], []
     for layer, (w, b) in enumerate(zip(weights[::2], weights[1::2])):
         inputs.append(x)
-        x = ad.add(ad.matmul(x, w), b)
+        x = ad.affine(x, w, b)
         pre.append(x)
         if layer < relus:
             x = ad.relu(x)

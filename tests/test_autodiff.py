@@ -5,6 +5,7 @@ are the independent oracle throughout.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ class TestForwardOps:
     def test_tile_copies_along_a_new_leading_axis(self):
         a = ad.tensor([[1.0, 2.0]])
         np.testing.assert_array_equal(ad.tile(a, 3).data, [[[1.0, 2.0]]] * 3)
+
+    def test_tile_is_a_read_only_view_of_its_input(self):
+        a = ad.tensor([[1.0, 2.0]], requires_grad=True)
+        out = ad.tile(a, 3).data
+        assert np.shares_memory(out, a.data)
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0, 0, 0] = 5.0
+        np.testing.assert_array_equal(a.data, [[1.0, 2.0]])
 
     def test_log_domain_error(self):
         with pytest.raises(ad.DomainError):
@@ -158,6 +168,23 @@ class TestBackward:
         y = ad.add(ad.add(a, b), c)
         (g,) = ad.grad(y, [x], create_graph=create_graph)
         assert g.item() == 1.0 + 2.0**-52
+
+    def test_grad_frees_each_interior_gradient_once_its_vjps_have_run(self):
+        x = ad.tensor(np.ones((256, 256)), requires_grad=True)
+        y = x
+        for _ in range(12):
+            y = ad.smul(1.5, y)
+        loss = ad.sum(y)
+        tracemalloc.start()
+        try:
+            (g,) = ad.grad(loss, [x])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(g.data == 1.5**12)
+        # The chain's gradients are never all alive at once: one feeds the
+        # next, and only the requested input's is kept.
+        assert peak < 3 * x.data.nbytes
 
 
 class TestGradCheck:
@@ -528,6 +555,78 @@ class TestSgdStep:
     def test_shapes_are_checked(self, w, a, g):
         with pytest.raises(ad.ShapeMismatchError):
             ad.sgd_step(*(ad.tensor(np.zeros(shape)) for shape in (w, a, g)), 0.1)
+
+
+class TestAffine:
+    """The one-record layer against the add-then-matmul pair, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, b_shape",
+        [
+            ((5, 4), (4, 3), (1, 3)),
+            ((4, 1), (1, 3), (1, 3)),  # an outer product
+            ((3, 5, 4), (3, 4, 2), (3, 1, 2)),
+            ((2, 4, 1), (2, 1, 3), (2, 1, 3)),
+            ((2, 4, 3), (2, 3, 3), (2, 4, 3)),  # a bias of the product's shape
+        ],
+    )
+    def test_forward_and_vjps_match_the_unfused_chain(self, x_shape, w_shape, b_shape):
+        rng = _rng(8)
+        x0, w0, b0 = (_awkward(rng, shape) for shape in (x_shape, w_shape, b_shape))
+        out_shape = x_shape[:-1] + w_shape[-1:]
+        upstream, second = rng.normal(size=out_shape), rng.normal(size=out_shape)
+        outs = []
+        for fused in (True, False):
+            x, w, b = (ad.tensor(v, requires_grad=True) for v in (x0, w0, b0))
+            out = ad.affine(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
+            # Squared, so the first gradient depends on every operand and the
+            # second-order sweep sums several contributions per tensor.
+            loss = ad.sum(ad.mul(ad.mul(out, out), ad.tensor(upstream)))
+            plain = ad.grad(loss, [x, w, b])
+            graphed = ad.grad(loss, [x, w, b], create_graph=True)
+            gx, gw, gb = graphed
+            inner = ad.sum(ad.mul(ad.add(ad.matmul(gx, gw), gb), ad.tensor(second)))
+            twice = ad.grad(inner, [x, w, b])
+            outs.append([t.data.tobytes() for t in [out, *plain, *graphed, *twice]])
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "x, w, b",
+        [
+            ((2, 3), (4, 5), (1, 5)),  # inner dimensions disagree
+            ((2, 3), (2, 3, 4), (1, 4)),  # 2-D times 3-D
+            ((2, 3), (3, 4), (1, 5)),  # bias row of another width
+            ((2, 3), (3, 4), (2, 1)),  # a bias column
+            ((2, 2, 3), (2, 3, 4), (3, 1, 4)),  # bias rows for another batch
+        ],
+    )
+    def test_shape_errors_name_affine(self, x, w, b):
+        with pytest.raises(ad.ShapeMismatchError, match="^affine: "):
+            ad.affine(*(ad.tensor(np.zeros(shape)) for shape in (x, w, b)))
+
+
+class TestSqdistVjp:
+    """The first-order vjps computed on arrays against the ones built from
+    ops: a first-order backward must keep the recorded one's bits."""
+
+    @pytest.mark.parametrize("shapes", [((6, 4), (3, 4)), ((3, 5, 4), (3, 2, 4)), ((2, 1, 3), (2, 1, 3))])
+    def test_both_modes_give_the_same_bits(self, shapes):
+        x_shape, y_shape = shapes
+        rng = _rng(9)
+        x0, y0 = _awkward(rng, x_shape), _awkward(rng, y_shape)
+        upstream = _awkward(rng, x_shape[:-1] + y_shape[-2:-1])
+        # A row and a column of -0.0 and a row of +0.0: the ones-row
+        # products turn their -0.0 sums into +0.0.
+        upstream[..., 0, :] = -0.0
+        upstream[..., :, -1] = -0.0
+        upstream[..., -1, :] = 0.0
+
+        def vjps(create_graph):
+            x, y = ad.tensor(x0, requires_grad=True), ad.tensor(y0, requires_grad=True)
+            loss = ad.sum(ad.mul(ad.sqdist(x, y), ad.tensor(upstream)))
+            return [g.data.tobytes() for g in ad.grad(loss, [x, y], create_graph=create_graph)]
+
+        assert vjps(False) == vjps(True)
 
 
 class TestSoftmaxCrossEntropyVjp:

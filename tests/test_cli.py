@@ -633,7 +633,7 @@ class TestCompareSchemes:
         assert not out.exists()
 
     def test_failing_arm_keeps_the_completed_rows(self, tiny_config, tmp_path, monkeypatch, capsys):
-        def run_training(config, out):
+        def run_training(config, out, stale=()):
             # As the real one does once its run is built: the easy arm fails
             # in training, after its directory is made.
             out.mkdir(parents=True)
@@ -653,6 +653,33 @@ class TestCompareSchemes:
             "scheme,test_accuracy_mean,test_accuracy_ci95,best_iteration\nbaseline,0.5,0.25,10\n"
         )
         assert sorted(p.name for p in out.iterdir()) == ["baseline", "comparison.csv", "easy"]
+
+    def test_forced_comparison_that_aborts_leaves_none_of_the_earlier_one(
+        self, tiny_config, tmp_path, capsys
+    ):
+        out = tmp_path / "cc"
+        argv = ["compare-schemes", "--config", tiny_config, "--schemes", "baseline,uniform", "--out", out]
+        assert _run(argv) == 0
+        assert len((out / "comparison.csv").read_text().splitlines()) == 3
+        assert (out / "uniform" / "result.json").exists()
+        # The forced 4-way baseline arm aborts at its first validation,
+        # iteration 10, so the uniform arm never starts.
+        assert _run([*argv, "--force", "--train.way", "4"]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "TrainerError" and err["error"].startswith("iteration 10: ")
+        assert sorted(p.name for p in out.iterdir()) == ["baseline"]
+        assert not (out / "baseline" / "result.json").exists()
+        assert len((out / "baseline" / "history.csv").read_text().splitlines()) == 10
+
+    def test_forced_comparison_that_cannot_start_keeps_the_earlier_one(
+        self, tiny_config, tmp_path, capsys
+    ):
+        out = tmp_path / "cc"
+        argv = ["compare-schemes", "--config", tiny_config, "--schemes", "baseline,uniform", "--out", out]
+        assert _run(argv) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert _run([*argv, "--force", "--train.batch_size", "0"]) == 1
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_single_scheme_rejected(self, tiny_config, tmp_path, capsys):
         code = _run([
