@@ -6,7 +6,8 @@ rebuilt from scratch on every forward pass. Backward rules are themselves
 composed from the public ops, so running :func:`grad` with
 ``create_graph=True`` produces gradients that are graph nodes and can be
 differentiated again. This is what lets a learner differentiate through its
-own adaptation step.
+own adaptation step. ``sqdist`` is the one exception: its vjps work on
+arrays, and under ``create_graph`` they raise ``GraphError``.
 
 Recording is per thread: :func:`no_grad` turns it off, :func:`enable_grad`
 back on, and :func:`is_grad_enabled` reports it, so a caller that only wants
@@ -14,8 +15,7 @@ values can skip work that exists for a later backward pass (the learners'
 inner loop is first order then). A vjp that runs without recording, as every
 ``grad`` without ``create_graph`` does, may work on plain arrays;
 ``softmax_cross_entropy``'s does, with the float sequence of its op path, so
-a gradient has the same bits whether or not its graph is built;
-``sqdist``'s do too.
+a gradient has the same bits whether or not its graph is built.
 
 Supported ops: ``add``, ``sub``, ``mul`` (elementwise; one operand may be a
 scalar tensor of shape ``()``, and ``add`` also broadcasts a ``(1, n)`` bias
@@ -32,12 +32,12 @@ output, fused: one array and one record, with the bits of the
 ``sub``/``smul``/``matmul`` chain), ``reshape``, ``tile`` (copies of a
 tensor along a new leading axis, e.g. one set of fast weights per
 episode, as a read-only view of it), ``relu``, ``exp``, ``log``,
-``sum``, ``mean`` (of all entries, or of each row), ``sqdist`` (pairwise
-squared Euclidean distance, 2-D or 3-D, as norms minus twice one batched
-matrix product, clamped at 0, so within a norm-scaled tolerance of the
-difference formula), and ``softmax_cross_entropy`` (fused,
-max-stabilized). Every operand is a :class:`Tensor`; constants are
-wrapped with :func:`tensor`.
+``sum``, ``mean`` (of each row of an ``(m, n)`` tensor), ``sqdist``
+(pairwise squared Euclidean distance, 2-D or 3-D, as norms minus twice one
+batched matrix product, clamped at 0, so within a norm-scaled tolerance of
+the difference formula; first order only), and
+``softmax_cross_entropy`` (fused, max-stabilized). Every operand is a
+:class:`Tensor`; constants are wrapped with :func:`tensor`.
 State that only a backward pass reads (masks, one-hot labels) is built
 inside the vjp, so a forward under :func:`no_grad` never pays for it.
 
@@ -428,28 +428,20 @@ def sum(a: Tensor) -> Tensor:  # noqa: A001 - mirrors the numpy reduction name
     return _make("sum", out, (a,), (va,))
 
 
-def mean(a: Tensor, rows: bool = False) -> Tensor:
-    """Mean of all entries, or with ``rows`` the (m,) means of an (m, n)
-    tensor's rows (each the same float as ``mean`` of that row alone)."""
+def mean(a: Tensor) -> Tensor:
+    """The (m,) means of an (m, n) tensor's rows, each the same float as
+    the mean of that row alone."""
     if a.size == 0:
         raise DomainError("mean: empty tensor")
-    shape, n = a.shape, a.size
-    if not rows:
-        out = np.float64(a.data.mean())
-
-        def va(g):
-            return mul(smul(1.0 / n, g), _ones(shape))
-
-        return _make("mean", out, (a,), (va,))
     if a.data.ndim != 2:
         raise ShapeMismatchError("mean", a.shape, ("m", "n"))
-    m, width = shape
+    m, width = a.shape
     out = a.data.mean(axis=1)
 
-    def vrows(g):
+    def va(g):
         return smul(1.0 / width, matmul(reshape(g, (m, 1)), _ones((1, width))))
 
-    return _make("mean", out, (a,), (vrows,))
+    return _make("mean", out, (a,), (va,))
 
 
 def sqdist(x: Tensor, y: Tensor) -> Tensor:
@@ -462,7 +454,9 @@ def sqdist(x: Tensor, y: Tensor) -> Tensor:
     ``4 * (d + 2) * eps * (|x_i|^2 + |y_j|^2)`` of ``sum((x_i - y_j)**2)``,
     not within a few ulps of it: close rows cancel. The vjps are those of
     the unclamped formula: ``2 (rowsum(g) x - g y)`` for x and
-    ``2 (colsum(g) y - g^T x)`` for y."""
+    ``2 (colsum(g) y - g^T x)`` for y. They are first order, computed on
+    arrays, and raise ``GraphError`` under ``create_graph``: the ProtoNets
+    train first order, and MAML and ANIL take no distance."""
     if (
         x.data.ndim != y.data.ndim
         or x.data.ndim not in (2, 3)
@@ -471,26 +465,23 @@ def sqdist(x: Tensor, y: Tensor) -> Tensor:
     ):
         raise ShapeMismatchError("sqdist", x.shape, y.shape)
     lead = x.shape[:-2]
-    m, d = x.shape[-2:]
-    n = y.shape[-2]
+    m, n = x.shape[-2], y.shape[-2]
     out = kernels.pairwise_sqdist(x.data, y.data)
 
+    # The row sums are products with a ones column, as matmul forms them;
+    # each scales its row plus 0.0, which turns a -0.0 sum into +0.0.
     def vx(g):
-        rows = matmul(g, _ones(lead + (n, 1)))
-        if not is_grad_enabled():
-            # The op path below on arrays: the product with a ones row is
-            # the column plus 0.0, broadcast, so no (m, d) scale is written.
-            return Tensor(2.0 * ((rows.data + 0.0) * x.data - _product("sqdist", g.data, y.data)))
-        scale = matmul(rows, _ones(lead + (1, d)))
-        return smul(2.0, sub(mul(scale, x), matmul(g, y)))
+        if is_grad_enabled():
+            raise GraphError("sqdist is first order: differentiate it without create_graph")
+        rows = _product("sqdist", g.data, np.ones(lead + (n, 1)))
+        return Tensor(2.0 * ((rows + 0.0) * x.data - _product("sqdist", g.data, y.data)))
 
     def vy(g):
-        cols = matmul(g, _ones(lead + (m, 1)), ta=True)
-        if not is_grad_enabled():
-            gt = g.data.swapaxes(-1, -2)
-            return Tensor(2.0 * ((cols.data + 0.0) * y.data - _product("sqdist", gt, x.data)))
-        scale = matmul(cols, _ones(lead + (1, d)))
-        return smul(2.0, sub(mul(scale, y), matmul(g, x, ta=True)))
+        if is_grad_enabled():
+            raise GraphError("sqdist is first order: differentiate it without create_graph")
+        gt = g.data.swapaxes(-1, -2)
+        cols = _product("sqdist", gt, np.ones(lead + (m, 1)))
+        return Tensor(2.0 * ((cols + 0.0) * y.data - _product("sqdist", gt, x.data)))
 
     return _make("sqdist", out, (x, y), (vx, vy))
 

@@ -330,7 +330,7 @@ def cmd_compare_schemes(args) -> Path:
         )
     # The completed arms' rows; with none there is no table.
     if rows:
-        _write_csv(
+        files.write_table(
             out / "comparison.csv", "scheme,test_accuracy_mean,test_accuracy_ci95,best_iteration", rows
         )
     if failure is not None:
@@ -339,14 +339,12 @@ def cmd_compare_schemes(args) -> Path:
     return out
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    files.write_text(path, "\n".join(lines) + "\n")
-
-
 def cmd_analyze(args) -> Path:
+    if not (args.normality or args.qq or args.spearman or args.extremes or args.dispersion):
+        raise ConfigError(
+            "analyze: choose at least one protocol "
+            "(--normality, --qq, --spearman, --extremes, --dispersion)"
+        )
     out = _output_dir(args.out, "analysis", args.force)
     dataset = _load_split(args.data, args.split)
     params = learners.load_checkpoint(args.checkpoint)
@@ -398,15 +396,10 @@ def cmd_analyze(args) -> Path:
             rows.append((Path(run_dir).name, stats.weighted_loss_std(batches)))
         tables.append(("dispersion.csv", "run_id,mean_batch_std", rows))
 
-    if not tables:
-        raise ConfigError(
-            "analyze: choose at least one protocol "
-            "(--normality, --qq, --spearman, --extremes, --dispersion)"
-        )
     out.mkdir(parents=True, exist_ok=True)
     data.save_episode_file(episodes, out / "episodes.json")
     for name, header, rows in tables:
-        _write_csv(out / name, header, rows)
+        files.write_table(out / name, header, rows)
     print(f"analysis written to {out}")
     return out
 

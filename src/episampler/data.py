@@ -193,10 +193,10 @@ def generate_synthetic(
     class_separation: float,
     noise_scale: float,
     seed: int,
-    split: str = "all",
 ) -> BaseDataset:
     """Each class mean is uniform on the sphere of radius
-    ``class_separation``; samples add isotropic Gaussian noise."""
+    ``class_separation``; samples add isotropic Gaussian noise. The dataset
+    is split ``"all"``: ``split_classes`` makes the train, val and test ones."""
     if num_classes <= 0 or samples_per_class <= 0:
         raise DatasetError("num_classes and samples_per_class must be positive")
     if feature_dim < 2:
@@ -222,7 +222,7 @@ def generate_synthetic(
         "seed": seed,
     }
     offsets = np.arange(num_classes + 1) * samples_per_class
-    return BaseDataset(x.reshape(-1, feature_dim), tuple(range(num_classes)), offsets, split, generator)
+    return BaseDataset(x.reshape(-1, feature_dim), tuple(range(num_classes)), offsets, "all", generator)
 
 
 def _allocate(ratios, total: int) -> list[int]:

@@ -7,10 +7,11 @@ or fails mid-write leaves the previous file (or none), never a truncated
 one. The temporary file is not fsynced, so this guards against a failing
 or killed process, not against a power loss.
 
-Artifacts read back are JSON manifests (``read_manifest``) and CSV tables
-of numbers (``read_table``). Each reader takes the caller's exception
-class, and its errors name the file and the line or field at fault; a file
-that is missing or cannot be read raises that class too.
+CSV tables are written by ``write_table``. Artifacts read back are JSON
+manifests (``read_manifest``) and CSV tables of numbers (``read_table``).
+Each reader takes the caller's exception class, and its errors name the
+file and the line or field at fault; a file that is missing or cannot be
+read raises that class too.
 
 The field rules here (``of_type``, ``integer``, ``positive``, ``number``,
 ``list_of``, ``or_none``) are the package's one set of value predicates: the
@@ -46,6 +47,22 @@ def write_text(path, text: str) -> None:
 def write_json(path, payload) -> None:
     """``payload`` as indented JSON with sorted keys and a final newline."""
     write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_table(path, header: str, rows) -> None:
+    """``header`` and a line per row of ``rows``, fields joined by commas: a
+    float as ``repr(float(v))``, the shortest text that reads back to its
+    bits, ``None`` as an empty field and anything else with ``str``."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(map(_field, row)))
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def _field(value) -> str:
+    if isinstance(value, float):
+        return repr(float(value))
+    return "" if value is None else str(value)
 
 
 def _read_text(path, error: type[Exception]) -> str:

@@ -347,7 +347,7 @@ def _gradient_logits(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
         for step in range(params.adaptation_steps):
             logits, inputs, pre = _layers(weights, support, relus)
             losses = ad.softmax_cross_entropy(ad.reshape(logits, (-1, n)), labels)
-            means = ad.mean(ad.reshape(losses, (count, -1)), rows=True)
+            means = ad.mean(ad.reshape(losses, (count, -1)))
             bad = np.flatnonzero(~np.isfinite(means.data))
             if bad.size:
                 raise LearnerError(
@@ -435,7 +435,7 @@ def episode_nll(params: LearnerParams, batch: EpisodeBatch) -> ad.Tensor:
     An entry's value is that episode's difficulty; it is also the
     per-episode loss the trainer weights and aggregates.
     """
-    return ad.mean(_query_losses(params, batch), rows=True)
+    return ad.mean(_query_losses(params, batch))
 
 
 def episode_accuracy(params: LearnerParams, batch: EpisodeBatch) -> np.ndarray:

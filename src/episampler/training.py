@@ -258,18 +258,18 @@ def train(
     train_dataset: BaseDataset,
     val_dataset: BaseDataset,
     scheme: SamplingScheme,
-    difficulty_model: DifficultyModel | None = None,
+    difficulty_model: DifficultyModel,
     proposal_params: learners.LearnerParams | None = None,
 ) -> TrainResult:
     """Run the episodic training loop and return the best-validation
-    parameters with the full history."""
+    parameters with the full history. ``difficulty_model`` is required: an
+    online run advances it (its warm-up included) and an offline run reads
+    it, ready, with the frozen ``proposal_params``."""
     if scheme.mode == "offline":
         if proposal_params is None:
             raise TrainerError("offline mode requires proposal parameters")
-        if difficulty_model is None or not difficulty_model.ready:
+        if not difficulty_model.ready:
             raise TrainerError("offline mode requires a ready difficulty model")
-    if difficulty_model is None:
-        difficulty_model = DifficultyModel()
     if params.way is not None and params.way != config.way:
         raise TrainerError(f"learner head width {params.way} != config way {config.way}")
 
@@ -358,34 +358,27 @@ def train(
     )
 
 
-def _format(value: float) -> str:
-    return repr(float(value))
-
-
 def write_history_csv(history, path) -> None:
-    lines = ["iteration,loss,ess,mu,sigma2,fallback,val_accuracy"]
-    for rec in history:
-        mu = "" if np.isnan(rec.mu) else _format(rec.mu)
-        sigma2 = "" if np.isnan(rec.sigma2) else _format(rec.sigma2)
-        val = "" if rec.val_accuracy is None else _format(rec.val_accuracy)
-        lines.append(
-            f"{rec.iteration},{_format(rec.loss)},{_format(rec.ess)},{mu},{sigma2},"
-            f"{int(rec.fallback)},{val}"
+    rows = (
+        (
+            rec.iteration, rec.loss, rec.ess, None if np.isnan(rec.mu) else rec.mu,
+            None if np.isnan(rec.sigma2) else rec.sigma2, int(rec.fallback), rec.val_accuracy,
         )
-    files.write_text(path, "\n".join(lines) + "\n")
+        for rec in history
+    )
+    files.write_table(path, "iteration,loss,ess,mu,sigma2,fallback,val_accuracy", rows)
 
 
 _EPISODES_HEADER = "iteration,episode,omega,weight,nll"
 
 
 def write_episodes_csv(history, path) -> None:
-    lines = [_EPISODES_HEADER]
-    for rec in history:
-        for idx, ep in enumerate(rec.episodes):
-            lines.append(
-                f"{rec.iteration},{idx},{_format(ep.omega)},{_format(ep.weight)},{_format(ep.nll)}"
-            )
-    files.write_text(path, "\n".join(lines) + "\n")
+    rows = (
+        (rec.iteration, idx, ep.omega, ep.weight, ep.nll)
+        for rec in history
+        for idx, ep in enumerate(rec.episodes)
+    )
+    files.write_table(path, _EPISODES_HEADER, rows)
 
 
 def read_episodes_csv(path) -> list[list[tuple[float, float]]]:

@@ -11,6 +11,11 @@ from episampler import autodiff as ad
 from episampler import learners
 
 
+def _mean(col: ad.Tensor) -> ad.Tensor:
+    """The mean of a column of losses, as a scalar graph tensor."""
+    return ad.smul(1.0 / col.size, ad.sum(col))
+
+
 def gradient_logits(params: learners.LearnerParams, episode) -> ad.Tensor:
     """(n*q, n) query logits of a one-episode batch after its inner loop."""
     sup_x = ad.tensor(episode.support_x[0])
@@ -21,7 +26,7 @@ def gradient_logits(params: learners.LearnerParams, episode) -> ad.Tensor:
         for step in range(params.adaptation_steps):
             emb = learners._encode(encoder, sup_x)
             logits = ad.add(ad.matmul(emb, head[0]), head[1])
-            loss = ad.mean(ad.softmax_cross_entropy(logits, episode.support_labels))
+            loss = _mean(ad.softmax_cross_entropy(logits, episode.support_labels))
             if not np.isfinite(loss.item()):
                 raise learners.LearnerError(f"non-finite inner-loop loss at adaptation step {step}")
             targets = encoder + head if params.algorithm == "maml" else head
@@ -37,6 +42,6 @@ def gradient_logits(params: learners.LearnerParams, episode) -> ad.Tensor:
 def episode_nlls(params: learners.LearnerParams, batch) -> list[ad.Tensor]:
     """Each episode's mean query NLL, one scalar graph tensor per episode."""
     return [
-        ad.mean(ad.softmax_cross_entropy(gradient_logits(params, batch[i : i + 1]), batch.query_labels))
+        _mean(ad.softmax_cross_entropy(gradient_logits(params, batch[i : i + 1]), batch.query_labels))
         for i in range(len(batch))
     ]

@@ -833,17 +833,19 @@ class TestAnalyze:
             assert err == {"type": "StatsError", "error": "track_extremes: m must be at least 1, got 0"}
         assert not out.exists()
 
-    def test_no_protocol_selected_errors(self, trained, tmp_path, capsys):
-        run_dir, ds_dir = trained
-        out = tmp_path / "analysis"
-        code = _run([
-            "analyze", "--checkpoint", run_dir / "checkpoints" / "best",
-            "--data", ds_dir, "--out", out, "--episodes", "10",
-            "--way", "3", "--shot", "1", "--query", "4",
-        ])
+    def test_no_protocol_selected_errors(self, tmp_path, monkeypatch, capsys):
+        # Neither the checkpoint nor the data exists: the missing protocol
+        # is reported before either is read.
+        monkeypatch.setenv("EPISAMPLER_OUTPUT_ROOT", str(tmp_path / "root"))
+        missing = tmp_path / "missing"
+        code = _run(["analyze", "--checkpoint", missing / "best", "--data", missing])
         assert code == 1
-        assert "protocol" in json.loads(capsys.readouterr().err)["error"]
-        assert not out.exists()
+        assert json.loads(capsys.readouterr().err) == {
+            "type": "ConfigError",
+            "error": "analyze: choose at least one protocol"
+            " (--normality, --qq, --spearman, --extremes, --dispersion)",
+        }
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputRoot:

@@ -55,7 +55,7 @@ WRITERS = {
     ),
     "dataset": lambda d, v: data.save_dataset(data.generate_synthetic(3, 2, 2, 3.0, 1.0, seed=v), d),
     "episode_file": lambda d, v: data.save_episode_file(_episodes(v), d / "episodes.json"),
-    "cli_csv": lambda d, v: cli._write_csv(d / "normality.csv", "rejection_rate", [(0.5 * v,)]),
+    "table": lambda d, v: files.write_table(d / "normality.csv", "rejection_rate", [(0.5 * v,)]),
     "json": lambda d, v: files.write_json(d / "config.json", {"seed": v}),
 }
 

@@ -545,7 +545,8 @@ class TestTrainLoop:
         x[first.query_rows[0, 0]] = 1e200
         params = learners.init_params("proto_euclidean", 6, 3, seed=0)
         result = training.train(
-            config, params, dataclasses.replace(train_ds, x=x), val_ds, SamplingScheme("baseline")
+            config, params, dataclasses.replace(train_ds, x=x), val_ds, SamplingScheme("baseline"),
+            DifficultyModel(),
         )
         assert result.diagnostic == "iteration 1: TrainerError: non-finite loss"
         assert result.history == []
@@ -558,7 +559,8 @@ class TestTrainLoop:
         train_ds, val_ds, _ = _datasets()
         params = learners.init_params("maml", 6, 3, seed=0)
         result = training.train(
-            _config(learning_rate=1e6), params, train_ds, val_ds, SamplingScheme("baseline")
+            _config(learning_rate=1e6), params, train_ds, val_ds, SamplingScheme("baseline"),
+            DifficultyModel(),
         )
         assert result.diagnostic == (
             "iteration 2: LearnerError: non-finite inner-loop loss in episode 0 of the batch"
@@ -571,7 +573,7 @@ class TestTrainLoop:
         params = learners.init_params("proto_euclidean", 6, 3, seed=0)
         before = [t.data.copy() for t in params.trainable_tensors()]
         result = training.train(
-            _config(iterations=0), params, train_ds, val_ds, SamplingScheme("baseline")
+            _config(iterations=0), params, train_ds, val_ds, SamplingScheme("baseline"), DifficultyModel()
         )
         assert result.history == []
         assert result.best_iteration == 0
@@ -582,7 +584,7 @@ class TestTrainLoop:
         train_ds, val_ds, _ = _datasets()
         params = learners.init_params("proto_euclidean", 6, 3, seed=0)
         result = training.train(
-            _config(), params, train_ds, val_ds, SamplingScheme("baseline")
+            _config(), params, train_ds, val_ds, SamplingScheme("baseline"), DifficultyModel()
         )
         assert len(result.history) == 20
         for rec in result.history:
@@ -594,7 +596,7 @@ class TestTrainLoop:
         train_ds, val_ds, _ = _datasets()
         params = learners.init_params("proto_euclidean", 6, 3, seed=0)
         result = training.train(
-            _config(iterations=10), params, train_ds, val_ds, SamplingScheme("baseline")
+            _config(iterations=10), params, train_ds, val_ds, SamplingScheme("baseline"), DifficultyModel()
         )
         for rec in result.history:
             mean_nll = np.mean([ep.nll for ep in rec.episodes])
@@ -604,7 +606,7 @@ class TestTrainLoop:
         train_ds, val_ds, _ = _datasets()
         params = learners.init_params("proto_euclidean", 6, 3, seed=0)
         result = training.train(
-            _config(), params, train_ds, val_ds, SamplingScheme("baseline")
+            _config(), params, train_ds, val_ds, SamplingScheme("baseline"), DifficultyModel()
         )
         for rec in result.history:
             if rec.iteration % 10 == 0:
@@ -735,7 +737,7 @@ class TestTrainLoop:
         train_ds, val_ds, _ = _datasets()
         params = learners.init_params("maml", 6, 4, seed=0)
         with pytest.raises(training.TrainerError, match="way"):
-            training.train(_config(), params, train_ds, val_ds, SamplingScheme("baseline"))
+            training.train(_config(), params, train_ds, val_ds, SamplingScheme("baseline"), DifficultyModel())
 
     @pytest.mark.parametrize("value", [1, 0])
     @pytest.mark.parametrize("name", ["validation_episodes", "test_episodes"])
@@ -749,7 +751,7 @@ class TestTrainLoop:
         train_ds, val_ds, _ = _datasets()
         params = learners.init_params("proto_euclidean", 6, 3, seed=0)
         result = training.train(
-            _config(iterations=10), params, train_ds, val_ds, SamplingScheme("baseline")
+            _config(iterations=10), params, train_ds, val_ds, SamplingScheme("baseline"), DifficultyModel()
         )
         training.write_episodes_csv(result.history, tmp_path / "episodes.csv")
         batches = training.read_episodes_csv(tmp_path / "episodes.csv")
@@ -776,7 +778,7 @@ class TestChanceLevel:
         params = learners.init_params("proto_euclidean", 6, 3, seed=0)
         config = _config(iterations=200, validation_interval=100, way=3)
         result = training.train(
-            config, params, train_ds, val_ds, SamplingScheme("baseline")
+            config, params, train_ds, val_ds, SamplingScheme("baseline"), DifficultyModel()
         )
         mean, _ = training.evaluate(
             result.params, test_ds, 3, 1, 5, 1000, streams.stream(1, streams.TEST_EPISODES)
