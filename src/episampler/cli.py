@@ -10,6 +10,10 @@ not finite (``NaN``, ``Infinity``) are each a ``ConfigError`` naming the
 dotted key. The default output root is the ``EPISAMPLER_OUTPUT_ROOT``
 environment variable (``./runs`` otherwise).
 
+``evaluate`` and ``analyze`` read split ``--split`` (default ``test``) of
+the dataset root ``--data``: the ``ROOT/{train,val,test}`` directories that
+``gen-data`` writes and ``dataset.path`` names.
+
 ``validate_result`` checks each ``result.json`` before it is written: exactly
 the fields of ``_RESULT_FIELDS``, each accepted by its ``files`` rule, or a
 ``ValueError`` naming the field.
@@ -49,8 +53,8 @@ _CONFIG = {
         **{key: (None, or_none(integer)) for key in GENERATOR_KEYS},
         "class_separation": (3.0, number),
         "noise_scale": (1.0, number),
-        # Weights, or lists of class ids.
-        "split_ratios": ([64, 16, 20], lambda v: list_of(number)(v) or list_of(list_of(integer))(v)),
+        # Class weights of the train, val and test splits.
+        "split_ratios": ([64, 16, 20], list_of(number)),
     },
     "learner": {
         "algorithm": ("proto_euclidean", lambda v: v in learners.ALGORITHMS),
@@ -105,10 +109,9 @@ def _merge(config: dict, user: dict, table: dict = _CONFIG, prefix: str = "") ->
             config[key] = value
 
 
-def load_config(path: str | None, overrides) -> dict:
+def load_config(path: str, overrides) -> dict:
     config = copy.deepcopy(DEFAULT_CONFIG)
-    if path is not None:
-        _merge(config, files.read_manifest(path, {}, ConfigError))
+    _merge(config, files.read_manifest(path, {}, ConfigError))
     for key, raw in overrides:
         try:
             value = json.loads(raw)
@@ -155,13 +158,6 @@ def _build_splits(config: dict):
         seed=config["seed"],
     )
     return data.split_classes(full, tuple(dataset["split_ratios"]))
-
-
-def _load_split(path: str, split: str) -> data.BaseDataset:
-    root = Path(path)
-    if (root / "manifest.json").exists():
-        return data.load_dataset(root)
-    return data.load_dataset(root / split)
 
 
 # Each result.json field and the values it may hold.
@@ -280,7 +276,7 @@ def cmd_evaluate(args) -> dict:
     if args.out and Path(args.out).is_dir():
         raise ConfigError(f"output path {args.out} is a directory")
     params = learners.load_checkpoint(args.checkpoint)
-    dataset = _load_split(args.data, args.split)
+    dataset = data.load_dataset(Path(args.data) / args.split)
     rng = streams.stream(args.seed, streams.TEST_EPISODES)
     mean, ci = training.evaluate(
         params, dataset, args.way, args.shot, args.query, args.episodes, rng
@@ -339,6 +335,12 @@ def cmd_compare_schemes(args) -> Path:
     return out
 
 
+# Every table an analysis protocol writes.
+_ANALYSIS_TABLES = (
+    "normality.csv", "density.csv", "qq.csv", "spearman.csv", "extremes.csv", "dispersion.csv",
+)
+
+
 def cmd_analyze(args) -> Path:
     if not (args.normality or args.qq or args.spearman or args.extremes or args.dispersion):
         raise ConfigError(
@@ -346,13 +348,14 @@ def cmd_analyze(args) -> Path:
             "(--normality, --qq, --spearman, --extremes, --dispersion)"
         )
     out = _output_dir(args.out, "analysis", args.force)
-    dataset = _load_split(args.data, args.split)
+    dataset = data.load_dataset(Path(args.data) / args.split)
     params = learners.load_checkpoint(args.checkpoint)
     rng = streams.stream(args.seed, streams.ANALYSIS)
     episodes = data.sample_episodes(dataset, args.way, args.shot, args.query, rng, args.episodes)
     omegas = np.array(training.score_difficulties(params, episodes))
     # Each protocol's (file name, header, rows). Nothing is written until
-    # every protocol has run, so a failed analysis leaves no directory.
+    # every protocol has run, so a failed analysis leaves no directory, and
+    # a forced one that fails leaves the earlier analysis as it was.
     tables = []
 
     if args.normality:
@@ -397,6 +400,10 @@ def cmd_analyze(args) -> Path:
         tables.append(("dispersion.csv", "run_id,mean_batch_std", rows))
 
     out.mkdir(parents=True, exist_ok=True)
+    written = {name for name, _, _ in tables}
+    for name in _ANALYSIS_TABLES:
+        if name not in written:  # an earlier analysis's (--force)
+            (out / name).unlink(missing_ok=True)
     data.save_episode_file(episodes, out / "episodes.json")
     for name, header, rows in tables:
         files.write_table(out / name, header, rows)

@@ -241,24 +241,15 @@ def _allocate(ratios, total: int) -> list[int]:
 def split_classes(dataset: BaseDataset, ratios) -> tuple[BaseDataset, BaseDataset, BaseDataset]:
     """Partition classes into disjoint train/val/test datasets.
 
-    ``ratios`` is either three positive weights (resolved to counts by
-    largest remainder) or three explicit class-id lists.
+    ``ratios`` is three positive weights, resolved to class counts by
+    largest remainder; each split takes the next classes in id order.
     """
     if len(ratios) != 3:
         raise DatasetError("ratios must have exactly three entries")
     pos = {cid: i for i, cid in enumerate(dataset.class_ids)}
-    if all(isinstance(r, (list, tuple)) for r in ratios):
-        groups = [sorted(r) for r in ratios]
-        flat = [cid for ids in groups for cid in ids]
-        if len(set(flat)) != len(flat):
-            raise DatasetError("requested class id lists overlap")
-        for cid in flat:
-            if cid not in pos:
-                raise DatasetError(f"requested class id {cid} not in dataset")
-    else:
-        ordered = sorted(pos)
-        ends = np.cumsum(_allocate(ratios, dataset.num_classes)).tolist()
-        groups = [ordered[start:end] for start, end in zip([0] + ends, ends)]
+    ordered = sorted(pos)
+    ends = np.cumsum(_allocate(ratios, dataset.num_classes)).tolist()
+    groups = [ordered[start:end] for start, end in zip([0] + ends, ends)]
     out = []
     for name, ids in zip(("train", "val", "test"), groups):
         if not ids:

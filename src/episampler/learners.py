@@ -213,10 +213,6 @@ def init_params(
     )
 
 
-def _ones(shape) -> ad.Tensor:
-    return ad.tensor(np.ones(shape))
-
-
 def _layers(weights, x: ad.Tensor, relus: int):
     """``x`` through the affine layers of flat ``weights`` (``w0, b0, w1,
     b1, ...``), a ReLU after each of the first ``relus``: the output, and
@@ -269,7 +265,7 @@ def _reciprocal_row_norms(x: ad.Tensor, what: str) -> ad.Tensor:
     count, rows, dim = x.shape
     flat = ad.reshape(x, (count * rows, dim))
     sq = ad.mul(flat, flat)
-    sums = ad.matmul(sq, _ones((dim, 1)))
+    sums = ad.matmul(sq, ad.tensor(np.ones((dim, 1))))
     if np.any(sums.data <= 0.0):
         raise LearnerError(f"zero-norm {what} embedding: cosine direction undefined")
     # An overflowed norm would give its row a cosine of 0. A NaN one comes

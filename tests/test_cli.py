@@ -76,6 +76,17 @@ class TestConfig:
         assert config["train"]["batch_size"] == 8
         assert config["seed"] == 3
 
+    def test_equals_form_loads_the_same_config(self, tiny_config):
+        spaced = cli.load_config(str(tiny_config), cli._split_overrides(["--train.batch_size", "8"]))
+        joined = cli.load_config(str(tiny_config), cli._split_overrides(["--train.batch_size=8"]))
+        assert joined == spaced
+        assert joined["train"]["batch_size"] == 8
+
+    def test_equals_form_splits_at_the_first_equals(self, tiny_config):
+        overrides = cli._split_overrides(["--dataset.path=runs/a=b"])
+        assert overrides == [("dataset.path", "runs/a=b")]
+        assert cli.load_config(str(tiny_config), overrides)["dataset"]["path"] == "runs/a=b"
+
     def test_unknown_override_rejected(self, tiny_config):
         with pytest.raises(cli.ConfigError, match="train.bogus"):
             cli.load_config(str(tiny_config), [("train.bogus", "8")])
@@ -108,6 +119,7 @@ class TestConfig:
         ("learner.algorithm", "protonet", "'protonet'"),
         ("dataset.feature_dim", "8.5", "8.5"),
         ("dataset.split_ratios", "[6, [1], 3]", "[6, [1], 3]"),
+        ("dataset.split_ratios", "[[0, 1], [2], [3]]", "[[0, 1], [2], [3]]"),
         ("scheme.proposal_checkpoint", "3", "3"),
         ("scheme.mode", "[]", "[]"),
         ("train.learning_rate", "NaN", "nan"),
@@ -509,6 +521,25 @@ class TestEvaluate:
         assert 0.0 <= payload["accuracy_mean"] <= 1.0
         assert payload["episodes"] == 10
 
+    def test_reads_the_split_under_the_dataset_root(self, tiny_config, tmp_path, capsys):
+        ds_dir = tmp_path / "ds"
+        assert _run(["gen-data", "--config", tiny_config, "--out", ds_dir]) == 0
+        stem = tmp_path / "init"
+        learners.save_checkpoint(learners.init_params("proto_euclidean", 5, 3, seed=0), stem)
+        capsys.readouterr()
+        argv = [
+            "evaluate", "--checkpoint", stem, "--episodes", "4", "--way", "3", "--shot", "1", "--query", "4",
+        ]
+        assert _run([*argv, "--data", ds_dir, "--split", "val"]) == 0
+        assert json.loads(capsys.readouterr().out)["split"] == "val"
+        # A split directory is not a dataset root: its split is looked for under it.
+        assert _run([*argv, "--data", ds_dir / "val", "--split", "val"]) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        manifest = ds_dir / "val" / "val" / "manifest.json"
+        assert err == {
+            "type": "DatasetParseError", "error": f"cannot read {manifest}: No such file or directory"
+        }
+
     def test_out_naming_a_directory_is_an_error_before_the_checkpoint_loads(self, tmp_path, capsys):
         out = tmp_path / "r1"
         out.mkdir()
@@ -714,6 +745,24 @@ class TestAnalyze:
         assert len((out / "density.csv").read_text().splitlines()) == 11
         assert len((out / "qq.csv").read_text().splitlines()) == 61
         assert (out / "episodes.json").exists()
+
+    def test_forced_analysis_replaces_the_earlier_tables(self, trained, tmp_path, capsys):
+        run_dir, ds_dir = trained
+        out = tmp_path / "analysis"
+        argv = [
+            "analyze", "--checkpoint", run_dir / "checkpoints" / "best",
+            "--data", ds_dir, "--out", out, "--episodes", "20",
+            "--way", "3", "--shot", "1", "--query", "4",
+        ]
+        assert _run([*argv, "--qq", "--bins", "5"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["density.csv", "episodes.json", "qq.csv"]
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        normality = ["--force", "--normality", "--repetitions", "2", "--subsample-size"]
+        # A forced analysis that fails leaves the earlier one as it was.
+        assert _run([*argv, *normality, "2"]) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert _run([*argv, *normality, "10"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["episodes.json", "normality.csv"]
 
     def test_out_naming_a_file_is_an_error(self, trained, tmp_path, capsys):
         run_dir, ds_dir = trained

@@ -118,19 +118,6 @@ class TestSplit:
         parts = data.split_classes(ds, (1, 1, 1))
         assert [p.num_classes for p in parts] == [1, 1, 1]
 
-    def test_explicit_ids_are_sorted_and_keep_their_rows(self):
-        ds = _small_dataset(classes=5, samples=3)
-        parts = data.split_classes(ds, ([4, 1], [3, 0], [2]))
-        assert [p.class_ids for p in parts] == [(1, 4), (0, 3), (2,)]
-        for part in parts:
-            for cid in part.class_ids:
-                np.testing.assert_array_equal(_class_rows(part, cid), _class_rows(ds, cid))
-
-    def test_overlapping_explicit_ids_rejected(self):
-        ds = _small_dataset(classes=4, samples=3)
-        with pytest.raises(data.DatasetError):
-            data.split_classes(ds, ([0, 1], [1, 2], [3]))
-
     def test_empty_split_rejected(self):
         ds = _small_dataset(classes=3, samples=3)
         with pytest.raises(data.DatasetError):

@@ -169,6 +169,15 @@ class TestNormalityRejectionRate:
         rate = stats.normality_rejection_rate(omegas, rng, subsample_size=size, repetitions=2)
         assert 0.0 <= rate <= 1.0
 
+    def test_constant_subsamples_count_as_non_rejections_with_a_warning_each(self, caplog):
+        rng = streams.stream(0, streams.STATS)
+        with caplog.at_level("WARNING", logger="episampler.stats"):
+            rate = stats.normality_rejection_rate(np.full(40, 1.5), rng, subsample_size=10, repetitions=4)
+        assert rate == 0.0
+        assert [r.getMessage() for r in caplog.records] == [
+            "degenerate subsample counted as non-rejection: shapiro_wilk: constant sample"
+        ] * 4
+
     def test_pure_function_of_inputs_and_seed(self):
         omegas = streams.stream(8, streams.STATS).normal(size=500)
         a = stats.normality_rejection_rate(omegas, streams.stream(9, streams.STATS))

@@ -602,6 +602,26 @@ class TestTrainLoop:
             mean_nll = np.mean([ep.nll for ep in rec.episodes])
             assert rec.loss == pytest.approx(mean_nll, abs=1e-12)
 
+    def test_one_iteration_curriculum_weighs_its_batch_at_full_progress(self):
+        train_ds, val_ds, _ = _datasets()
+        params = learners.init_params("proto_euclidean", 6, 3, seed=0)
+        scheme = SamplingScheme("curriculum")
+
+        # The untrained net's difficulties (about 4 to 120) all lie inside
+        # this model's support, mu +- 2.58 sigma.
+        def ready():
+            return DifficultyModel(mu=40.0, var=1600.0, warmup_remaining=0)
+
+        result = training.train(
+            _config(iterations=1, validation_interval=1), params, train_ds, val_ds, scheme, ready()
+        )
+        assert result.diagnostic is None
+        episodes = result.history[0].episodes
+        weights = [ep.weight for ep in episodes]
+        assert all(w > 0.0 for w in weights)
+        assert weights == [sampling.importance_weight(ep.omega, scheme, ready(), 1.0) for ep in episodes]
+        assert weights != [sampling.importance_weight(ep.omega, scheme, ready(), 0.0) for ep in episodes]
+
     def test_validation_rows_at_exact_multiples(self):
         train_ds, val_ds, _ = _datasets()
         params = learners.init_params("proto_euclidean", 6, 3, seed=0)
