@@ -16,9 +16,10 @@ arrays are every episode's, shared by every batch of the same shape.
 Each episode consumes one block of ``L = num_classes + n * max_count``
 uniforms from ``rng.random``, ``max_count`` being the largest class size:
 
-- the first ``num_classes`` values belong to the class positions (the
-  order of ``class_ids``); the ``n`` smallest choose the episode's
-  classes, which are then sorted by class id;
+- the first ``num_classes`` values belong to the class positions; the
+  ``n`` smallest choose the episode's classes, in increasing position.
+  ``class_ids`` is strictly increasing, so a class's position is the
+  rank of its id and the classes come in increasing id order;
 - the rest, as an ``(n, max_count)`` array, gives row ``j`` to the
   ``j``-th chosen class. Slots at or past that class's sample count are
   masked to ``+inf``, and the first ``k + q`` entries of the row's stable
@@ -31,9 +32,11 @@ same values as ``B`` successive ``rng.random(L)`` calls: ``sample_episodes``
 with ``count=B`` returns the ``concat`` of ``B`` ``sample_episode`` calls,
 and batching or chunking the draws never changes a stream.
 
-On disk a dataset is a directory with ``manifest.json`` and ``data.csv``
-(header ``class_id,f0,...,f{d-1}``, one sample per row, floats written as
-shortest round-trip decimals so the round trip is bit-exact).
+On disk a dataset is a directory with ``manifest.json``, which lists
+``class_ids`` in increasing order with ``per_class_counts`` beside them,
+and ``data.csv`` (header ``class_id,f0,...,f{d-1}``, one sample per row,
+floats written as shortest round-trip decimals so the round trip is
+bit-exact).
 ``load_dataset`` reads both through ``files``, so a bad entry is reported
 with its file and its line or field. A ``class_id`` is read as a float and
 must equal one of the manifest's ids, so ``1.0`` is class 1. An episode
@@ -74,19 +77,12 @@ class _DrawTables(NamedTuple):
     counts: np.ndarray  # samples per position
     min_count: int
     max_count: int
-    rank: np.ndarray  # rank of each position's id among the ids
-    by_rank: np.ndarray  # position of the id of each rank
 
 
 @dataclass(frozen=True, eq=False)
 class BaseDataset:
-    """Class ``class_ids[i]`` owns rows ``offsets[i]:offsets[i + 1]`` of ``x``.
-
-    ``class_ids`` keeps its given (for a loaded dataset, manifest) order:
-    the episode draw gives its uniforms to class positions in that order,
-    so sorting it would change the episode stream of a manifest not in id
-    order.
-    """
+    """Class ``class_ids[i]`` owns rows ``offsets[i]:offsets[i + 1]`` of
+    ``x``; ``class_ids`` is strictly increasing."""
 
     x: np.ndarray  # (N, feature_dim) float64, made read-only
     class_ids: tuple[int, ...]
@@ -97,8 +93,8 @@ class BaseDataset:
     def __post_init__(self):
         if self.split not in SPLITS:
             raise DatasetError(f"unknown split {self.split!r}")
-        if len(set(self.class_ids)) != len(self.class_ids):
-            raise DatasetError(f"duplicate class id in {self.class_ids}")
+        if any(a >= b for a, b in zip(self.class_ids, self.class_ids[1:])):
+            raise DatasetError(f"class ids {self.class_ids} are not strictly increasing")
         self.x.setflags(write=False)
         self.offsets.setflags(write=False)
 
@@ -114,12 +110,8 @@ class BaseDataset:
     def _draw_tables(self) -> _DrawTables:
         # cached_property writes the instance __dict__ directly, which a
         # frozen dataclass allows; x, class_ids and offsets never change.
-        ids = np.array(self.class_ids)
         counts = np.diff(self.offsets)
-        by_rank = np.argsort(ids, kind="stable")
-        rank = np.empty_like(by_rank)
-        rank[by_rank] = np.arange(len(ids))
-        return _DrawTables(ids, counts, int(counts.min()), int(counts.max()), rank, by_rank)
+        return _DrawTables(np.array(self.class_ids), counts, int(counts.min()), int(counts.max()))
 
 
 _PER_EPISODE = ("classes", "support_samples", "support_rows", "query_samples", "query_rows")
@@ -242,21 +234,21 @@ def split_classes(dataset: BaseDataset, ratios) -> tuple[BaseDataset, BaseDatase
     """Partition classes into disjoint train/val/test datasets.
 
     ``ratios`` is three positive weights, resolved to class counts by
-    largest remainder; each split takes the next classes in id order.
+    largest remainder; each split takes the next classes in id order, and
+    its rows are a read-only view of the slice of ``dataset.x`` they hold.
     """
     if len(ratios) != 3:
         raise DatasetError("ratios must have exactly three entries")
-    pos = {cid: i for i, cid in enumerate(dataset.class_ids)}
-    ordered = sorted(pos)
-    ends = np.cumsum(_allocate(ratios, dataset.num_classes)).tolist()
-    groups = [ordered[start:end] for start, end in zip([0] + ends, ends)]
+    ends = np.cumsum([0] + _allocate(ratios, dataset.num_classes)).tolist()
     out = []
-    for name, ids in zip(("train", "val", "test"), groups):
-        if not ids:
+    for name, start, end in zip(("train", "val", "test"), ends, ends[1:]):
+        if start == end:
             raise DatasetError(f"{name} split is empty")
-        blocks = [dataset.x[dataset.offsets[pos[cid]] : dataset.offsets[pos[cid] + 1]] for cid in ids]
-        offsets = np.cumsum([0] + [len(b) for b in blocks])
-        out.append(BaseDataset(np.concatenate(blocks), tuple(ids), offsets, name, dict(dataset.generator)))
+        offsets = dataset.offsets[start : end + 1]
+        out.append(BaseDataset(
+            dataset.x[offsets[0] : offsets[-1]], dataset.class_ids[start:end], offsets - offsets[0], name,
+            dict(dataset.generator),
+        ))
     return tuple(out)
 
 
@@ -284,8 +276,7 @@ def sample_episodes(
     tables = dataset._draw_tables
     max_count, m = tables.max_count, k + q
     u = rng.random((count, num_classes + n * max_count))
-    chosen = np.argpartition(u[:, :num_classes], n - 1, axis=-1)[:, :n]
-    pos = tables.by_rank[np.sort(tables.rank[chosen], axis=-1)]
+    pos = np.sort(np.argpartition(u[:, :num_classes], n - 1, axis=-1)[:, :n], axis=-1)
     counts = tables.counts[pos]
     if tables.min_count < m:
         short = counts < m
@@ -342,15 +333,17 @@ _MANIFEST_FIELDS = {
     "feature_dim": files.positive,
     "split": lambda v: v in SPLITS,
     "class_ids": lambda v: (
-        files.list_of(files.integer)(v) and 0 < len(v) == len(set(v)) and 0 <= min(v) and max(v) < 2**53
+        files.list_of(files.integer)(v) and 0 < len(v) and 0 <= v[0] and v[-1] < 2**53
+        and all(a < b for a, b in zip(v, v[1:]))
     ),
     "per_class_counts": files.list_of(files.positive),
 }
 
 
 def load_dataset(path) -> BaseDataset:
-    """The dataset ``save_dataset`` wrote to ``path``. Rows are grouped by
-    class in manifest order and keep their file order within a class."""
+    """The dataset ``save_dataset`` wrote to ``path``. The manifest must list
+    ``class_ids`` in increasing order; rows are grouped by class in that
+    order and keep their file order within a class."""
     path = Path(path)
     manifest_path, csv_path = path / "manifest.json", path / "data.csv"
     manifest = files.read_manifest(manifest_path, _MANIFEST_FIELDS, DatasetParseError)

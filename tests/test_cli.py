@@ -540,6 +540,24 @@ class TestEvaluate:
             "type": "DatasetParseError", "error": f"cannot read {manifest}: No such file or directory"
         }
 
+    def test_manifest_listing_ids_out_of_order_is_a_parse_error(self, tiny_config, tmp_path, capsys):
+        ds_dir = tmp_path / "ds"
+        assert _run(["gen-data", "--config", tiny_config, "--out", ds_dir]) == 0
+        stem = tmp_path / "init"
+        learners.save_checkpoint(learners.init_params("proto_euclidean", 5, 3, seed=0), stem)
+        manifest = ds_dir / "test" / "manifest.json"
+        fields = json.loads(manifest.read_text())
+        fields["class_ids"].reverse()
+        manifest.write_text(json.dumps(fields))
+        (ds_dir / "test" / "data.csv").unlink()  # the manifest fails before data.csv is read
+        capsys.readouterr()
+        assert _run(["evaluate", "--checkpoint", stem, "--data", ds_dir, "--split", "test"]) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {
+            "type": "DatasetParseError",
+            "error": f"{manifest} field 'class_ids': invalid value {fields['class_ids']}",
+        }
+
     def test_out_naming_a_directory_is_an_error_before_the_checkpoint_loads(self, tmp_path, capsys):
         out = tmp_path / "r1"
         out.mkdir()

@@ -16,28 +16,15 @@ def _small_dataset(seed=0, classes=10, samples=20, dim=4):
     return data.generate_synthetic(classes, samples, dim, 3.0, 1.0, seed)
 
 
-SHUFFLED_ORDER = [3, 7, 0, 9, 5, 1, 8, 2, 6, 4]
-
-
-def _load_shuffled(ds, path):
-    """Save ``ds`` with its manifest listing classes in ``SHUFFLED_ORDER``,
-    then load it back."""
-    data.save_dataset(ds, path)
-    manifest_path = path / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["class_ids"] = [manifest["class_ids"][i] for i in SHUFFLED_ORDER]
-    manifest["per_class_counts"] = [manifest["per_class_counts"][i] for i in SHUFFLED_ORDER]
-    manifest_path.write_text(json.dumps(manifest))
-    return data.load_dataset(path)
-
-
 def _class_rows(ds, cid):
     i = ds.class_ids.index(cid)
     return ds.x[ds.offsets[i] : ds.offsets[i + 1]]
 
 
-RAGGED_IDS = (4, 0, 5, 1, 3, 2)  # manifest order, not id order
-RAGGED_COUNTS = (4, 7, 5, 6, 4, 5)
+RAGGED_IDS = (0, 1, 2, 3, 4, 5)
+RAGGED_COUNTS = (7, 6, 5, 4, 4, 5)
+SPARSE_IDS = (1, 4, 5, 7, 8, 9)  # increasing, but not the class positions
+SPARSE_COUNTS = (4, 7, 5, 6, 4, 5)
 
 
 def _ragged(path, counts=RAGGED_COUNTS, ids=RAGGED_IDS, dim=3):
@@ -55,7 +42,7 @@ def _reference_episode(ds, n, k, q, rng):
     num_classes, max_count = ds.num_classes, max(counts)
     u = rng.random(num_classes + n * max_count).tolist()
     chosen = sorted(range(num_classes), key=lambda i: u[i])[:n]
-    pos = sorted(chosen, key=lambda i: ds.class_ids[i])
+    pos = sorted(chosen)
     picks = []
     for j, p in enumerate(pos):
         block = u[num_classes + j * max_count :][: counts[p]]
@@ -105,6 +92,13 @@ class TestGenerate:
         assert not np.array_equal(_class_rows(a, 0), _class_rows(b, 0))
 
 
+class TestClassOrder:
+    @pytest.mark.parametrize("ids", [(1, 0), (0, 0)], ids=["decreasing", "duplicate"])
+    def test_ids_not_strictly_increasing_rejected(self, ids):
+        with pytest.raises(data.DatasetError, match=re.escape(f"class ids {ids} are not strictly increasing")):
+            data.BaseDataset(np.zeros((4, 2)), ids, np.array([0, 2, 4]), "train")
+
+
 class TestSplit:
     def test_mini_imagenet_proportions(self):
         ds = _small_dataset(classes=100, samples=3, dim=2)
@@ -122,6 +116,19 @@ class TestSplit:
         ds = _small_dataset(classes=3, samples=3)
         with pytest.raises(data.DatasetError):
             data.split_classes(ds, (100, 1e-9, 1e-9))
+
+    def test_splits_take_the_next_classes_with_their_rows(self, tmp_path):
+        ds = _ragged(tmp_path / "ds", counts=SPARSE_COUNTS, ids=SPARSE_IDS)
+        parts = data.split_classes(ds, (3, 2, 1))
+        assert [p.class_ids for p in parts] == [(1, 4, 5), (7, 8), (9,)]
+        for part in parts:
+            assert part.offsets[0] == 0 and part.offsets[-1] == len(part.x)
+            for cid in part.class_ids:
+                rows, expected = _class_rows(part, cid), _class_rows(ds, cid)
+                assert rows.dtype == expected.dtype and rows.shape == expected.shape
+                assert rows.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError):
+                part.x[0, 0] = 1.0
 
 
 class TestSampleEpisode:
@@ -192,13 +199,13 @@ class TestSampleEpisode:
 
 
 class TestBlockStream:
-    @pytest.fixture(params=["generated", "shuffled", "ragged"])
+    @pytest.fixture(params=["generated", "ragged", "sparse"])
     def dataset(self, request, tmp_path):
         if request.param == "generated":
             return _small_dataset(seed=2)
-        if request.param == "shuffled":
-            return _load_shuffled(_small_dataset(seed=2), tmp_path / "ds")
-        return _ragged(tmp_path / "ds")
+        if request.param == "ragged":
+            return _ragged(tmp_path / "ds")
+        return _ragged(tmp_path / "ds", counts=SPARSE_COUNTS, ids=SPARSE_IDS)
 
     @pytest.mark.parametrize("count", [1, 3, 16])
     def test_batch_equals_single_draws(self, dataset, count):
@@ -360,7 +367,7 @@ class TestRaggedClasses:
 
     def test_only_a_chosen_short_class_raises(self, tmp_path):
         # Class 7 (position 2) has 3 samples; the episodes need 4 per class.
-        ds = _ragged(tmp_path / "ds", counts=(6, 5, 3, 8), ids=(9, 2, 7, 4))
+        ds = _ragged(tmp_path / "ds", counts=(5, 8, 3, 6), ids=(2, 4, 7, 9))
         rng, ref = streams.stream(5, streams.TRAIN_EPISODES), streams.stream(5, streams.TRAIN_EPISODES)
         outcomes = set()
         for _ in range(40):
@@ -460,6 +467,7 @@ class TestDiskRoundTrip:
             ({"class_ids": [0, 1], "per_class_counts": [2, 0]}, "per_class_counts"),
             ({"class_ids": [], "per_class_counts": []}, "class_ids"),
             ({"class_ids": [0, 0], "per_class_counts": [2, 2]}, "class_ids"),
+            ({"class_ids": [1, 0], "per_class_counts": [2, 2]}, "class_ids"),
             ({"class_ids": [2**53]}, "class_ids"),
             ({"generator": "x"}, "generator"),
             ({"generator": 5}, "generator"),
@@ -469,7 +477,8 @@ class TestDiskRoundTrip:
             ({"split": ["train"]}, "split"),
         ],
         ids=[
-            "feature_dim", "class_id", "count", "zero_count", "no_classes", "duplicate_id", "id_above_2**53",
+            "feature_dim", "class_id", "count", "zero_count", "no_classes", "duplicate_id", "decreasing_ids",
+            "id_above_2**53",
             "generator_string", "generator_int", "generator_pairs",
             "split_unknown", "split_int", "split_list",
         ],
@@ -484,14 +493,13 @@ class TestDiskRoundTrip:
             data.load_dataset(tmp_path / "ds")
 
     def test_written_bytes(self, tmp_path):
-        # Literal digests of one dataset and one episode file (classes not in
-        # id order); a change to the float format or the JSON layout moves them.
+        # Literal digests of one dataset and one episode file; a change to the
+        # float format or the JSON layout moves them.
         ds = _small_dataset(seed=2)
         data.save_dataset(ds, tmp_path / "ds")
-        shuffled = _load_shuffled(ds, tmp_path / "ds")
         rng = streams.stream(4, streams.TRAIN_EPISODES)
         data.save_episode_file(
-            [data.sample_episode(shuffled, 4, 2, 3, rng) for _ in range(20)], tmp_path / "episodes.json"
+            [data.sample_episode(ds, 4, 2, 3, rng) for _ in range(20)], tmp_path / "episodes.json"
         )
         digests = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -499,16 +507,15 @@ class TestDiskRoundTrip:
         }
         assert digests == {
             "ds/data.csv": "8b6d1064a42dc8f840e24ffe18ff865c5057dd02370d6aa553a63c9c85739d13",
-            "episodes.json": "b7be8cd49ca002b1f3bb8ad26ed3466b27955c9428f6fa5ec14f4f7f535ed831",
+            "episodes.json": "3be200f0160518666be5989d60cc65ef5e01a362fa46180b4b659fa2fc9e3a8a",
         }
 
-    def test_episode_rows_match_their_pairs_when_classes_are_not_id_ordered(self, tmp_path):
-        ds = _small_dataset(seed=2)
-        shuffled = _load_shuffled(ds, tmp_path / "ds")
-        assert shuffled.class_ids == tuple(SHUFFLED_ORDER)
+    def test_episode_rows_match_their_pairs_when_ids_are_not_positions(self, tmp_path):
+        ds = _ragged(tmp_path / "ds", counts=SPARSE_COUNTS, ids=SPARSE_IDS)
+        assert ds.class_ids == SPARSE_IDS
 
         rng = streams.stream(4, streams.TRAIN_EPISODES)
-        eps = [data.sample_episode(shuffled, 4, 2, 3, rng) for _ in range(20)]
+        eps = [data.sample_episode(ds, 4, 2, 2, rng) for _ in range(20)]
         data.save_episode_file(eps, tmp_path / "episodes.json")
         entries = json.loads((tmp_path / "episodes.json").read_text())["episodes"]
         for ep, entry in zip(eps, entries, strict=True):
@@ -534,12 +541,6 @@ class TestEpisodeStream:
     def test_id_ordered_dataset(self):
         digest = "4a605bd9a7ee844efadf5d43b7f235756aa93cec8232ee394ecc5fe4ac39105d"
         assert _stream_digest(_small_dataset(seed=2)) == digest
-
-    def test_shuffled_manifest(self, tmp_path):
-        # The class uniforms go to positions in manifest order, so storing
-        # classes sorted by id would change this stream.
-        digest = "dce0fb7e67f3901a424ddabeeeb4819e19f0e7afd9c371b0405621221845f27b"
-        assert _stream_digest(_load_shuffled(_small_dataset(seed=2), tmp_path / "ds")) == digest
 
 
 class TestReadOnly:
